@@ -7,7 +7,7 @@ equilibrium prices can be computed directly from the factor's spectral
 structure; no tatonnement, no fixed-point iteration over prices.
 
 Ingredients demonstrated below: irreducibility, dominant eigenpairs of
-nonnegative matrices (shifted power iteration), nonnegative least squares
+nonnegative matrices (budgeted power iteration, dense fallback), nonnegative least squares
 as a cone-membership test, and the two constructive routes.
 """
 
@@ -28,13 +28,14 @@ rng = np.random.default_rng(3)
 M = np.array([[2.0, 1.0], [1.0, 2.0]])
 result = perron_eigen(M)
 print("irreducible:", is_irreducible(M))
-print(f"dominant eigenvalue {result.rho:.12f} after {result.iterations} iterations")
+print(f"dominant eigenvalue {result.rho:.12f} after {result.iterations} iterations ({result.method})")
 print("right vector:", result.right, "| residual:", result.residual)
 
-# the periodic worst case: a permutation matrix oscillates without a shift
-perm = np.array([[0.0, 1.0], [1.0, 0.0]])
-result = perron_eigen(perm)
-print(f"\npermutation matrix: rho = {result.rho:.12f}, vector = {result.right}")
+# the periodic worst case: on a weighted cycle every eigenvalue has modulus
+# rho, power iteration barely converges and the dense fallback answers
+cycle = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.0]])
+result = perron_eigen(cycle)
+print(f"\nweighted 3-cycle: rho = {result.rho:.12f} ({result.method}), vector = {result.right}")
 
 # --- cone membership -------------------------------------------------------
 C = np.array([[1.0, 1.0], [1.0, 0.0]])

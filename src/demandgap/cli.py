@@ -29,7 +29,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pi", default="1.0", help="taxation shares: scalar or CSV file")
     parser.add_argument("--format", default="text", choices=["json", "csv", "text"])
     parser.add_argument("--tol", type=float, default=1e-9, help="equality tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized demos")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="seed for randomized demos (overrides the fixture's)"
+    )
     parser.add_argument("--top", type=int, default=4, help="rows per ranking table")
     parser.add_argument("--aggregate", default=None, help="aggregation map file")
 
@@ -136,7 +138,7 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    transcript = run_demo(args.fixture, seed=args.seed if args.seed else None)
+    transcript = run_demo(args.fixture, seed=args.seed)
     if args.format == "json":
         sys.stdout.write(json.dumps(transcript, indent=2) + "\n")
     else:

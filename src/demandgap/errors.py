@@ -67,7 +67,7 @@ class NotIrreducible(DemandGapError):
 
 
 class NoConvergence(DemandGapError):
-    """Power iteration did not reach the requested residual."""
+    """The Perron kernel's eigenpair failed its residual check."""
 
     def __init__(self, iterations: int, residual: float):
         self.iterations = iterations

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     BlockMismatch,
-    NoConvergence,
     NotAnEquilibrium,
     NotInCone,
     RhoNotOne,
@@ -40,7 +39,7 @@ from .exchange import (
     check_equilibrium,
     demand_scales,
 )
-from .solvers import CONE_TOL, PF_MAX_ITER, PF_TOL, _power, is_irreducible, perron_eigen, solve_nonneg
+from .solvers import CONE_TOL, PF_MAX_ITER, PF_TOL, _dominant, is_irreducible, solve_nonneg
 
 RHO_TOL = 1e-6
 
@@ -441,12 +440,15 @@ def solve_national_equilibrium(
 
     Steps: (a) find nonnegative scales ``y`` reproducing supply from the
     demand columns ``[X | Cf | E]`` — the guaranteed seed ``(1 + pi, 1, 1)``
-    is preferred whenever it fits, otherwise the nonnegative least-squares
-    solution is used; (b) form the scaled production matrix
-    ``A(y)[i, j] = a_ij y_j / pi_i`` and compute its spectral radius;
-    (c) read the candidate prices off the dominant eigenvector of the value
-    system; (d) check the closure identities for the household and trade
-    scales and the positivity side conditions.
+    is used whenever it fits within ``cone_tol``, and nonnegative least
+    squares runs only when it does not; (b) form the scaled production
+    matrix ``A(y)[i, j] = a_ij y_j / pi_i`` and compute its spectral radius
+    and left Perron vector in one call to the verified eigen kernel (the
+    spectral radius of a reducible ``A(y)`` comes from its full spectrum);
+    (c) read the candidate prices ``p ∝ left / pi`` of the value system
+    off that vector; (d) check the closure identities for the household
+    and trade scales and the positivity side conditions.  The diagnostics
+    name the kernel's path in ``perron_method``.
 
     The solve never rescales ``y`` to force the spectral radius to one: it
     certifies or it reports.  With ``strict=True`` a spectral radius away
@@ -468,10 +470,10 @@ def solve_national_equilibrium(
 
     seed = np.concatenate([1.0 + acc.pi, [1.0, 1.0]])
     seed_residual = float(np.linalg.norm(C_big @ seed - target))
-    sol = solve_nonneg(C_big, target, cone_tol=cone_tol)
-    seed_used = seed_residual <= max(
-        cone_tol * float(np.linalg.norm(target)), sol.residual * (1.0 + 1e-9)
-    )
+    seed_used = seed_residual <= cone_tol * float(np.linalg.norm(target))
+    if not seed_used:
+        sol = solve_nonneg(C_big, target, cone_tol=cone_tol)
+        seed_used = seed_residual <= sol.residual * (1.0 + 1e-9)
     y = seed if seed_used else sol.y
 
     residual = C_big @ y - target
@@ -482,33 +484,28 @@ def solve_national_equilibrium(
     I = tuple(int(k) for k in np.flatnonzero(np.abs(residual) <= band))
     J = tuple(int(k) for k in np.flatnonzero(residual < -band))
 
+    # One eigen call on A(y)^T serves the spectral radius and the prices:
+    # the price system diag(y/pi) A^T p = p has the matrix
+    # M = D A(y)^T D^-1 with D = diag(1/pi), so its Perron vector is
+    # left(A(y)) / pi.
     A_y = A * y[None, :m] / acc.pi[:, None]
     reducible = not is_irreducible(A_y)
+    rho_m, left, _, _, method = _dominant(A_y.T, pf_tol, PF_MAX_ITER)
     if reducible:
         rho = float(np.abs(np.linalg.eigvals(A_y)).max()) if m > 1 else float(A_y[0, 0])
     else:
-        rho = perron_eigen(A_y, pf_tol=pf_tol).rho
-
-    # Price system: diag(y/pi) A^T p = p, same spectral radius as A(y).
+        rho = rho_m
+    p = left / acc.pi
+    p = p / p.max()
     M = (y[:m] / acc.pi)[:, None] * A.T
-    try:
-        rho_m, p, _, p_residual = _power(M, pf_tol, PF_MAX_ITER)
-    except NoConvergence:
-        vals, vecs = np.linalg.eig(M)
-        k = int(np.argmax(np.abs(vals)))
-        rho_m = float(np.abs(vals[k]))
-        v = np.real(vecs[:, k])
-        if v.sum() < 0:
-            v = -v
-        p = np.abs(v)
-        p_residual = float(np.abs(M @ p - rho_m * p).max())
-    p = p / p.max() if p.max() > 0 else p
+    Mp = M @ p
 
     diag: dict = {
         "rho_gap": abs(rho - 1.0),
         "rho_price_system": rho_m,
-        "price_eigen_residual": p_residual,
-        "value_equation_residual": float(np.abs(M @ p - p).max()),
+        "price_eigen_residual": float(np.abs(Mp - rho_m * p).max()),
+        "value_equation_residual": float(np.abs(Mp - p).max()),
+        "perron_method": method,
         "seed_used": seed_used,
         "scales_residual": float(np.abs(residual).max()),
         "reducible": reducible,

@@ -214,8 +214,8 @@ class RunConfig:
     """Explicit run configuration (no environment variables).
 
     ``pi`` is a scalar broadcast or a per-industry vector; tolerances must
-    be positive.  ``blocks`` optionally aggregates the table before
-    analysis.
+    be positive.  ``seed``, when set, overrides a demo fixture's seed.
+    ``blocks`` optionally aggregates the table before analysis.
     """
 
     pi: float | np.ndarray = 1.0
@@ -226,7 +226,7 @@ class RunConfig:
     rank_tol: float = 1e-8
     top: int = 4
     format: str = "text"
-    seed: int = 0
+    seed: int | None = None
     blocks: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):

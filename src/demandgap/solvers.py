@@ -2,10 +2,9 @@
 
 Three primitives: irreducibility of nonnegative matrices (strong
 connectivity of the positive-entry digraph), dominant eigenpairs of
-nonnegative matrices by shifted power iteration, and nonnegative
-least-squares membership tests for column cones.  On top of them sit two
-constructive equilibrium solvers for economies whose property matrix
-factors as ``B = C @ B1``:
+nonnegative matrices, and nonnegative least-squares membership tests for
+column cones.  On top of them sit two constructive equilibrium solvers for
+economies whose property matrix factors as ``B = C @ B1``:
 
 * :func:`spectral_equilibrium` prices the goods so that every consumer's
   budget matches the stationary weights of the row-normalised factor
@@ -17,6 +16,15 @@ factors as ``B = C @ B1``:
 
 Both verify the returned price by substitution and never return an
 unverified price.
+
+The eigenpair kernel always terminates.  It runs shifted power iteration
+for at most ``PF_MAX_ITER`` steps, which is enough for the aperiodic
+matrices of national tables, and otherwise hands the matrix to dense
+``np.linalg.eig``, which periodic matrices (supply chains that form a
+cycle) need.  Whichever path answers, the answer is checked: the vector is
+made nonnegative at max-norm 1 and must satisfy
+``max |M v - rho v| <= pf_tol``, or :class:`NoConvergence` is raised; the
+tolerance is never loosened.
 """
 
 from __future__ import annotations
@@ -43,7 +51,12 @@ from .exchange import (
 )
 
 PF_TOL = 1e-10
-PF_MAX_ITER = 100_000
+# Power iterations before the dense fallback.  The scaled production
+# matrices of balanced 34-300 industry tables converge in 6-8; a periodic
+# matrix needs thousands.  At 34-38 industries one iteration costs about
+# 11 us and one dense eig about 0.5-0.6 ms, so a budget of 40 spends at most
+# what the fallback costs before falling back.
+PF_MAX_ITER = 40
 CONE_TOL = 1e-8
 
 __all__ = [
@@ -88,8 +101,11 @@ class PerronResult:
     ``right`` and ``left`` are scaled to max-norm 1 and are strictly
     positive when the matrix is irreducible.  ``residual`` is the larger of
     the two eigen-residuals ``max |M v - rho v|``; ``rho_left`` is the
-    eigenvalue estimated from the transpose iteration (it agrees with
-    ``rho`` up to the residual tolerance).
+    eigenvalue computed from the transpose (it agrees with ``rho`` up to
+    the residual tolerance).  ``method`` is ``"power"`` when shifted power
+    iteration answered both sides within its budget and ``"dense"`` when
+    either side fell back to ``np.linalg.eig``; ``iterations`` counts the
+    power iterations of both sides.
     """
 
     rho: float
@@ -98,35 +114,56 @@ class PerronResult:
     iterations: int
     residual: float
     rho_left: float
+    method: str
 
 
-def _power(M: np.ndarray, pf_tol: float, max_iter: int) -> tuple[float, np.ndarray, int, float]:
-    """Shifted power iteration on a nonnegative matrix.
+def _dominant(M: np.ndarray, pf_tol: float, max_iter: int) -> tuple[float, np.ndarray, int, float, str]:
+    """Verified dominant eigenpair of a nonnegative matrix.
 
-    The shift ``eps = 1e-3 * max(M)`` breaks the period-2 (and higher)
-    oscillation of permutation-like matrices; the eigenvalue is read back
-    on the unshifted matrix via the Rayleigh quotient, so no shift
-    subtraction error accumulates.  Starts from the uniform vector, which
-    always overlaps the dominant nonnegative eigenvector.
+    Runs at most ``max_iter`` steps of power iteration on ``M + eps I``
+    with ``eps = 1e-3 * max(M)``, from the uniform vector, which always
+    overlaps the dominant nonnegative eigenvector.  The shift barely damps
+    the oscillation of a periodic matrix, so when the budget runs out the
+    matrix goes to dense ``np.linalg.eig``, which takes the eigenvalue with
+    the largest real part: on a periodic matrix several eigenvalues share
+    the modulus ``rho``, but only ``rho`` itself has real part ``rho``.
+
+    Either way the vector is taken in absolute value at max-norm 1, the
+    eigenvalue is its Rayleigh quotient on ``M`` (a weighted mean of the
+    Collatz-Wielandt ratios ``(M v)_i / v_i``), and the pair is returned
+    only if ``max |M v - rho v| <= pf_tol``; otherwise
+    :class:`NoConvergence` is raised.  Returns ``(rho, v, iterations,
+    residual, method)`` with ``method`` ``"power"`` or ``"dense"``; a dense
+    answer reports the ``max_iter`` power iterations spent before it.
     """
     n = M.shape[0]
     top = float(M.max(initial=0.0))
     if top == 0.0:
-        return 0.0, np.ones(n), 0, 0.0
+        return 0.0, np.ones(n), 0, 0.0, "power"
     shift = 1e-3 * top
-    Ms = M + shift * np.eye(n)
     v = np.ones(n)
-    rho = 0.0
-    residual = np.inf
+    mv = M @ v
     for it in range(1, max_iter + 1):
-        w = Ms @ v
+        w = mv + shift * v  # (M + eps I) v from the M v in hand: one product per step
         v = w / w.max()
         mv = M @ v
-        rho = float(v @ mv) / float(v @ v)
-        residual = float(np.abs(mv - rho * v).max())
+        rho, residual = _rayleigh(v, mv)
         if residual <= pf_tol:
-            return rho, v, it, residual
-    raise NoConvergence(max_iter, residual)
+            return rho, v, it, residual, "power"
+    vals, vecs = np.linalg.eig(M)
+    v = np.abs(vecs[:, int(np.argmax(vals.real))])
+    v = v / v.max()
+    mv = M @ v
+    rho, residual = _rayleigh(v, mv)
+    if not residual <= pf_tol:
+        raise NoConvergence(max_iter, residual)
+    return rho, v, max_iter, residual, "dense"
+
+
+def _rayleigh(v: np.ndarray, mv: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotient of ``v`` and the eigen-residual it leaves."""
+    rho = float(v @ mv) / float(v @ v)
+    return rho, float(np.abs(mv - rho * v).max())
 
 
 def perron_eigen(M, pf_tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> PerronResult:
@@ -135,13 +172,14 @@ def perron_eigen(M, pf_tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> Perr
 
     ``pf_tol`` bounds ``max |M v - rho v|`` with ``v`` at max-norm 1, so it
     is an absolute tolerance on the scale of the matrix entries; rescale it
-    for matrices far from unit scale.
+    for matrices far from unit scale.  ``max_iter`` is the power-iteration
+    budget per side before the dense fallback.
     """
     M = _nonneg_square(M)
     if not is_irreducible(M):
         raise NotIrreducible("matrix graph is not strongly connected")
-    rho_r, right, it_r, res_r = _power(M, pf_tol, max_iter)
-    rho_l, left, it_l, res_l = _power(M.T, pf_tol, max_iter)
+    rho_r, right, it_r, res_r, method_r = _dominant(M, pf_tol, max_iter)
+    rho_l, left, it_l, res_l, method_l = _dominant(M.T, pf_tol, max_iter)
     return PerronResult(
         rho=rho_r,
         right=right,
@@ -149,6 +187,7 @@ def perron_eigen(M, pf_tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> Perr
         iterations=it_r + it_l,
         residual=max(res_r, res_l),
         rho_left=rho_l,
+        method="dense" if "dense" in (method_r, method_l) else "power",
     )
 
 

@@ -152,5 +152,12 @@ class TestDemo:
         assert capsys.readouterr().out == first
         assert json.loads(first)["all_checks_pass"] is True
 
+    def test_seed_zero_overrides_fixture_seed(self, capsys):
+        assert main(["demo", "random:seed=42", "--seed", "0", "--format", "json"]) == 0
+        overridden = json.loads(capsys.readouterr().out)
+        assert overridden["seed"] == 0
+        assert main(["demo", "random:seed=0", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == overridden
+
     def test_unknown_fixture_exit_code(self, capsys):
         assert main(["demo", "E3"]) == 3

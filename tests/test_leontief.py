@@ -3,6 +3,7 @@ constructive solve, and the value-form clearing test."""
 
 import numpy as np
 import pytest
+from conftest import dense_perron_oracle
 
 from demandgap import (
     AggregationMap,
@@ -49,6 +50,29 @@ def certified_accounts(seed: int, m: int, trade_scale: float = 0.2):
     imp = e.copy()
     cf = x - A @ x - e + imp
     return IOAccounts.from_physical(A, x, np.ones(m), cf, e, imp, pi)
+
+
+def cyclic_accounts(seed: int, m: int, spread: float = 1.3):
+    """Balanced table whose supply chain is one cycle (industry k buys only
+    from industry k - 1) and that certifies at its own pi: column input
+    values Xout_i pi_i / (1 + pi_i) and balanced trade put rho(A(y)) at one
+    under the guaranteed seed.  A(y) is a weighted permutation with period
+    m and largest weight ``spread``."""
+    rng = np.random.default_rng(seed)
+    Xout = rng.uniform(100.0, 150.0, m)
+    steps = rng.uniform(-1.0, 1.0, m)
+    steps -= steps.mean()
+    steps *= np.log(spread) / steps.max()
+    log_pi = np.cumsum(steps)
+    pi = np.exp(log_pi - log_pi.max())
+    X = np.zeros((m, m))
+    cols = np.arange(m)
+    X[(cols - 1) % m, cols] = Xout * pi / (1.0 + pi)
+    E = Xout * rng.uniform(0.05, 0.1, m)
+    Imp = rng.uniform(0.5, 1.5, m)
+    Imp *= E.sum() / Imp.sum()
+    Cf = Xout + Imp - X.sum(axis=1) - E
+    return IOAccounts(X=X, Xout=Xout, Cf=Cf, E=E, Imp=Imp, pi=pi)
 
 
 class TestIOAccounts:
@@ -294,6 +318,33 @@ class TestNationalEquilibrium:
         A = acc.coefficients()
         lhs = sol.y[:5] * (A.T @ sol.p)
         np.testing.assert_allclose(lhs, acc.pi * sol.p, atol=1e-8)
+
+    def test_fitting_seed_skips_nnls(self, monkeypatch):
+        def no_nnls(*args, **kwargs):
+            raise AssertionError("NNLS ran although the guaranteed seed fits")
+
+        monkeypatch.setattr("demandgap.leontief.solve_nonneg", no_nnls)
+        sol = solve_national_equilibrium(certified_accounts(5, 4), strict=False)
+        assert sol.diagnostics["seed_used"] and sol.certified
+
+    @pytest.mark.parametrize("m", [24, 40])
+    def test_cyclic_supply_chain_certifies(self, m):
+        sol = solve_national_equilibrium(cyclic_accounts(m, m), strict=False)
+        assert sol.certified
+        assert abs(sol.rho - 1.0) <= 1e-6
+        assert (sol.p > 0).all()
+        assert sol.diagnostics["perron_method"] == "dense"
+
+    def test_price_is_left_perron_vector_over_pi(self):
+        for seed, m in ((6, 5), (7, 8), (8, 12)):
+            acc = certified_accounts(seed, m)
+            sol = solve_national_equilibrium(acc, strict=False)
+            assert not sol.diagnostics["reducible"]
+            assert sol.diagnostics["perron_method"] == "power"
+            A_y = acc.coefficients() * sol.y[None, :m] / acc.pi[:, None]
+            _, left = dense_perron_oracle(A_y.T)
+            expected = left / acc.pi
+            np.testing.assert_allclose(sol.p, expected / expected.max(), atol=1e-8)
 
     def test_uncertified_raises_in_strict_mode(self):
         acc = toy_accounts()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import dense_perron_oracle, interior_cone_instance, random_irreducible
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandgap import (
     NoPositivePrice,
@@ -15,6 +17,7 @@ from demandgap import (
     spectral_equilibrium,
     unit_value_equilibrium,
 )
+from demandgap.solvers import PF_TOL
 
 
 class TestIrreducibility:
@@ -54,6 +57,7 @@ class TestPerronEigen:
             rho_oracle, v_oracle = dense_perron_oracle(M)
             assert result.rho == pytest.approx(rho_oracle, abs=1e-8)
             np.testing.assert_allclose(result.right, v_oracle, atol=1e-8)
+            assert result.method == "power"
 
     def test_left_right_agreement_and_collatz_bounds(self):
         rng = np.random.default_rng(2)
@@ -75,6 +79,70 @@ class TestPerronEigen:
     def test_reducible_rejected(self):
         with pytest.raises(NotIrreducible):
             perron_eigen([[1.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("n", [50, 120])
+    def test_weighted_cycle_matches_closed_form(self, n):
+        # a pure n-cycle has n eigenvalues of modulus rho, so the power
+        # budget runs out and the dense fallback answers
+        rng = np.random.default_rng(n)
+        order = rng.permutation(n)
+        w = rng.uniform(0.5, 2.0, n)
+        M = np.zeros((n, n))
+        M[order, np.roll(order, -1)] = w
+        rho = float(np.exp(np.log(w).mean()))
+        right, left = np.empty(n), np.empty(n)
+        right[order[0]] = left[order[0]] = 1.0
+        for k in range(n - 1):
+            right[order[k + 1]] = rho * right[order[k]] / w[k]
+            left[order[k + 1]] = left[order[k]] * w[k] / rho
+        result = perron_eigen(M)
+        assert result.method == "dense"
+        assert result.rho == pytest.approx(rho, abs=1e-8)
+        assert result.rho_left == pytest.approx(rho, abs=1e-8)
+        np.testing.assert_allclose(result.right, right / right.max(), atol=1e-8)
+        np.testing.assert_allclose(result.left, left / left.max(), atol=1e-8)
+        assert result.residual <= PF_TOL
+
+
+def _irreducible_case(n: int, seed: int, kind: str) -> np.ndarray:
+    """Irreducible nonnegative matrix: random (a cycle plus dense extras),
+    or periodic with period d > 1 (a cycle plus sparse extras that jump a
+    multiple of d plus one steps along it, which keeps every cycle length
+    a multiple of d)."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_irreducible(rng, n)
+    order = rng.permutation(n)
+    M = np.zeros((n, n))
+    M[order, np.roll(order, -1)] = rng.uniform(0.1, 1.1, n)
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    d = divisors[int(rng.integers(len(divisors)))]
+    for step in range(1 + d, n, d):
+        starts = np.flatnonzero(rng.uniform(size=n) < 0.3)
+        M[order[starts], order[(starts + step) % n]] = rng.uniform(0.1, 1.1, starts.size)
+    return M
+
+
+class TestPerronProperties:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "periodic"]),
+    )
+    def test_verified_positive_pair_in_collatz_wielandt_bracket(self, n, seed, kind):
+        M = _irreducible_case(n, seed, kind)
+        result = perron_eigen(M)
+        for vec, rho, A in ((result.right, result.rho, M), (result.left, result.rho_left, M.T)):
+            assert (vec > 0).all()
+            assert vec.max() == 1.0
+            assert float(np.abs(A @ vec - rho * vec).max()) <= PF_TOL
+        assert result.residual <= PF_TOL
+        # rho is the Rayleigh quotient of the right vector, a weighted mean
+        # of the ratios (M v)_i / v_i; the slack covers rounding only
+        ratios = (M @ result.right) / result.right
+        slack = 1e-12 * max(1.0, result.rho)
+        assert ratios.min() - slack <= result.rho <= ratios.max() + slack
 
 
 class TestSolveNonneg:
