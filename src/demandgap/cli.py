@@ -25,15 +25,13 @@ EXIT_COMPUTE = 3
 EXIT_UNCERTIFIED = 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_table_options(parser: argparse.ArgumentParser, formats: list[str]) -> None:
+    parser.add_argument("table", help="normalized table CSV")
+    parser.add_argument("--out", default=".", help="directory for report files")
     parser.add_argument("--pi", default="1.0", help="taxation shares: scalar or CSV file")
-    parser.add_argument("--format", default="text", choices=["json", "csv", "text"])
     parser.add_argument("--tol", type=float, default=1e-9, help="equality tolerance")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="seed for randomized demos (overrides the fixture's)"
-    )
-    parser.add_argument("--top", type=int, default=4, help="rows per ranking table")
     parser.add_argument("--aggregate", default=None, help="aggregation map file")
+    parser.add_argument("--format", default="text", choices=formats)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,29 +42,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="demand/supply deficits, recession ratio, rankings")
-    p_an.add_argument("table", help="normalized table CSV")
-    p_an.add_argument("--out", default=".", help="directory for report files")
-    _add_common(p_an)
+    _add_table_options(p_an, ["json", "csv", "text"])
+    p_an.add_argument("--top", type=int, default=4, help="rows per ranking table")
 
     p_eq = sub.add_parser("equilibrium", help="national equilibrium solve and value test")
-    p_eq.add_argument("table", help="normalized table CSV")
-    p_eq.add_argument("--out", default=".", help="directory for report files")
-    _add_common(p_eq)
+    _add_table_options(p_eq, ["json", "text"])
 
     p_demo = sub.add_parser("demo", help="built-in construction walkthroughs")
     p_demo.add_argument("fixture", help="E1, E2 or random:seed=42,n=4,l=3,I=2")
-    _add_common(p_demo)
+    p_demo.add_argument("--format", default="text", choices=["json", "text"])
+    p_demo.add_argument(
+        "--seed", type=int, default=None, help="seed for randomized demos (overrides the fixture's)"
+    )
     return parser
 
 
-def _load(args) -> tuple:
+def _load(args, **settings) -> tuple:
     config = RunConfig(
         pi=parse_pi(args.pi),
         tol=args.tol,
-        top=args.top,
         format=args.format,
-        seed=args.seed,
         blocks=parse_blocks(args.aggregate) if args.aggregate else None,
+        **settings,
     )
     table = parse_niot(args.table)
     names = table.names
@@ -74,11 +71,11 @@ def _load(args) -> tuple:
         builtin = registry_for(table.m)
         if builtin:
             names = builtin
-    acc = table.to_accounts(pi=config.pi_for(table.m) if config.blocks is None else 1.0)
+    acc = table.to_accounts(pi=config.pi if config.blocks is None else 1.0)
     indices = table.indices
     if config.blocks is not None:
         mapping = AggregationMap(config.blocks)
-        acc = aggregate_accounts(acc, mapping, pi=config.pi_for(mapping.m))
+        acc = aggregate_accounts(acc, mapping, pi=config.pi)
         names = tuple(
             " + ".join(names[k] for k in block) for block in mapping.blocks
         )
@@ -87,7 +84,7 @@ def _load(args) -> tuple:
 
 
 def _cmd_analyze(args) -> int:
-    table, acc, names, indices, config = _load(args)
+    table, acc, names, indices, config = _load(args, top=args.top)
     report = analyze_accounts(acc, names=names, indices=indices, tol=0.0, top=config.top)
     payload = reporting.analysis_dict(
         table.country,
@@ -114,13 +111,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     table, acc, names, indices, config = _load(args)
-    solution = solve_national_equilibrium(
-        acc,
-        rho_tol=config.rho_tol,
-        cone_tol=config.cone_tol,
-        tol=config.tol,
-        strict=False,
-    )
+    solution = solve_national_equilibrium(acc, tol=config.tol, strict=False)
     balance = check_value_equilibrium(acc, tol=config.tol)
     payload = reporting.equilibrium_dict(table.country, table.year, acc.pi, solution, balance)
     out = Path(args.out)

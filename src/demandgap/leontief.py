@@ -158,6 +158,45 @@ class IOAccounts:
         )
 
 
+def demand_vector(acc: IOAccounts) -> np.ndarray:
+    """Per-industry demand in value units.
+
+    Sum of the taxed production demand spread over input flows, the
+    household demand spread over the final-consumption pattern, and the
+    export demand scaled by the import/export value ratio, net of the taxed
+    intermediate use.  Industries with zero input value contribute nothing
+    to the production term; a table with no exports and no imports has a
+    zero trade term.
+    """
+    col = acc.input_value()
+    live = col > 0
+    share = np.zeros(acc.m)
+    share[live] = acc.pi[live] * acc.Xout[live] / col[live]
+    production = acc.X @ share
+
+    cf_total = float(acc.Cf.sum())
+    if cf_total <= 0:
+        raise ZeroDenominator("total final consumption")
+    household_income = float(((1.0 - acc.pi) * acc.Xout).sum() + (acc.X @ acc.pi).sum())
+    household = acc.Cf * household_income / cf_total
+
+    e_total = float(acc.E.sum())
+    imp_total = float(acc.Imp.sum())
+    if e_total <= 0:
+        if imp_total > 0:
+            raise ZeroDenominator("total exports (imports present)")
+        trade = np.zeros(acc.m)
+    else:
+        trade = acc.E * imp_total / e_total
+
+    return production + household + trade - acc.X @ acc.pi
+
+
+def supply_vector(acc: IOAccounts) -> np.ndarray:
+    """Per-industry supply in value units: gross output plus imports."""
+    return acc.Xout + acc.Imp
+
+
 @dataclass(frozen=True)
 class AggregationMap:
     """Partition of ``range(n)`` into ordered blocks; maps vectors and row
@@ -351,53 +390,17 @@ class ValueBalanceReport:
     tol: float
 
 
-def _value_demand_terms(acc: IOAccounts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three demand-side terms of the value-form inequality.
-
-    Industries with zero input value contribute nothing to the first term
-    (their share is defined as zero).  A vacuous trade account (no exports
-    and no imports) contributes a zero third term; exports with zero total
-    against positive imports are a hard error.
-    """
-    col = acc.input_value()
-    live = col > 0
-    ratio = np.zeros(acc.m)
-    ratio[live] = acc.pi[live] * acc.Xout[live] / col[live]
-    production = acc.X @ ratio
-
-    cf_total = float(acc.Cf.sum())
-    if cf_total <= 0:
-        raise ZeroDenominator("total final consumption")
-    household_income = float(
-        ((1.0 - acc.pi) * acc.Xout).sum() + (acc.X @ acc.pi).sum()
-    )
-    household = acc.Cf * (household_income / cf_total)
-
-    e_total = float(acc.E.sum())
-    imp_total = float(acc.Imp.sum())
-    if e_total <= 0:
-        if imp_total > 0:
-            raise ZeroDenominator("total exports (imports present)")
-        trade = np.zeros(acc.m)
-    else:
-        trade = imp_total / e_total * acc.E
-    return production, household, trade
-
-
 def check_value_equilibrium(acc: IOAccounts, tol: float = DEFAULT_TOL) -> ValueBalanceReport:
     """Evaluate the value-form clearing inequalities industry by industry.
 
-    The residual is the left side (production demand + household demand +
-    export demand) minus the right side (gross output + imports + taxed
-    intermediate use), which equals the demand deficit ``D_k - S_k`` of the
-    recession diagnostics.  Verdict: equilibrium iff every residual is at
-    most ``tol * max(1, S_k)``.
+    The residual is the demand deficit ``D_k - S_k`` of the recession
+    diagnostics: production demand + household demand + export demand
+    minus taxed intermediate use, minus gross output + imports.  Verdict:
+    equilibrium iff every residual is at most ``tol * max(1, S_k)``.
     """
-    production, household, trade = _value_demand_terms(acc)
-    lhs = production + household + trade
-    rhs = acc.Xout + acc.Imp + acc.X @ acc.pi
-    residual = lhs - rhs
-    band = tol * np.maximum(1.0, acc.Xout + acc.Imp)
+    S = supply_vector(acc)
+    residual = demand_vector(acc) - S
+    band = tol * np.maximum(1.0, S)
     violated = tuple(int(k) for k in np.flatnonzero(residual > band))
     return ValueBalanceReport(
         residual=residual,

@@ -66,17 +66,15 @@ class NiotTable:
 
     def to_accounts(self, pi=1.0) -> IOAccounts:
         """Value-form accounts with the taxation shares ``pi`` (scalar
-        broadcast or per-industry vector)."""
-        pi_arr = np.asarray(pi, dtype=float).reshape(-1)
-        if pi_arr.shape[0] == 1:
-            pi_arr = np.full(self.m, float(pi_arr[0]))
+        broadcast or per-industry vector, as :class:`IOAccounts` takes
+        them)."""
         return IOAccounts(
             X=self.X,
             Xout=self.Xout,
             Cf=self.final_consumption,
             E=self.E,
             Imp=self.Imp,
-            pi=pi_arr,
+            pi=pi,
         )
 
 
@@ -127,7 +125,7 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
     if len(body) != m:
         raise SchemaError(None, None, f"expected {m} industry rows, found {len(body)}")
 
-    indices: list[int] = []
+    first_row: dict[int, int] = {}  # declared index -> its row, in file order
     names: list[str] = []
     X = np.zeros((m, m))
     fc = np.zeros(m)
@@ -139,9 +137,14 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
         if len(row) != len(header):
             raise SchemaError(k, None, f"expected {len(header)} cells, found {len(row)}")
         try:
-            indices.append(int(row[0]))
+            index = int(row[0])
         except ValueError:
             raise SchemaError(k, "industry_index", f"not an integer: {row[0]!r}") from None
+        if index in first_row:
+            raise SchemaError(
+                k, "industry_index", f"duplicate index {index} (first on row {first_row[index]})"
+            )
+        first_row[index] = k
         names.append(row[1].strip())
         for i in range(m):
             X[k - 1, i] = _parse_cell(row[2 + i], k, f"X_{i + 1}", clamp_negative)
@@ -154,7 +157,13 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
 
     country, year, currency = "XXX", 0, "value units"
     meta_path = path.parent / "meta.csv"
-    if meta_path.exists():
+    if not meta_path.exists():
+        warnings.warn(
+            f"no meta.csv beside {path}: country XXX and year 0, so reports are named XXX_0_*",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    else:
         with meta_path.open(newline="") as fh:
             meta_rows = [r for r in csv.reader(fh) if r]
         if len(meta_rows) < 2 or [h.strip() for h in meta_rows[0]] != ["country", "year", "currency"]:
@@ -170,7 +179,7 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
         country=country,
         year=year,
         currency=currency,
-        indices=tuple(indices),
+        indices=tuple(first_row),
         names=tuple(names),
         X=X,
         fc=fc,
@@ -213,20 +222,15 @@ def serialize_niot(table: NiotTable, path, write_meta: bool = True) -> None:
 class RunConfig:
     """Explicit run configuration (no environment variables).
 
-    ``pi`` is a scalar broadcast or a per-industry vector; tolerances must
-    be positive.  ``seed``, when set, overrides a demo fixture's seed.
-    ``blocks`` optionally aggregates the table before analysis.
+    ``pi`` is a scalar broadcast or a per-industry vector; ``tol`` must be
+    positive.  ``blocks`` optionally aggregates the table before analysis.
+    The national solve's other tolerances are the library defaults.
     """
 
     pi: float | np.ndarray = 1.0
     tol: float = 1e-9
-    rho_tol: float = 1e-6
-    pf_tol: float = 1e-10
-    cone_tol: float = 1e-8
-    rank_tol: float = 1e-8
     top: int = 4
     format: str = "text"
-    seed: int | None = None
     blocks: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
@@ -234,19 +238,10 @@ class RunConfig:
         if (pi < 0).any() or (pi > 1).any():
             raise ValueError("pi entries must lie in [0, 1]")
         self.pi = pi if pi.shape[0] > 1 else float(pi[0])
-        for name in ("tol", "rho_tol", "pf_tol", "cone_tol", "rank_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.format not in ("json", "csv", "text"):
             raise ValueError(f"format must be json, csv or text, got {self.format!r}")
-
-    def pi_for(self, m: int) -> np.ndarray:
-        pi = np.asarray(self.pi, dtype=float).reshape(-1)
-        if pi.shape[0] == 1:
-            return np.full(m, float(pi[0]))
-        if pi.shape[0] != m:
-            raise ValueError(f"pi has length {pi.shape[0]}, table has {m} industries")
-        return pi
 
 
 def parse_pi(text: str) -> float | np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveGDP, ZeroDenominator
-from .leontief import IOAccounts
+from .errors import NonpositiveGDP
+from .leontief import IOAccounts, demand_vector, supply_vector
 
 __all__ = [
     "RecessionReport",
@@ -31,45 +31,6 @@ __all__ = [
     "rank_industries",
     "analyze_accounts",
 ]
-
-
-def demand_vector(acc: IOAccounts) -> np.ndarray:
-    """Per-industry demand in value units.
-
-    Sum of the taxed production demand spread over input flows, the
-    household demand spread over the final-consumption pattern, and the
-    export demand scaled by the import/export value ratio, net of the taxed
-    intermediate use.  Industries with zero input value contribute nothing
-    to the production term; a table with no exports and no imports has a
-    zero trade term.
-    """
-    col = acc.input_value()
-    live = col > 0
-    share = np.zeros(acc.m)
-    share[live] = acc.pi[live] * acc.Xout[live] / col[live]
-    production = acc.X @ share
-
-    cf_total = float(acc.Cf.sum())
-    if cf_total <= 0:
-        raise ZeroDenominator("total final consumption")
-    household_income = float(((1.0 - acc.pi) * acc.Xout).sum() + (acc.X @ acc.pi).sum())
-    household = acc.Cf * household_income / cf_total
-
-    e_total = float(acc.E.sum())
-    imp_total = float(acc.Imp.sum())
-    if e_total <= 0:
-        if imp_total > 0:
-            raise ZeroDenominator("total exports (imports present)")
-        trade = np.zeros(acc.m)
-    else:
-        trade = acc.E * imp_total / e_total
-
-    return production + household + trade - acc.X @ acc.pi
-
-
-def supply_vector(acc: IOAccounts) -> np.ndarray:
-    """Per-industry supply in value units: gross output plus imports."""
-    return acc.Xout + acc.Imp
 
 
 def recession_industries(D, S, tol: float = 0.0) -> tuple[tuple[int, ...], np.ndarray]:

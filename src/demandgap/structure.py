@@ -61,6 +61,53 @@ def _index_set(I, n: int) -> tuple[int, ...]:
     return idx
 
 
+def _positive_support(q: np.ndarray, I, tol_pos: float = 0.0) -> tuple[int, ...]:
+    """The sorted support ``I``; raises unless it is nonempty and ``q``
+    exceeds ``tol_pos`` on it."""
+    idx = _index_set(I, q.shape[0])
+    if not idx:
+        raise EmptySupport("the price support I is empty")
+    if (q[list(idx)] <= tol_pos).any():
+        raise SupportMismatch(f"prices must exceed {tol_pos} on I = {idx}")
+    return idx
+
+
+def _exact_support(q: np.ndarray, I, tol_pos: float) -> tuple[tuple[int, ...], list[int]]:
+    """The support ``I`` and its complement; raises unless ``I`` is exactly
+    where ``q`` exceeds ``tol_pos``."""
+    idx = _positive_support(q, I, tol_pos)
+    off = [k for k in range(q.shape[0]) if k not in idx]
+    if off and (q[off] > tol_pos).any():
+        raise SupportMismatch(
+            f"price support must be exactly I = {idx} (tol_pos = {tol_pos})"
+        )
+    return idx, off
+
+
+def _check_clearing(
+    econ: ExchangeEconomy, price, idx, case: str, tol: float, tol_pos: float
+) -> None:
+    """Raise NotAnEquilibrium unless demand never exceeds supply at
+    ``price``, with no deficit at all in the ``exact`` case and none on the
+    support ``idx`` in the ``partial`` one."""
+    report = check_equilibrium(econ, price, tol=tol, tol_pos=tol_pos)
+    if report.violated_set:
+        raise NotAnEquilibrium(f"demand exceeds supply on goods {report.violated_set}")
+    if case == "exact" and report.strict_set:
+        raise NotAnEquilibrium(
+            f"strict deficits on goods {report.strict_set}; use the partial case"
+        )
+    on_support = sorted(set(report.strict_set) & set(idx))
+    if on_support:
+        raise NotAnEquilibrium(f"deficits on the price support {on_support}")
+
+
+def _numerical_rank(M: np.ndarray, rank_tol: float) -> int:
+    """Singular values above ``rank_tol`` times the largest one."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    return int((sv > rank_tol * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
+
+
 @dataclass(frozen=True)
 class RepresentationParts:
     """Ingredients of the endowment representation.
@@ -132,22 +179,14 @@ class ClearingBasis:
 
 def clearing_basis(p, I, rank_tol: float = DEFAULT_RANK_TOL) -> ClearingBasis:
     """Build the clearing basis for price vector ``p`` on support ``I``."""
-    price = as_price(p)
-    q = price.normalized()
-    n = q.shape[0]
-    idx = _index_set(I, n)
-    if not idx:
-        raise EmptySupport("clearing basis needs a nonempty support")
-    sub = q[list(idx)]
-    if (sub <= 0).any():
-        raise SupportMismatch(f"prices must be strictly positive on I = {idx}")
-    total = sub.sum()
-    G = np.zeros((n, len(idx)))
+    q = as_price(p).normalized()
+    idx = _positive_support(q, I)
+    total = q[list(idx)].sum()
+    G = np.zeros((q.shape[0], len(idx)))
     for j, s in enumerate(idx):
         G[list(idx), j] = -q[s] / total
         G[s, j] += 1.0
-    sv = np.linalg.svd(G, compute_uv=False)
-    numerical_rank = int((sv > rank_tol * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
+    numerical_rank = _numerical_rank(G, rank_tol)
     if numerical_rank != max(len(idx) - 1, 0):
         raise RankDeficiency(
             f"clearing basis rank {numerical_rank}, expected {len(idx) - 1}"
@@ -176,26 +215,33 @@ def synthesize_property(
     n, l = C.shape
     if parts.d0.shape != (n, l):
         raise ValueError(f"d0 shape {parts.d0.shape} does not match C {C.shape}")
-    price = as_price(p, tol_pos)
-    q = price.normalized()
-    idx = list(parts.I)
-    off = [k for k in range(n) if k not in parts.I]
-    if (q[idx] <= tol_pos).any() or (off and (q[off] > tol_pos).any()):
-        raise SupportMismatch(
-            f"price support must be exactly I = {parts.I} (tol_pos = {tol_pos})"
-        )
+    q = as_price(p, tol_pos).normalized()
+    _exact_support(q, parts.I, tol_pos)
+    return _assemble(C, q, parts, clearing_basis(q, parts.I).G, tol_pos)
 
-    psi_bar = C @ parts.y
-    if (psi_bar[idx] <= 0).any():
+
+def _proportional(
+    C: np.ndarray, y: np.ndarray, q: np.ndarray, I, tol_pos: float
+) -> np.ndarray:
+    """The rank-one part ``psi_bar shares^T``: the scaled total demand
+    ``psi_bar = C y`` split among the consumers by the value of their
+    scaled demand at the normalized price ``q``."""
+    psi_bar = C @ y
+    if (psi_bar[list(I)] <= 0).any():
         raise ValueError("sum_i y_i C_i must be strictly positive on the support")
     demand_value = C.T @ q
     if (demand_value <= tol_pos).any():
         raise ValueError("every consumer must demand something on the support")
+    return np.outer(psi_bar, y * demand_value / float(psi_bar @ q))
 
-    basis = clearing_basis(q, parts.I)
-    shares = parts.y * demand_value / float(psi_bar @ q)
-    B = np.outer(psi_bar, shares) + basis.G @ parts.a + parts.d0
 
+def _assemble(
+    C: np.ndarray, q: np.ndarray, parts: RepresentationParts, G: np.ndarray, tol_pos: float
+) -> np.ndarray:
+    """The property matrix of validated ``parts`` at the normalized price
+    ``q`` on the clearing basis ``G``; magnitudes below the negativity
+    tolerance are snapped to zero."""
+    B = _proportional(C, parts.y, q, parts.I, tol_pos) + G @ parts.a + parts.d0
     neg_tol = 1e-12 * max(1.0, float(np.abs(B).max()))
     if B.min() < -neg_tol:
         k, i = np.unravel_index(np.argmin(B), B.shape)
@@ -217,43 +263,21 @@ def decompose_property(
     ``case='exact'`` requires demand to equal supply in every good;
     ``case='partial'`` allows strict deficits off the support.  Returns the
     parts and the relative reconstruction residual of the round trip
-    through :func:`synthesize_property` (which is zero up to roundoff).
+    through the synthesis of :func:`synthesize_property` on the same
+    clearing basis (which is zero up to roundoff).
 
     The clearing-basis expansion is gauged by the uniform ``1/l``
     symmetrisation, so repeated decompositions are deterministic.
     """
     price = as_price(p, tol_pos)
     q = price.normalized()
-    idx = _index_set(I, econ.n)
-    off = [k for k in range(econ.n) if k not in idx]
-    if not idx:
-        raise EmptySupport("decomposition needs a nonempty support")
-    if (q[list(idx)] <= tol_pos).any() or (off and (q[off] > tol_pos).any()):
-        raise SupportMismatch(f"price support must be exactly I = {idx}")
-
-    report = check_equilibrium(econ, price, tol=tol, tol_pos=tol_pos)
-    if report.violated_set:
-        raise NotAnEquilibrium(f"demand exceeds supply on goods {report.violated_set}")
-    if case == "exact":
-        if report.strict_set:
-            raise NotAnEquilibrium(
-                f"strict deficits on goods {report.strict_set}; use case='partial'"
-            )
-    else:
-        deficits_on_support = set(report.strict_set) & set(idx)
-        if deficits_on_support:
-            raise NotAnEquilibrium(
-                f"deficits on the price support {sorted(deficits_on_support)}"
-            )
+    idx, _ = _exact_support(q, I, tol_pos)
+    _check_clearing(econ, price, idx, case, tol, tol_pos)
 
     y = demand_scales(econ, price, tol_pos)
-    psi_bar = econ.C @ y
-    satisfied_value = float(psi_bar @ q)
-    if satisfied_value <= tol_pos:
+    if float(econ.C @ y @ q) <= tol_pos:
         raise NotAnEquilibrium("the economy has no valued supply at this price")
-    demand_value = econ.C.T @ q
-    shares = y * demand_value / satisfied_value
-    D = econ.B - np.outer(psi_bar, shares)
+    D = econ.B - _proportional(econ.C, y, q, idx, tol_pos)
 
     d1 = np.zeros_like(D)
     d1[list(idx), :] = D[list(idx), :]
@@ -271,7 +295,8 @@ def decompose_property(
     a = h + 1.0 / econ.l
 
     parts = RepresentationParts(y=y, a=a, d0=d0, I=idx, case=case)
-    B_rt = synthesize_property(econ.C, price, parts, tol=tol, tol_pos=tol_pos)
+    parts.validate(tol=tol)
+    B_rt = _assemble(econ.C, q, parts, basis.G, tol_pos)
     residual = float(
         np.abs(B_rt - econ.B).max() / max(1.0, float(np.abs(econ.B).max()))
     )
@@ -329,23 +354,8 @@ def degenerate_transform(
     if mode not in ("exact", "partial"):
         raise ValueError(f"mode must be 'exact' or 'partial', got {mode!r}")
     price = as_price(p, tol_pos)
-    q = price.normalized()
-    idx = _index_set(I, econ.n)
-    if not idx:
-        raise EmptySupport("degenerate transform needs a nonempty support")
-    off = [k for k in range(econ.n) if k not in idx]
-    if (q[list(idx)] <= tol_pos).any() or (off and (q[off] > tol_pos).any()):
-        raise SupportMismatch(f"price support must be exactly I = {idx}")
-
-    report = check_equilibrium(econ, price, tol=tol, tol_pos=tol_pos)
-    if report.violated_set:
-        raise NotAnEquilibrium(f"demand exceeds supply on goods {report.violated_set}")
-    if mode == "exact" and report.strict_set:
-        raise NotAnEquilibrium(
-            f"strict deficits on goods {report.strict_set}; use mode='partial'"
-        )
-    if set(report.strict_set) & set(idx):
-        raise NotAnEquilibrium("deficits on the price support")
+    idx, off = _exact_support(price.normalized(), I, tol_pos)
+    _check_clearing(econ, price, idx, mode, tol, tol_pos)
 
     y = demand_scales(econ, price, tol_pos)
     B_bar = econ.B.copy()
@@ -390,9 +400,7 @@ def degeneracy_multiplicity(
     C = np.asarray(C, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     residual = B_bar - C * y[None, :]
-    sv = np.linalg.svd(residual, compute_uv=False)
-    rank = int((sv > rank_tol * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
-    multiplicity = B_bar.shape[0] - rank
+    multiplicity = B_bar.shape[0] - _numerical_rank(residual, rank_tol)
     if I is not None:
         bound = B_bar.shape[0] - len(_index_set(I, B_bar.shape[0]))
         if multiplicity < bound:

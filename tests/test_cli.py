@@ -96,6 +96,39 @@ class TestAnalyze:
         ])
         assert code == 3
 
+    def test_bad_pi_length_after_aggregation_exit_code(self, toy_table, tmp_path):
+        blocks = tmp_path / "map.txt"
+        blocks.write_text("1,2\n")
+        pi_file = tmp_path / "pi.csv"
+        pi_file.write_text("0.5,0.5\n")  # one entry per original industry, not per block
+        code = main([
+            "analyze", str(toy_table), "--out", str(tmp_path / "z"),
+            "--aggregate", str(blocks), "--pi", str(pi_file),
+        ])
+        assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{table}", "--out", "{out}", "--seed", "5"],
+        ["equilibrium", "{table}", "--out", "{out}", "--top", "1"],
+        ["equilibrium", "{table}", "--out", "{out}", "--seed", "5"],
+        ["equilibrium", "{table}", "--out", "{out}", "--format", "csv"],
+        ["demo", "E1", "--top", "1"],
+        ["demo", "E1", "--pi", "0.5"],
+        ["demo", "E1", "--tol", "1e-6"],
+        ["demo", "E1", "--aggregate", "map.txt"],
+        ["demo", "E1", "--out", "reports"],
+        ["demo", "E1", "--format", "csv"],
+    ],
+)
+def test_unread_flag_is_an_error(argv, toy_table, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([a.format(table=toy_table, out=tmp_path / "out") for a in argv])
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "out").exists()
+
 
 class TestEquilibrium:
     def test_uncertified_exit_four(self, toy_table, tmp_path, capsys):

@@ -93,8 +93,18 @@ class TestParse:
         assert parsed.gcf[0] == 0.0
 
     def test_missing_meta_uses_placeholders(self, tmp_path):
-        table = parse_niot(write_toy(tmp_path, meta=None))
+        with pytest.warns(RuntimeWarning, match="meta.csv.*XXX_0_"):
+            table = parse_niot(write_toy(tmp_path, meta=None))
         assert table.country == "XXX" and table.year == 0
+
+    def test_duplicate_industry_index(self, tmp_path):
+        table = write_toy(
+            tmp_path,
+            body=["1,Alpha,10,20,40,10,20,5,100", "1,Beta,30,10,25,5,10,15,100"],
+        )
+        with pytest.raises(SchemaError, match="row 2.*duplicate index 1") as err:
+            parse_niot(table)
+        assert err.value.row == 2
 
 
 class TestRoundTrip:
@@ -175,7 +185,10 @@ class TestConfig:
             RunConfig(tol=0.0)
         with pytest.raises(ValueError):
             RunConfig(format="xml")
-        cfg = RunConfig(pi=np.array([0.5, 0.6]))
-        np.testing.assert_array_equal(cfg.pi_for(2), [0.5, 0.6])
-        with pytest.raises(ValueError):
-            cfg.pi_for(3)
+
+    def test_pi_vector_reaches_accounts(self, tmp_path):
+        table = parse_niot(write_toy(tmp_path))
+        np.testing.assert_array_equal(table.to_accounts(pi=0.5).pi, [0.5, 0.5])
+        np.testing.assert_array_equal(table.to_accounts(pi=[0.5, 0.6]).pi, [0.5, 0.6])
+        with pytest.raises(ValueError, match="length 2"):
+            table.to_accounts(pi=[0.5, 0.6, 0.7])
