@@ -123,7 +123,7 @@ class TestAnalyze:
         ["demo", "E1", "--format", "csv"],
     ],
 )
-def test_unread_flag_is_an_error(argv, toy_table, tmp_path, capsys):
+def test_unread_flag_is_an_error(argv, toy_table, tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         main([a.format(table=toy_table, out=tmp_path / "out") for a in argv])
     assert exit_info.value.code == 2

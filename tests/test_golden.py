@@ -21,7 +21,6 @@ import contextlib
 import io
 import json
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -213,4 +212,3 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)
