@@ -85,7 +85,7 @@ def _load(args, **settings) -> tuple:
 
 def _cmd_analyze(args) -> int:
     table, acc, names, indices, config = _load(args, top=args.top)
-    report = analyze_accounts(acc, names=names, indices=indices, tol=0.0, top=config.top)
+    report = analyze_accounts(acc, names=names, indices=indices, tol=config.tol, top=config.top)
     payload = reporting.analysis_dict(
         table.country,
         table.year,

@@ -50,11 +50,14 @@ def recession_industries(D, S, tol: float = 0.0) -> tuple[tuple[int, ...], np.nd
     return idx, np.abs(gap[mask])
 
 
-def recession_ratio(acc: IOAccounts, D=None, S=None) -> float:
+def recession_ratio(acc: IOAccounts, D=None, S=None, tol: float = 0.0) -> float:
     """Total demand shortfall over gross value added (both from the table).
 
-    The shortfall side uses the strict sign test; the denominator is the
-    value added recomputed from the same table, never an external figure.
+    The shortfall is summed over the industries that
+    :func:`recession_industries` returns at the same ``tol`` (the default 0
+    is the strict sign test), so ``r`` and the recession set always agree;
+    the denominator is the value added recomputed from the same table,
+    never an external figure.
     """
     if D is None:
         D = demand_vector(acc)
@@ -63,8 +66,8 @@ def recession_ratio(acc: IOAccounts, D=None, S=None) -> float:
     gdp = acc.gross_value_added()
     if gdp <= 0:
         raise NonpositiveGDP(f"gross value added {gdp:.6g} is not positive")
-    gap = np.asarray(D, dtype=float) - np.asarray(S, dtype=float)
-    return float(-gap[gap < 0].sum() / gdp)
+    _, shortfall = recession_industries(D, S, tol=tol)
+    return float(shortfall.sum() / gdp)
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,7 @@ def analyze_accounts(
     S = supply_vector(acc)
     deficit = D - S
     positions, _ = recession_industries(D, S, tol=tol)
-    r = recession_ratio(acc, D, S)
+    r = recession_ratio(acc, D, S, tol=tol)
     gdp = acc.gross_value_added()
     if indices is None:
         indices = tuple(range(1, acc.m + 1))

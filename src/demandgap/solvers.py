@@ -17,6 +17,15 @@ economies whose property matrix factors as ``B = C @ B1``:
 Both verify the returned price by substitution and never return an
 unverified price.
 
+Irreducibility is tested in numpy with the reachability criterion of
+Tarjan (1972): a digraph is strongly connected iff every vertex is
+reachable from vertex 0 both in the graph and in its transpose.  Each of
+the two breadth-first sweeps takes one vectorised step per level, so a
+dense matrix needs a few steps and a pure n-cycle needs n.  scipy is
+loaded only by the nonnegative least-squares solve (``scipy.optimize.nnls``,
+imported on its first call), so importing the package, and solving a
+balanced national table whose guaranteed scale seed fits, never load it.
+
 The eigenpair kernel always terminates.  It runs shifted power iteration
 for at most ``PF_MAX_ITER`` steps, which is enough for the aperiodic
 matrices of national tables, and otherwise hands the matrix to dense
@@ -32,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     NoConvergence,
@@ -90,8 +97,20 @@ def is_irreducible(M) -> bool:
     M = _nonneg_square(M)
     if M.shape[0] == 1:
         return bool(M[0, 0] > 0)
-    n_comp, _ = connected_components(M > 0, directed=True, connection="strong")
-    return n_comp == 1
+    adj = M > 0
+    return _reaches_all(adj) and _reaches_all(adj.T)
+
+
+def _reaches_all(adj: np.ndarray) -> bool:
+    """True when every vertex is reachable from vertex 0 along the edges
+    ``i -> j`` with ``adj[i, j]``, by breadth-first frontier sweeps."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 @dataclass(frozen=True)
@@ -222,6 +241,8 @@ def solve_nonneg(C, target, cone_tol: float = CONE_TOL) -> ConeSolution:
     norm = float(np.linalg.norm(target))
     if norm == 0.0:
         return ConeSolution(y=np.zeros(C.shape[1]), residual=0.0, interior=False)
+    from scipy.optimize import nnls  # the only scipy use; imported on the first cone solve
+
     y, rnorm = nnls(C, target, maxiter=max(30, 10 * C.shape[1]))
     threshold = cone_tol * norm
     if rnorm > threshold:
@@ -284,9 +305,9 @@ def spectral_equilibrium(
         raise NotIrreducible("B1 graph is not strongly connected")
 
     y = B1.sum(axis=1)
-    stochastic = B1 / y[:, None]
-    pr = perron_eigen(stochastic, pf_tol=pf_tol)
-    d = pr.left / y
+    stochastic = B1 / y[:, None]  # row scaling keeps the graph tested above
+    _, left, _, _, _ = _dominant(stochastic.T, pf_tol, PF_MAX_ITER)
+    d = left / y
     d = d / d.max()
 
     try:

@@ -82,6 +82,18 @@ class TestAnalyze:
         assert len(payload["D"]) == 1
         assert payload["recession_set"] == []  # merged market clears
 
+    def test_tol_widens_the_recession_cut(self, toy_table, tmp_path, capsys):
+        # the shortfall of industry 2 (13.75) is inside 0.5 * max(1, S_2)
+        argv = ["analyze", str(toy_table), "--out", str(tmp_path / "o"), "--format", "json"]
+        assert main(argv) == 0
+        strict = json.loads(capsys.readouterr().out)
+        assert strict["recession_set"] == [2] and strict["r"] > 0
+        assert main(argv + ["--tol", "0.5"]) == 0
+        wide = json.loads(capsys.readouterr().out)
+        assert wide["recession_set"] == []
+        assert wide["r"] == 0.0
+        assert wide["rankings"] == {"sensitive": [], "contributing": []}
+
     def test_schema_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,table\n")

@@ -86,6 +86,15 @@ class TestRecessionRatio:
     def test_toy_accounts(self):
         assert recession_ratio(toy_accounts()) == pytest.approx(13.75 / 130.0, abs=1e-12)
 
+    def test_agrees_with_recession_set_under_tol(self):
+        # at tol 0.2 the shortfall 13.75 of industry 2 is inside the band
+        # 0.2 * S_2 = 23, so the recession set is empty and r must be 0
+        acc = toy_accounts()
+        report = analyze_accounts(acc, tol=0.2)
+        assert report.recession_set == ()
+        assert report.r == recession_ratio(acc, tol=0.2) == 0.0
+        assert analyze_accounts(acc, tol=0.1).r == recession_ratio(acc)
+
     def test_no_deficit_is_zero(self):
         acc = IOAccounts(
             X=np.diag([5.0, 7.0]),

@@ -5,6 +5,7 @@ import pytest
 from conftest import dense_perron_oracle, interior_cone_instance, random_irreducible
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from demandgap import (
     NoPositivePrice,
@@ -35,6 +36,55 @@ class TestIrreducibility:
         rng = np.random.default_rng(0)
         for _ in range(20):
             assert is_irreducible(random_irreducible(rng, int(rng.integers(2, 8))))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 1.0),
+        kind=st.sampled_from(["random", "cycle", "block-triangular", "zero"]),
+    )
+    def test_agrees_with_scipy_strong_components(self, n, seed, density, kind):
+        M = _graph_case(n, seed, density, kind)
+        assert is_irreducible(M) == _scipy_irreducible(M)
+
+    def test_long_weighted_cycle(self):
+        # a pure cycle is the longest sweep: n steps in each direction
+        n = 300
+        rng = np.random.default_rng(300)
+        order = rng.permutation(n)
+        M = np.zeros((n, n))
+        M[order, np.roll(order, -1)] = rng.uniform(0.5, 2.0, n)
+        assert is_irreducible(M) and _scipy_irreducible(M)
+        M[order[n // 2], order[n // 2 + 1]] = 0.0
+        assert not is_irreducible(M) and not _scipy_irreducible(M)
+
+
+def _scipy_irreducible(M: np.ndarray) -> bool:
+    """Reference: one strongly connected component (self-loop convention
+    for 1x1)."""
+    if M.shape[0] == 1:
+        return bool(M[0, 0] > 0)
+    n_comp, _ = connected_components(M > 0, directed=True, connection="strong")
+    return n_comp == 1
+
+
+def _graph_case(n: int, seed: int, density: float, kind: str) -> np.ndarray:
+    """Nonnegative n x n matrix with a random pattern of the given density;
+    ``cycle`` plants a permutation cycle through every vertex (always
+    irreducible), ``block-triangular`` zeroes the block below a random cut
+    (always reducible for n > 1), ``zero`` is all zeros."""
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(0.1, 1.1, (n, n)) * (rng.uniform(size=(n, n)) < density)
+    if kind == "cycle":
+        order = rng.permutation(n)
+        M[order, np.roll(order, -1)] = rng.uniform(0.1, 1.1, n)
+    elif kind == "block-triangular" and n > 1:
+        cut = int(rng.integers(1, n))
+        M[cut:, :cut] = 0.0
+    elif kind == "zero":
+        M[:] = 0.0
+    return M
 
 
 class TestPerronEigen:
