@@ -50,7 +50,9 @@ class NotAnEquilibrium(DemandGapError):
 
 
 class RankDeficiency(DemandGapError):
-    """Internal error: the clearing-basis expansion is ill posed."""
+    """Internal error: a transfer or rank breaks a law that holds at a
+    valid equilibrium (single-good support, degenerating transfer sums,
+    degeneracy multiplicity bound)."""
 
 
 class SupportMismatch(DemandGapError):

@@ -296,13 +296,11 @@ def verify_certificate(
     failed: list[str] = []
     diag: dict = {}
 
-    if (y < 0).any() or not (y > 0).any():
+    pairs = (("y", y), ("psi_bar", psi_bar))
+    zero = [name for name, v in pairs if (v < 0).any() or not (v > 0).any()]
+    if zero:
         failed.append("nonzero")
-        diag["nonzero"] = "y must be nonnegative and nonzero"
-    if (psi_bar < 0).any() or not (psi_bar > 0).any():
-        if "nonzero" not in failed:
-            failed.append("nonzero")
-        diag["nonzero"] = "psi_bar must be nonnegative and nonzero"
+        diag["nonzero"] = "; ".join(f"{name} must be nonnegative and nonzero" for name in zero)
 
     scale = np.maximum(1.0, np.abs(psi_bar))
     cone_gap = np.abs(econ.C @ y - psi_bar)

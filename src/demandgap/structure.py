@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EmptySupport,
     NegativeEndowment,
     NoMoneySupply,
@@ -72,16 +73,21 @@ def _positive_support(q: np.ndarray, I, tol_pos: float = 0.0) -> tuple[int, ...]
     return idx
 
 
-def _exact_support(q: np.ndarray, I, tol_pos: float) -> tuple[tuple[int, ...], list[int]]:
-    """The support ``I`` and its complement; raises unless ``I`` is exactly
-    where ``q`` exceeds ``tol_pos``."""
+def _exact_support(q: np.ndarray, I, tol_pos: float) -> tuple[tuple[int, ...], np.ndarray]:
+    """The support ``I`` and a boolean mask of its complement; raises unless
+    ``I`` is exactly where ``q`` exceeds ``tol_pos``."""
     idx = _positive_support(q, I, tol_pos)
-    off = [k for k in range(q.shape[0]) if k not in idx]
-    if off and (q[off] > tol_pos).any():
+    off = np.bincount(idx, minlength=q.shape[0]) == 0
+    if (q[off] > tol_pos).any():
         raise SupportMismatch(
             f"price support must be exactly I = {idx} (tol_pos = {tol_pos})"
         )
     return idx, off
+
+
+def _check_case(case: str, name: str = "case") -> None:
+    if case not in ("exact", "partial"):
+        raise ValueError(f"{name} must be 'exact' or 'partial', got {case!r}")
 
 
 def _check_clearing(
@@ -100,12 +106,6 @@ def _check_clearing(
     on_support = sorted(set(report.strict_set) & set(idx))
     if on_support:
         raise NotAnEquilibrium(f"deficits on the price support {on_support}")
-
-
-def _numerical_rank(M: np.ndarray, rank_tol: float) -> int:
-    """Singular values above ``rank_tol`` times the largest one."""
-    sv = np.linalg.svd(M, compute_uv=False)
-    return int((sv > rank_tol * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,7 @@ class RepresentationParts:
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "d0", np.asarray(self.d0, dtype=float))
         object.__setattr__(self, "I", _index_set(self.I, self.d0.shape[0]))
-        if self.case not in ("exact", "partial"):
-            raise ValueError(f"case must be 'exact' or 'partial', got {self.case!r}")
+        _check_case(self.case)
 
     def validate(self, tol: float = DEFAULT_TOL, a_tol: float = 1e-12) -> None:
         """Raise ValueError when an invariant is broken."""
@@ -166,7 +165,10 @@ class ClearingBasis:
     Column ``j`` is ``g_s = e_s - (p_s / sum_{t in I} p_t) * e_I`` for the
     j-th support index ``s``.  The columns have zero value at any price
     agreeing on ``I``, sum to the zero vector, and span a space of dimension
-    ``|I| - 1``.
+    ``|I| - 1`` by construction: its rows in ``I`` form the oblique
+    projector ``E - 1 u^T`` with ``u = p_I / sum(p_I)``, whose kernel is
+    exactly ``span(1)`` (as ``u^T 1 = 1``) and whose nonzero singular values
+    are 1 and ``sqrt(|I|) |u|_2``, all in ``[1, sqrt(|I|)]``; other rows are 0.
     """
 
     G: np.ndarray
@@ -177,21 +179,22 @@ class ClearingBasis:
         return max(len(self.I) - 1, 0)
 
 
-def clearing_basis(p, I, rank_tol: float = DEFAULT_RANK_TOL) -> ClearingBasis:
-    """Build the clearing basis for price vector ``p`` on support ``I``."""
+def clearing_basis(p, I) -> ClearingBasis:
+    """Build the clearing basis (rank ``|I| - 1``, see :class:`ClearingBasis`)
+    for price vector ``p`` on support ``I``."""
     q = as_price(p).normalized()
     idx = _positive_support(q, I)
-    total = q[list(idx)].sum()
-    G = np.zeros((q.shape[0], len(idx)))
-    for j, s in enumerate(idx):
-        G[list(idx), j] = -q[s] / total
-        G[s, j] += 1.0
-    numerical_rank = _numerical_rank(G, rank_tol)
-    if numerical_rank != max(len(idx) - 1, 0):
-        raise RankDeficiency(
-            f"clearing basis rank {numerical_rank}, expected {len(idx) - 1}"
-        )
-    return ClearingBasis(G=G, I=idx)
+    return ClearingBasis(G=_clearing_matrix(q, idx)[0], I=idx)
+
+
+def _clearing_matrix(q: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
+    """``G`` and ``u`` of :class:`ClearingBasis` on a checked support."""
+    rows = list(idx)
+    u = q[rows] / q[rows].sum()
+    G = np.zeros((q.shape[0], len(rows)))
+    G[rows, :] = -u
+    G[rows, range(len(rows))] += 1.0
+    return G, u
 
 
 def synthesize_property(
@@ -217,7 +220,7 @@ def synthesize_property(
         raise ValueError(f"d0 shape {parts.d0.shape} does not match C {C.shape}")
     q = as_price(p, tol_pos).normalized()
     _exact_support(q, parts.I, tol_pos)
-    return _assemble(C, q, parts, clearing_basis(q, parts.I).G, tol_pos)
+    return _assemble(C, q, parts, _clearing_matrix(q, parts.I)[0], tol_pos)
 
 
 def _proportional(
@@ -269,9 +272,10 @@ def decompose_property(
     The clearing-basis expansion is gauged by the uniform ``1/l``
     symmetrisation, so repeated decompositions are deterministic.
     """
+    _check_case(case)
     price = as_price(p, tol_pos)
     q = price.normalized()
-    idx, _ = _exact_support(q, I, tol_pos)
+    idx, off = _exact_support(q, I, tol_pos)
     _check_clearing(econ, price, idx, case, tol, tol_pos)
 
     y = demand_scales(econ, price, tol_pos)
@@ -279,24 +283,18 @@ def decompose_property(
         raise NotAnEquilibrium("the economy has no valued supply at this price")
     D = econ.B - _proportional(econ.C, y, q, idx, tol_pos)
 
-    d1 = np.zeros_like(D)
-    d1[list(idx), :] = D[list(idx), :]
-    d0 = D - d1
-
-    basis = clearing_basis(q, idx)
-    if len(idx) == 1:
-        if np.abs(d1).max(initial=0.0) > tol * max(1.0, float(np.abs(econ.B).max())):
-            raise RankDeficiency(
-                "single-good support left a nonzero on-support transfer"
-            )
-        h = np.zeros((1, econ.l))
-    else:
-        h = np.linalg.pinv(basis.G) @ d1
-    a = h + 1.0 / econ.l
+    d1, d0 = D[~off], np.where(off[:, None], D, 0.0)
+    if len(idx) == 1 and np.abs(d1).max() > tol * max(1.0, float(np.abs(econ.B).max())):
+        raise RankDeficiency("single-good support left a nonzero on-support transfer")
+    # h = pinv(G_I) d1 for G_I = E - 1 u^T (kernel span(1), range u-perp):
+    # pinv(G_I) d1 = b - mean(b) with b = d1 - u (u^T d1) / (u^T u); 0 if |I| = 1.
+    G, u = _clearing_matrix(q, idx)
+    b = d1 - np.outer(u, u @ d1) / (u @ u)
+    a = b - b.mean(axis=0) + 1.0 / econ.l
 
     parts = RepresentationParts(y=y, a=a, d0=d0, I=idx, case=case)
     parts.validate(tol=tol)
-    B_rt = _assemble(econ.C, q, parts, basis.G, tol_pos)
+    B_rt = _assemble(econ.C, q, parts, G, tol_pos)
     residual = float(
         np.abs(B_rt - econ.B).max() / max(1.0, float(np.abs(econ.B).max()))
     )
@@ -309,8 +307,6 @@ def is_equivalent(B, B_bar, p, tol: float = DEFAULT_TOL) -> bool:
     B = np.asarray(B, dtype=float)
     B_bar = np.asarray(B_bar, dtype=float)
     if B.shape != B_bar.shape:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch(f"shapes differ: {B.shape} vs {B_bar.shape}")
     q = as_price(p).normalized()
     base = B.T @ q
@@ -351,16 +347,14 @@ def degenerate_transform(
     zero); ``mode='partial'`` starts from a deficit-carrying equilibrium and
     shrinks off-support supply down to demand (column sums nonpositive).
     """
-    if mode not in ("exact", "partial"):
-        raise ValueError(f"mode must be 'exact' or 'partial', got {mode!r}")
+    _check_case(mode, "mode")
     price = as_price(p, tol_pos)
     idx, off = _exact_support(price.normalized(), I, tol_pos)
     _check_clearing(econ, price, idx, mode, tol, tol_pos)
 
     y = demand_scales(econ, price, tol_pos)
     B_bar = econ.B.copy()
-    if off:
-        B_bar[off, :] = econ.C[off, :] * y[None, :]
+    B_bar[off, :] = econ.C[off, :] * y[None, :]
     transfer = B_bar - econ.B
 
     # Column sums of the transfer must vanish (exact) or be nonpositive
@@ -392,7 +386,8 @@ def degeneracy_multiplicity(
     """Dimension of the price family fixed by the residual columns.
 
     Computes ``n - rank([b_i - y_i C_i])`` with the rank read off the
-    singular values at ``rank_tol`` relative to the largest one.  When the
+    singular values at ``rank_tol`` relative to the largest one, after
+    dropping all-zero rows (which change no singular value).  When the
     support ``I`` is supplied the result is checked against the guaranteed
     lower bound ``n - |I|``.
     """
@@ -400,7 +395,9 @@ def degeneracy_multiplicity(
     C = np.asarray(C, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     residual = B_bar - C * y[None, :]
-    multiplicity = B_bar.shape[0] - _numerical_rank(residual, rank_tol)
+    sv = np.linalg.svd(residual[residual.any(axis=1)], compute_uv=False)
+    rank = int((sv > rank_tol * sv[0]).sum()) if sv.size else 0
+    multiplicity = B_bar.shape[0] - rank
     if I is not None:
         bound = B_bar.shape[0] - len(_index_set(I, B_bar.shape[0]))
         if multiplicity < bound:
@@ -422,6 +419,8 @@ def real_money_value(p, psi) -> float:
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     psi = np.asarray(psi, dtype=float).reshape(-1)
+    if p.shape != psi.shape:
+        raise DimensionMismatch(f"p has {p.shape[0]} entries, psi {psi.shape[0]}")
     if psi[0] <= 0:
         raise NoMoneySupply(f"money supply {psi[0]!r} must be positive")
     if p[0] <= 0:

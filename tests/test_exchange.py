@@ -161,6 +161,13 @@ class TestVerifyCertificate:
         result = verify_certificate(econ, p, y=[1.0, 1.0], psi_bar=[2.0, 1.0])
         assert result.ok
 
+    def test_both_nonzero_failures_are_diagnosed(self):
+        econ, p = economy_e1()
+        result = verify_certificate(econ, p, y=[-1.0, -1.0], psi_bar=[-1.0, -1.0])
+        assert result.failed.count("nonzero") == 1
+        assert "y must be" in result.diagnostics["nonzero"]
+        assert "psi_bar must be" in result.diagnostics["nonzero"]
+
     def test_reports_failing_clause(self):
         econ, p = economy_e1()
         result = verify_certificate(econ, p, y=[1.0, 2.0], psi_bar=[2.0, 1.0])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandgap import (
     DimensionMismatch,
@@ -22,6 +24,7 @@ from demandgap import (
     real_money_value,
     synthesize_property,
 )
+from demandgap.exchange import as_price
 from demandgap.fixtures import economy_e1, economy_e2, random_equilibrium
 
 
@@ -45,19 +48,37 @@ class TestClearingBasis:
         with pytest.raises(EmptySupport):
             clearing_basis([1.0, 1.0], I=())
 
-    def test_zero_value_and_sum_invariants(self):
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            n = int(rng.integers(2, 8))
-            k = int(rng.integers(1, n + 1))
-            I = sorted(rng.choice(n, size=k, replace=False).tolist())
-            p = np.zeros(n)
-            p[I] = rng.uniform(0.2, 3.0, k)
-            basis = clearing_basis(p, I)
-            np.testing.assert_allclose(basis.G.T @ p, np.zeros(k), atol=1e-12)
-            np.testing.assert_allclose(basis.G.sum(axis=1), np.zeros(n), atol=1e-12)
-            sv = np.linalg.svd(basis.G, compute_uv=False)
-            assert int((sv > 1e-8 * max(sv[0], 1e-300)).sum()) == k - 1
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=st.data(), n=st.integers(1, 320), log_spread=st.floats(0.0, 12.0))
+    def test_zero_value_and_sum_invariants(self, data, n, log_spread):
+        k = data.draw(st.integers(1, min(n, 300)), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        I = sorted(rng.choice(n, size=k, replace=False).tolist())
+        p = np.zeros(n)
+        p[I] = 10.0 ** rng.uniform(0.0, log_spread, k)
+        basis = clearing_basis(p, I)
+        np.testing.assert_array_equal(basis.G, _loop_clearing_matrix(p, I))
+        np.testing.assert_allclose(basis.G.T @ p, np.zeros(k), atol=1e-12 * max(1.0, p.max()))
+        np.testing.assert_allclose(basis.G.sum(axis=1), np.zeros(n), atol=1e-12)
+        # the rank |I| - 1 that clearing_basis takes by construction
+        sv = np.linalg.svd(basis.G, compute_uv=False)
+        assert int((sv > 1e-8 * max(sv[0], 1e-300)).sum()) == k - 1
+        u = p[I] / p[I].sum()
+        if k > 1:
+            # nonzero singular values: 1 and sqrt(|I|) |u|, within [1, sqrt(|I|)]
+            assert sv[0] == pytest.approx(np.sqrt(k) * np.linalg.norm(u), rel=1e-12)
+            assert sv[k - 2] >= 1.0 - 1e-12 and sv[0] <= np.sqrt(k) * (1.0 + 1e-12)
+
+
+def _loop_clearing_matrix(p, I) -> np.ndarray:
+    """Reference: the clearing basis column by column, as the formula reads."""
+    q = as_price(p).normalized()
+    total = q[list(I)].sum()
+    G = np.zeros((q.shape[0], len(I)))
+    for j, s in enumerate(I):
+        G[list(I), j] = -q[s] / total
+        G[s, j] += 1.0
+    return G
 
 
 class TestSynthesize:
@@ -125,6 +146,63 @@ class TestSynthesize:
             synthesize_property(C, [1.0, 1.0], bad)
 
 
+def _spread_economy(seed, n, l, k, log_spread, partial):
+    """Random parts with support prices spread over ``10**log_spread`` and
+    the economy they synthesize (after ``fixtures.random_equilibrium``)."""
+    rng = np.random.default_rng(seed)
+    I = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    J = [s for s in range(n) if s not in I]
+    C = rng.uniform(0.2, 1.2, (n, l))
+    p = np.zeros(n)
+    p[list(I)] = 10.0 ** rng.uniform(0.0, log_spread, k)
+    y = rng.uniform(0.5, 1.5, l)
+    q = as_price(p).normalized()
+    delta = rng.normal(0.0, 1.0, (k, l))
+    delta -= delta.mean(axis=1, keepdims=True)
+    d0 = np.zeros((n, l))
+    raw = rng.normal(0.0, 1.0, (len(J), l))
+    raw -= raw.mean(axis=1, keepdims=True)
+    d0[J, :] = raw + (rng.uniform(0.1, 0.6, (len(J), 1)) / l if partial else 0.0)
+    base = np.outer(C @ y, y * (C.T @ q) / float(C @ y @ q))
+    pert = clearing_basis(p, I).G @ delta + d0
+    mask = pert < 0
+    alpha = min(1.0, 0.45 * float((base[mask] / -pert[mask]).min())) if mask.any() else 1.0
+    parts = RepresentationParts(
+        y=y, a=alpha * delta + 1.0 / l, d0=alpha * d0, I=I,
+        case="partial" if partial else "exact",
+    )
+    return ExchangeEconomy(C, synthesize_property(C, p, parts)), p, parts
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 40),
+        l=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        log_spread=st.floats(0.0, 6.0),
+        partial=st.booleans(),
+    )
+    def test_synthesize_decompose_round_trip(self, data, n, l, seed, log_spread, partial):
+        k = data.draw(st.integers(1, n), label="k")
+        econ, p, parts = _spread_economy(seed, n, l, k, log_spread, partial)
+        got, residual = decompose_property(econ, p, I=parts.I, case=parts.case)
+        assert residual <= 1e-9
+        np.testing.assert_allclose(got.y, parts.y, rtol=1e-9)
+        # reference: the pseudo-inverse of the clearing basis on the support
+        q = as_price(p).normalized()
+        psi_bar = econ.C @ got.y
+        shares = got.y * (econ.C.T @ q) / float(psi_bar @ q)
+        rows = list(parts.I)
+        d1 = econ.B[rows, :] - np.outer(psi_bar[rows], shares)
+        G_I = clearing_basis(p, parts.I).G[rows, :]
+        expected = np.linalg.pinv(G_I) @ d1 + 1.0 / l
+        np.testing.assert_allclose(
+            got.a, expected, rtol=0, atol=1e-10 * max(1.0, float(np.abs(d1).max()))
+        )
+
+
 class TestDecompose:
     def test_e1_uniform_gauge(self):
         econ, p = economy_e1()
@@ -160,6 +238,25 @@ class TestDecompose:
         econ, p = economy_e1()
         with pytest.raises(SupportMismatch):
             decompose_property(econ, p, I=(0,))
+
+    def test_bad_case_raises_before_the_clearing_check(self):
+        econ, _ = economy_e1()
+        with pytest.raises(ValueError, match="case must be"):
+            decompose_property(econ, np.array([1.0, 10.0]), I=(0, 1), case="bogus")
+
+    def test_large_round_trip_runs_no_svd_or_pinv(self, monkeypatch):
+        econ, p, parts = random_equilibrium(4, n=200, l=150, support=100)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense SVD or pseudo-inverse on the round trip")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(np.linalg, "pinv", forbidden)
+        B = synthesize_property(econ.C, p, parts)
+        got, residual = decompose_property(ExchangeEconomy(econ.C, B), p, I=parts.I)
+        np.testing.assert_array_equal(B, econ.B)
+        np.testing.assert_allclose(got.y, parts.y, rtol=1e-9)
+        assert residual <= 1e-9
 
     def test_roundtrip_random(self):
         for seed in range(30):
@@ -321,6 +418,21 @@ class TestDegeneracyMultiplicity:
         C = np.random.default_rng(0).uniform(0.1, 1.0, (4, 3))
         assert degeneracy_multiplicity(C, C, np.ones(3)) == 4
 
+    def test_matches_full_matrix_rank_with_and_without_zero_rows(self):
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n, l = int(rng.integers(2, 30)), int(rng.integers(1, 20))
+            C = rng.uniform(0.1, 1.0, (n, l))
+            y = rng.uniform(0.5, 1.5, l)
+            rank = int(rng.integers(0, min(n, l) + 1))
+            R = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, l))
+            if trial % 2:
+                R[rng.random(n) < 0.5, :] = 0.0
+            B_bar = C * y[None, :] + R
+            sv = np.linalg.svd(B_bar - C * y[None, :], compute_uv=False)
+            full_rank = int((sv > 1e-8 * sv[0]).sum()) if sv[0] > 0 else 0
+            assert degeneracy_multiplicity(B_bar, C, y) == n - full_rank
+
     def test_bound_holds_on_random_transforms(self):
         for seed in range(20):
             econ, p, parts = random_equilibrium(seed, n=6, l=4, support=2)
@@ -345,3 +457,7 @@ class TestRealMoneyValue:
     def test_no_money_supply(self):
         with pytest.raises(NoMoneySupply):
             real_money_value([1.0, 1.0], [0.0, 1.0])
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            real_money_value([1, 2, 3], [1, 2])
