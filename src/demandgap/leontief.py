@@ -21,6 +21,7 @@ ingestion at declared prices.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,11 +137,17 @@ class IOAccounts:
         return float(self.Xout.sum() - self.X.sum())
 
     def coefficients(self) -> np.ndarray:
-        """Technical coefficients at unit prices: X[:, i] / Xout[i] (zero
-        columns for industries with no output)."""
-        out = np.zeros_like(self.X)
+        """Technical coefficients at unit prices: X[:, i] / Xout[i], with
+        zero columns for industries with no output.
+
+        Each entry is the one division a column-by-column loop would make:
+        a zero output is replaced by 1 for the division and its column is
+        zeroed afterwards.
+        """
         live = self.Xout > 0
-        out[:, live] = self.X[:, live] / self.Xout[live]
+        out = self.X / np.where(live, self.Xout, 1.0)
+        if not live.all():
+            out[:, ~live] = 0.0
         return out
 
     def balance_residual(self) -> np.ndarray:
@@ -164,20 +171,37 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
     Sum of the taxed production demand spread over input flows, the
     household demand spread over the final-consumption pattern, and the
     export demand scaled by the import/export value ratio, net of the taxed
-    intermediate use.  Industries with zero input value contribute nothing
-    to the production term; a table with no exports and no imports has a
-    zero trade term.
+    intermediate use.  A table with no exports and no imports has a zero
+    trade term.
+
+    An industry that buys no inputs (zero input column) has nothing to
+    spread its taxed value over, so its effective taxation share is 0: all
+    of its new value goes to households, which keeps total demand equal to
+    total supply.  A ``RuntimeWarning`` names every industry (0-based
+    position) whose share this overrides.
     """
     col = acc.input_value()
     live = col > 0
+    pi = acc.pi
+    inputless = ~live & (pi * acc.Xout > 0)
+    if inputless.any():
+        warnings.warn(
+            "industries at positions "
+            f"{np.flatnonzero(inputless).tolist()} buy no inputs; their taxed "
+            "value goes to households (effective pi = 0)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        pi = np.where(inputless, 0.0, pi)
     share = np.zeros(acc.m)
-    share[live] = acc.pi[live] * acc.Xout[live] / col[live]
+    share[live] = pi[live] * acc.Xout[live] / col[live]
     production = acc.X @ share
 
     cf_total = float(acc.Cf.sum())
     if cf_total <= 0:
         raise ZeroDenominator("total final consumption")
-    household_income = float(((1.0 - acc.pi) * acc.Xout).sum() + (acc.X @ acc.pi).sum())
+    taxed_use = acc.X @ pi
+    household_income = float(((1.0 - pi) * acc.Xout).sum() + taxed_use.sum())
     household = acc.Cf * household_income / cf_total
 
     e_total = float(acc.E.sum())
@@ -189,7 +213,7 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
     else:
         trade = acc.E * imp_total / e_total
 
-    return production + household + trade - acc.X @ acc.pi
+    return production + household + trade - taxed_use
 
 
 def supply_vector(acc: IOAccounts) -> np.ndarray:
@@ -401,7 +425,7 @@ def check_value_equilibrium(acc: IOAccounts, tol: float = DEFAULT_TOL) -> ValueB
     S = supply_vector(acc)
     residual = demand_vector(acc) - S
     band = tol * np.maximum(1.0, S)
-    violated = tuple(int(k) for k in np.flatnonzero(residual > band))
+    violated = tuple(np.flatnonzero(residual > band).tolist())
     return ValueBalanceReport(
         residual=residual,
         violated=violated,
@@ -472,26 +496,32 @@ def solve_national_equilibrium(
     target = acc.Xout + acc.Imp + acc.X @ acc.pi
 
     seed = np.concatenate([1.0 + acc.pi, [1.0, 1.0]])
-    seed_residual = float(np.linalg.norm(C_big @ seed - target))
+    residual = C_big @ seed - target
+    seed_residual = float(np.linalg.norm(residual))
     seed_used = seed_residual <= cone_tol * float(np.linalg.norm(target))
     if not seed_used:
         sol = solve_nonneg(C_big, target, cone_tol=cone_tol)
         seed_used = seed_residual <= sol.residual * (1.0 + 1e-9)
+        if not seed_used:
+            residual = C_big @ sol.y - target
     y = seed if seed_used else sol.y
+    # Each fresh m x m buffer costs about as much as the arithmetic that
+    # fills it, so every large array is freed before the next is made.
+    del C_big
 
-    residual = C_big @ y - target
     band = max(tol, cone_tol) * np.maximum(1.0, target)
     over = residual > band
     if over.any():
         raise NotInCone(float(residual[over].max()), float(band[over].max()))
-    I = tuple(int(k) for k in np.flatnonzero(np.abs(residual) <= band))
-    J = tuple(int(k) for k in np.flatnonzero(residual < -band))
+    I = tuple(np.flatnonzero(np.abs(residual) <= band).tolist())
+    J = tuple(np.flatnonzero(residual < -band).tolist())
 
     # One eigen call on A(y)^T serves the spectral radius and the prices:
     # the price system diag(y/pi) A^T p = p has the matrix
     # M = D A(y)^T D^-1 with D = diag(1/pi), so its Perron vector is
     # left(A(y)) / pi.
-    A_y = A * y[None, :m] / acc.pi[:, None]
+    A_y = A * y[None, :m]
+    A_y /= acc.pi[:, None]
     reducible = not is_irreducible(A_y)
     rho_m, left, _, _, method = _dominant(A_y.T, pf_tol, PF_MAX_ITER)
     if reducible:
@@ -500,7 +530,9 @@ def solve_national_equilibrium(
         rho = rho_m
     p = left / acc.pi
     p = p / p.max()
-    M = (y[:m] / acc.pi)[:, None] * A.T
+    # M = diag(y/pi) A^T, written over A(y), which is no longer needed; as
+    # the transpose of a C-ordered buffer it keeps the Fortran layout.
+    M = np.multiply((y[:m] / acc.pi)[:, None], A.T, out=A_y.T)
     Mp = M @ p
 
     diag: dict = {

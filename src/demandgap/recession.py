@@ -10,6 +10,11 @@ across countries.
 Total demand always equals total supply (the production, household, and
 trade terms redistribute exactly the taxed output, untaxed output, and
 import values), which is the strongest internal check on the formulas.
+An industry that buys no inputs has no input column to spread its taxed
+value over, so :func:`demand_vector` gives it an effective taxation share
+of 0 (its whole new value funds households) and warns with a
+``RuntimeWarning`` naming it; without that the identity would fail by
+``pi_i * Xout_i``.
 """
 
 from __future__ import annotations
@@ -46,8 +51,7 @@ def recession_industries(D, S, tol: float = 0.0) -> tuple[tuple[int, ...], np.nd
         raise ValueError(f"D and S lengths differ: {D.shape[0]} vs {S.shape[0]}")
     gap = D - S
     mask = gap < -tol * np.maximum(1.0, S)
-    idx = tuple(int(k) for k in np.flatnonzero(mask))
-    return idx, np.abs(gap[mask])
+    return tuple(np.flatnonzero(mask).tolist()), np.abs(gap[mask])
 
 
 def recession_ratio(acc: IOAccounts, D=None, S=None, tol: float = 0.0) -> float:
@@ -64,9 +68,13 @@ def recession_ratio(acc: IOAccounts, D=None, S=None, tol: float = 0.0) -> float:
     if S is None:
         S = supply_vector(acc)
     gdp = acc.gross_value_added()
+    _, shortfall = recession_industries(D, S, tol=tol)
+    return _ratio(shortfall, gdp)
+
+
+def _ratio(shortfall: np.ndarray, gdp: float) -> float:
     if gdp <= 0:
         raise NonpositiveGDP(f"gross value added {gdp:.6g} is not positive")
-    _, shortfall = recession_industries(D, S, tol=tol)
     return float(shortfall.sum() / gdp)
 
 
@@ -120,24 +128,24 @@ def rank_industries(report: RecessionReport, k: int, mode: str) -> list[RankedIn
     """
     if mode not in ("sensitive", "contributing"):
         raise ValueError(f"mode must be 'sensitive' or 'contributing', got {mode!r}")
-    positions = [report.indices.index(i) for i in report.recession_set]
-    reduction = -report.deficit
+    position = {index: pos for pos, index in enumerate(report.indices)}
+    positions = [position[i] for i in report.recession_set]
+    reduction = -report.deficit[positions]
     if mode == "contributing":
-        key = lambda pos: reduction[pos]
+        key = reduction
     else:
-        key = lambda pos: (
-            reduction[pos] / report.gross_output[pos]
-            if report.gross_output[pos] > 0
-            else np.inf
-        )
+        gross = report.gross_output[positions]
+        key = np.divide(reduction, gross, out=np.full(len(positions), np.inf), where=gross > 0)
+    # sorted() is stable, so ties keep the order of the recession set
+    order = sorted(range(len(positions)), key=key.tolist().__getitem__, reverse=True)
     rows = []
-    for pos in sorted(positions, key=key, reverse=True)[:k]:
-        name = report.names[pos] if pos < len(report.names) else ""
+    for j in order[:k]:
+        pos = positions[j]
         rows.append(
             RankedIndustry(
                 index=report.indices[pos],
-                name=name or str(report.indices[pos]),
-                demand_reduction=float(reduction[pos]),
+                name=report.names[pos] or str(report.indices[pos]),
+                demand_reduction=float(reduction[j]),
                 gross_output=float(report.gross_output[pos]),
                 imports=float(report.imports[pos]),
                 exports=float(report.exports[pos]),
@@ -153,21 +161,32 @@ def analyze_accounts(
     tol: float = 0.0,
     top: int = 4,
 ) -> RecessionReport:
-    """Compute the full recession diagnostic for one set of accounts."""
+    """Compute the full recession diagnostic for one set of accounts.
+
+    ``indices`` (declared industry numbers, default ``1..m``) must be ``m``
+    distinct integers and ``names`` (default: the indices) ``m`` labels;
+    otherwise :class:`ValueError` is raised.
+    """
     D = demand_vector(acc)
     S = supply_vector(acc)
     deficit = D - S
-    positions, _ = recession_industries(D, S, tol=tol)
-    r = recession_ratio(acc, D, S, tol=tol)
+    positions, shortfall = recession_industries(D, S, tol=tol)
     gdp = acc.gross_value_added()
+    r = _ratio(shortfall, gdp)
     if indices is None:
         indices = tuple(range(1, acc.m + 1))
     else:
         indices = tuple(int(i) for i in indices)
+        if len(indices) != acc.m:
+            raise ValueError(f"indices must have length {acc.m}, got {len(indices)}")
+        if len(set(indices)) != acc.m:
+            raise ValueError("indices must be distinct")
     if names is None:
         names = tuple(str(i) for i in indices)
     else:
         names = tuple(str(nm) for nm in names)
+        if len(names) != acc.m:
+            raise ValueError(f"names must have length {acc.m}, got {len(names)}")
 
     report = RecessionReport(
         D=D,

@@ -1,9 +1,14 @@
 """National model: accounts, aggregation, agent construction, the
 constructive solve, and the value-form clearing test."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from conftest import dense_perron_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandgap import (
     AggregationMap,
@@ -100,6 +105,29 @@ class TestIOAccounts:
         np.testing.assert_allclose(acc.Xout, p * x)
         np.testing.assert_allclose(acc.X, p[:, None] * A * x[None, :])
         np.testing.assert_allclose(acc.coefficients(), p[:, None] * A / p[None, :] * 1.0, rtol=1e-12)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        m=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        dead_outputs=st.floats(0.0, 1.0),
+        zero_columns=st.floats(0.0, 1.0),
+    )
+    def test_coefficients_match_column_division(self, m, seed, dead_outputs, zero_columns):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 1e3, (m, m)) * 10.0 ** rng.integers(-6, 6, (m, m))
+        X[:, rng.uniform(size=m) < zero_columns] = 0.0
+        Xout = rng.uniform(1e-3, 1e6, m)
+        Xout[rng.uniform(size=m) < dead_outputs] = 0.0
+        acc = IOAccounts(X=X, Xout=Xout, Cf=np.ones(m), E=np.ones(m), Imp=np.ones(m), pi=np.ones(m))
+        expected = np.zeros((m, m))
+        for i in range(m):
+            if Xout[i] > 0:
+                expected[:, i] = X[:, i] / Xout[i]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = acc.coefficients()
+        assert got.tobytes() == expected.tobytes()
 
     def test_balance_residual_on_consistent_accounts(self):
         acc, p, x = random_consistent_accounts(1, 5)
@@ -370,6 +398,21 @@ class TestNationalEquilibrium:
         )
         with pytest.raises(NotInCone):
             solve_national_equilibrium(acc, strict=False)
+
+    def test_m300_solve_keeps_few_full_size_buffers(self):
+        # A, the stacked demand columns [X | Cf | E] and A(y), each freed
+        # or overwritten before the next, peak at about 2.3 m x m doubles
+        m = 300
+        acc = certified_accounts(3, m)
+        solve_national_equilibrium(acc, strict=False)  # first-call set-up
+        tracemalloc.start()
+        try:
+            sol = solve_national_equilibrium(acc, strict=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.diagnostics["seed_used"] and sol.certified
+        assert peak < 3 * 8 * m * m
 
     def test_zero_pi_rejected(self):
         acc = toy_accounts(pi=(0.0, 1.0))

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandgap import (
     IOAccounts,
     NonpositiveGDP,
+    RecessionReport,
     analyze_accounts,
     check_value_equilibrium,
     demand_vector,
@@ -40,6 +43,30 @@ class TestDemandVector:
         np.testing.assert_allclose(
             demand_vector(acc.scaled(10.0)), 10.0 * demand_vector(acc), rtol=1e-12
         )
+
+
+    @pytest.mark.parametrize("pi", [1.0, 0.5, 0.0])
+    def test_inputless_industries_keep_totals_balanced(self, pi):
+        # an industry that buys no inputs has no column to spread its taxed
+        # value over, so that value goes to households instead of vanishing
+        for seed, dead in ((3, (2,)), (4, (0, 4)), (5, (1, 2, 3))):
+            acc = random_value_accounts(seed, 5, pi=np.full(5, pi))
+            X = acc.X.copy()
+            X[:, list(dead)] = 0.0
+            acc = IOAccounts(X=X, Xout=acc.Xout, Cf=acc.Cf, E=acc.E, Imp=acc.Imp, pi=acc.pi)
+            if pi > 0:
+                named = rf"positions \[{', '.join(map(str, dead))}\]"
+                with pytest.warns(RuntimeWarning, match=named):
+                    D = demand_vector(acc)
+            else:
+                D = demand_vector(acc)
+            S = supply_vector(acc)
+            assert abs(D.sum() - S.sum()) <= 1e-12 * S.sum()
+            # the same table with those shares set to 0 gives the same demand
+            zeroed = np.full(5, pi)
+            zeroed[list(dead)] = 0.0
+            plain = IOAccounts(X=X, Xout=acc.Xout, Cf=acc.Cf, E=acc.E, Imp=acc.Imp, pi=zeroed)
+            np.testing.assert_array_equal(D, demand_vector(plain))
 
 
 class TestSupplyVector:
@@ -158,6 +185,60 @@ class TestRankings:
         report = analyze_accounts(toy_accounts())
         with pytest.raises(ValueError):
             rank_industries(report, 1, "alphabetical")
+
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(0, 12),
+        mode=st.sampled_from(["sensitive", "contributing"]),
+    )
+    def test_matches_brute_force_ordering(self, m, seed, k, mode):
+        # small integer deficits and zero outputs make ties and infinite
+        # sensitivities; the recession set comes in an arbitrary order
+        rng = np.random.default_rng(seed)
+        indices = tuple(rng.choice(10**6, m, replace=False).tolist())
+        deficit = -rng.integers(0, 4, m).astype(float)
+        gross = rng.integers(0, 3, m).astype(float)
+        members = rng.permutation(m)[: rng.integers(0, m + 1)]
+        report = RecessionReport(
+            D=np.zeros(m), S=np.zeros(m), deficit=deficit,
+            recession_set=tuple(indices[pos] for pos in members), r=0.0, gdp=1.0,
+            rankings={}, tol=0.0, indices=indices,
+            names=tuple(rng.choice(["", "n"], m).tolist()),
+            gross_output=gross, imports=rng.uniform(0, 1, m), exports=rng.uniform(0, 1, m),
+        )
+        positions = [indices.index(i) for i in report.recession_set]
+        if mode == "contributing":
+            key = lambda pos: -deficit[pos]
+        else:
+            key = lambda pos: -deficit[pos] / gross[pos] if gross[pos] > 0 else np.inf
+        expected = sorted(positions, key=key, reverse=True)[:k]
+        rows = rank_industries(report, k, mode)
+        assert [r.index for r in rows] == [indices[pos] for pos in expected]
+        names = [report.names[pos] or str(indices[pos]) for pos in expected]
+        assert [r.name for r in rows] == names
+        assert [r.demand_reduction for r in rows] == [-deficit[pos] for pos in expected]
+        assert [r.gross_output for r in rows] == [gross[pos] for pos in expected]
+        assert [r.imports for r in rows] == [report.imports[pos] for pos in expected]
+
+
+class TestAnalyzeArguments:
+    def test_duplicate_indices_rejected(self):
+        acc = random_value_accounts(1, 3)
+        with pytest.raises(ValueError, match="distinct"):
+            analyze_accounts(acc, indices=(7, 7, 9))
+
+    @pytest.mark.parametrize("indices", [(7, 9), (7, 8, 9, 10)])
+    def test_wrong_number_of_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="indices must have length 3"):
+            analyze_accounts(random_value_accounts(1, 3), indices=indices)
+
+    @pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c", "d")])
+    def test_wrong_number_of_names_rejected(self, names):
+        with pytest.raises(ValueError, match="names must have length 3"):
+            analyze_accounts(random_value_accounts(1, 3), names=names)
 
 
 class TestInvariants:
