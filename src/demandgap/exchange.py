@@ -100,11 +100,6 @@ class ExchangeEconomy:
     def total_supply(self) -> np.ndarray:
         return total_supply(self.B)
 
-    def demand_support_ok(self, I) -> bool:
-        """True when every consumer demands something inside the index set I."""
-        idx = np.asarray(sorted(I), dtype=int)
-        return bool((self.C[idx, :].sum(axis=0) > 0).all())
-
 
 @dataclass(frozen=True)
 class PriceVector:
@@ -173,6 +168,56 @@ class EquilibriumReport:
         return float(self.residual[list(self.violated_set)].max())
 
 
+def _normalized_price(p, n: int, tol_pos: float) -> np.ndarray:
+    """The price ``p`` at unit money price (see :meth:`PriceVector.normalized`);
+    raises :class:`DimensionMismatch` unless it has ``n`` components."""
+    q = as_price(p, tol_pos).normalized()
+    if q.shape[0] != n:
+        raise DimensionMismatch(f"price length {q.shape[0]} != good count {n}")
+    return q
+
+
+def _scales(econ: ExchangeEconomy, q: np.ndarray, tol_pos: float) -> np.ndarray:
+    """Demand scales at the normalized price ``q``."""
+    demand_value = econ.C.T @ q
+    bad = np.flatnonzero(demand_value <= tol_pos)
+    if bad.size:
+        raise ZeroDemandValue(int(bad[0]), float(demand_value[bad[0]]))
+    return (econ.B.T @ q) / demand_value
+
+
+def _clearing(
+    econ: ExchangeEconomy, q: np.ndarray, tol: float, tol_pos: float
+) -> tuple[EquilibriumReport, np.ndarray]:
+    """The clearing verdict of :func:`check_equilibrium` at the normalized
+    price ``q``, and the demand scales it was computed from."""
+    y = _scales(econ, q, tol_pos)
+    psi = econ.total_supply()
+    demand = econ.C @ y
+    residual = demand - psi
+
+    if (psi == 0).any():
+        warnings.warn(
+            f"goods with zero total supply: {np.flatnonzero(psi == 0).tolist()}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+    band = tol * np.maximum(1.0, psi)
+    violated = residual > band
+    strict = np.flatnonzero(residual < -band)
+    return EquilibriumReport(
+        demand=demand,
+        residual=residual,
+        equality_set=tuple(np.flatnonzero(np.abs(residual) <= band).tolist()),
+        strict_set=tuple(strict.tolist()),
+        violated_set=tuple(np.flatnonzero(violated).tolist()),
+        is_equilibrium=not violated.any(),
+        zero_price_on_deficit=bool((q[strict] <= tol_pos).all()),
+        tol=tol,
+    ), y
+
+
 def demand_scales(econ: ExchangeEconomy, p, tol_pos: float = DEFAULT_TOL_POS) -> np.ndarray:
     """Demand scales ``y_i = <b_i, p> / <C_i, p>`` for every consumer.
 
@@ -180,17 +225,7 @@ def demand_scales(econ: ExchangeEconomy, p, tol_pos: float = DEFAULT_TOL_POS) ->
     not positive, which signals a violated support precondition on the
     demand matrix.
     """
-    price = as_price(p, tol_pos)
-    q = price.normalized()
-    if q.shape[0] != econ.n:
-        raise DimensionMismatch(
-            f"price length {q.shape[0]} != good count {econ.n}"
-        )
-    demand_value = econ.C.T @ q
-    bad = np.flatnonzero(demand_value <= tol_pos)
-    if bad.size:
-        raise ZeroDemandValue(int(bad[0]), float(demand_value[bad[0]]))
-    return (econ.B.T @ q) / demand_value
+    return _scales(econ, _normalized_price(p, econ.n, tol_pos), tol_pos)
 
 
 def excess_demand(econ: ExchangeEconomy, p, tol_pos: float = DEFAULT_TOL_POS) -> np.ndarray:
@@ -209,41 +244,10 @@ def check_equilibrium(
     """Classify every good as cleared, in strict deficit, or violated.
 
     The equality comparison is relative: ``|residual_k| <= tol * max(1,
-    psi_k)``.  ``is_equilibrium`` is true iff no good is violated.
+    psi_k)``.  ``is_equilibrium`` is true iff no good is violated.  A
+    ``RuntimeWarning`` names the goods with zero total supply.
     """
-    price = as_price(p, tol_pos)
-    psi = econ.total_supply()
-    y = demand_scales(econ, price, tol_pos)
-    demand = econ.C @ y
-    residual = demand - psi
-
-    if (psi == 0).any():
-        zeros = np.flatnonzero(psi == 0)
-        warnings.warn(
-            f"goods with zero total supply: {zeros.tolist()}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    band = tol * np.maximum(1.0, psi)
-    equality = np.abs(residual) <= band
-    deficit = residual < -band
-    violated = residual > band
-
-    q = price.normalized()
-    strict = np.flatnonzero(deficit)
-    zero_price_on_deficit = bool((q[strict] <= tol_pos).all()) if strict.size else True
-
-    return EquilibriumReport(
-        demand=demand,
-        residual=residual,
-        equality_set=tuple(int(k) for k in np.flatnonzero(equality)),
-        strict_set=tuple(int(k) for k in strict),
-        violated_set=tuple(int(k) for k in np.flatnonzero(violated)),
-        is_equilibrium=not violated.any(),
-        zero_price_on_deficit=zero_price_on_deficit,
-        tol=tol,
-    )
+    return _clearing(econ, _normalized_price(p, econ.n, tol_pos), tol, tol_pos)[0]
 
 
 @dataclass(frozen=True)

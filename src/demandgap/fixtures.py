@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exchange import ExchangeEconomy, as_price
+from .exchange import DEFAULT_TOL_POS, ExchangeEconomy, as_price
 from .leontief import IOAccounts
-from .structure import RepresentationParts, clearing_basis, synthesize_property
+from .structure import RepresentationParts, _proportional, clearing_basis, synthesize_property
 
 __all__ = [
     "economy_e1",
@@ -92,7 +92,6 @@ def random_equilibrium(
     p = np.zeros(n)
     p[list(I)] = rng.uniform(0.5, 1.5, support)
     y = rng.uniform(0.5, 1.5, l)
-    psi_bar = C @ y
     q = as_price(p).normalized()
 
     G = clearing_basis(p, I).G
@@ -106,7 +105,7 @@ def random_equilibrium(
             raw += rng.uniform(0.1, 0.6, (len(J), 1)) / l
         d0[J, :] = raw
 
-    base = np.outer(psi_bar, y * (C.T @ q) / float(psi_bar @ q))
+    base = _proportional(C, y, q, I, DEFAULT_TOL_POS)
     pert = G @ delta + d0
     mask = pert < 0
     alpha = 1.0

@@ -37,8 +37,9 @@ from .exchange import (
     DEFAULT_TOL,
     DEFAULT_TOL_POS,
     ExchangeEconomy,
+    _clearing,
+    _normalized_price,
     check_equilibrium,
-    demand_scales,
 )
 from .solvers import CONE_TOL, PF_MAX_ITER, PF_TOL, _dominant, is_irreducible, solve_nonneg
 
@@ -165,6 +166,20 @@ class IOAccounts:
         )
 
 
+def _final_totals(acc: IOAccounts) -> tuple[float, float, float]:
+    """Total final consumption, exports and imports; raises
+    :class:`ZeroDenominator` when household or trade demand would divide by
+    a zero total."""
+    cf_total = float(acc.Cf.sum())
+    if cf_total <= 0:
+        raise ZeroDenominator("total final consumption")
+    e_total = float(acc.E.sum())
+    imp_total = float(acc.Imp.sum())
+    if e_total <= 0 and imp_total > 0:
+        raise ZeroDenominator("total exports (imports present)")
+    return cf_total, e_total, imp_total
+
+
 def demand_vector(acc: IOAccounts) -> np.ndarray:
     """Per-industry demand in value units.
 
@@ -197,18 +212,12 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
     share[live] = pi[live] * acc.Xout[live] / col[live]
     production = acc.X @ share
 
-    cf_total = float(acc.Cf.sum())
-    if cf_total <= 0:
-        raise ZeroDenominator("total final consumption")
+    cf_total, e_total, imp_total = _final_totals(acc)
     taxed_use = acc.X @ pi
     household_income = float(((1.0 - pi) * acc.Xout).sum() + taxed_use.sum())
     household = acc.Cf * household_income / cf_total
 
-    e_total = float(acc.E.sum())
-    imp_total = float(acc.Imp.sum())
     if e_total <= 0:
-        if imp_total > 0:
-            raise ZeroDenominator("total exports (imports present)")
         trade = np.zeros(acc.m)
     else:
         trade = acc.E * imp_total / e_total
@@ -311,12 +320,11 @@ def check_aggregation_agreement(
     """True when the aggregated clearing inequalities at ``p_u`` hold and
     their equality pattern matches the aggregation of the disaggregated
     equilibrium at ``p0``."""
-    report = check_equilibrium(econ, p0, tol=tol, tol_pos=tol_pos)
+    report, y = _clearing(econ, _normalized_price(p0, econ.n, tol_pos), tol, tol_pos)
     if not report.is_equilibrium:
         raise NotAnEquilibrium(
             f"p0 is not an equilibrium (violations on {report.violated_set})"
         )
-    y = demand_scales(econ, p0, tol_pos)
     C_u = mapping.apply(econ.C)
     B_u = mapping.apply(econ.B)
     psi_u = B_u.sum(axis=1)
@@ -484,10 +492,7 @@ def solve_national_equilibrium(
     inspection.
     """
     m = acc.m
-    if float(acc.Cf.sum()) <= 0:
-        raise ZeroDenominator("total final consumption")
-    if float(acc.E.sum()) <= 0 and float(acc.Imp.sum()) > 0:
-        raise ZeroDenominator("total exports (imports present)")
+    _, e_total, imp_total = _final_totals(acc)
     if (acc.pi <= 0).any():
         raise ZeroDenominator("pi (taxation shares must be positive here)")
 
@@ -563,7 +568,7 @@ def solve_national_equilibrium(
     if e_value > DEFAULT_TOL_POS:
         trade_scale = imp_value / e_value
         diag["closure_trade"] = abs(trade_scale - y[m + 1]) / max(1.0, abs(y[m + 1]))
-    elif imp_value <= DEFAULT_TOL_POS and float(acc.E.sum() + acc.Imp.sum()) == 0.0:
+    elif imp_value <= DEFAULT_TOL_POS and e_total + imp_total == 0.0:
         diag["closure_trade"] = 0.0  # vacuous trade agent
     else:
         diag["closure_trade"] = np.inf
@@ -572,7 +577,7 @@ def solve_national_equilibrium(
         (p[list(J)] <= DEFAULT_TOL_POS * max(1.0, p.max())).all()
     ) if J else True
     positivity_ok = cf_value > DEFAULT_TOL_POS and (
-        e_value > DEFAULT_TOL_POS or float(acc.E.sum() + acc.Imp.sum()) == 0.0
+        e_value > DEFAULT_TOL_POS or e_total + imp_total == 0.0
     )
     certified = (
         abs(rho - 1.0) <= rho_tol

@@ -124,10 +124,12 @@ def rank_industries(report: RecessionReport, k: int, mode: str) -> list[RankedIn
     ``mode='sensitive'`` orders by shortfall relative to gross output (the
     industries hit hardest for their size); ``mode='contributing'`` orders
     by absolute shortfall.  Industries without a registry name are labelled
-    by their numeric index.
+    by their numeric index.  ``k`` must be nonnegative.
     """
     if mode not in ("sensitive", "contributing"):
         raise ValueError(f"mode must be 'sensitive' or 'contributing', got {mode!r}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     position = {index: pos for pos, index in enumerate(report.indices)}
     positions = [position[i] for i in report.recession_set]
     reduction = -report.deficit[positions]

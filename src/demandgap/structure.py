@@ -32,9 +32,9 @@ from .exchange import (
     DEFAULT_TOL,
     DEFAULT_TOL_POS,
     ExchangeEconomy,
+    _clearing,
+    _normalized_price,
     as_price,
-    check_equilibrium,
-    demand_scales,
 )
 
 DEFAULT_RANK_TOL = 1e-8
@@ -90,13 +90,17 @@ def _check_case(case: str, name: str = "case") -> None:
         raise ValueError(f"{name} must be 'exact' or 'partial', got {case!r}")
 
 
-def _check_clearing(
-    econ: ExchangeEconomy, price, idx, case: str, tol: float, tol_pos: float
-) -> None:
-    """Raise NotAnEquilibrium unless demand never exceeds supply at
-    ``price``, with no deficit at all in the ``exact`` case and none on the
-    support ``idx`` in the ``partial`` one."""
-    report = check_equilibrium(econ, price, tol=tol, tol_pos=tol_pos)
+def _cleared_support(
+    econ: ExchangeEconomy, p, I, case: str, tol: float, tol_pos: float, name: str = "case"
+) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
+    """The normalized price, its exact support ``I`` with the complement
+    mask, and the demand scales; raises NotAnEquilibrium unless demand never
+    exceeds supply at ``p``, with no deficit at all in the ``exact`` case and
+    none on the support in the ``partial`` one."""
+    _check_case(case, name)
+    q = _normalized_price(p, econ.n, tol_pos)
+    idx, off = _exact_support(q, I, tol_pos)
+    report, y = _clearing(econ, q, tol, tol_pos)
     if report.violated_set:
         raise NotAnEquilibrium(f"demand exceeds supply on goods {report.violated_set}")
     if case == "exact" and report.strict_set:
@@ -106,6 +110,7 @@ def _check_clearing(
     on_support = sorted(set(report.strict_set) & set(idx))
     if on_support:
         raise NotAnEquilibrium(f"deficits on the price support {on_support}")
+    return q, idx, off, y
 
 
 @dataclass(frozen=True)
@@ -218,9 +223,10 @@ def synthesize_property(
     n, l = C.shape
     if parts.d0.shape != (n, l):
         raise ValueError(f"d0 shape {parts.d0.shape} does not match C {C.shape}")
-    q = as_price(p, tol_pos).normalized()
+    q = _normalized_price(p, n, tol_pos)
     _exact_support(q, parts.I, tol_pos)
-    return _assemble(C, q, parts, _clearing_matrix(q, parts.I)[0], tol_pos)
+    P = _proportional(C, parts.y, q, parts.I, tol_pos)
+    return _assemble(P, _clearing_matrix(q, parts.I)[0], parts)
 
 
 def _proportional(
@@ -238,13 +244,11 @@ def _proportional(
     return np.outer(psi_bar, y * demand_value / float(psi_bar @ q))
 
 
-def _assemble(
-    C: np.ndarray, q: np.ndarray, parts: RepresentationParts, G: np.ndarray, tol_pos: float
-) -> np.ndarray:
-    """The property matrix of validated ``parts`` at the normalized price
-    ``q`` on the clearing basis ``G``; magnitudes below the negativity
-    tolerance are snapped to zero."""
-    B = _proportional(C, parts.y, q, parts.I, tol_pos) + G @ parts.a + parts.d0
+def _assemble(P: np.ndarray, G: np.ndarray, parts: RepresentationParts) -> np.ndarray:
+    """The property matrix of validated ``parts`` with the rank-one part
+    ``P`` of :func:`_proportional` and the clearing basis ``G``; magnitudes
+    below the negativity tolerance are snapped to zero."""
+    B = P + G @ parts.a + parts.d0
     neg_tol = 1e-12 * max(1.0, float(np.abs(B).max()))
     if B.min() < -neg_tol:
         k, i = np.unravel_index(np.argmin(B), B.shape)
@@ -272,16 +276,11 @@ def decompose_property(
     The clearing-basis expansion is gauged by the uniform ``1/l``
     symmetrisation, so repeated decompositions are deterministic.
     """
-    _check_case(case)
-    price = as_price(p, tol_pos)
-    q = price.normalized()
-    idx, off = _exact_support(q, I, tol_pos)
-    _check_clearing(econ, price, idx, case, tol, tol_pos)
-
-    y = demand_scales(econ, price, tol_pos)
+    q, idx, off, y = _cleared_support(econ, p, I, case, tol, tol_pos)
     if float(econ.C @ y @ q) <= tol_pos:
         raise NotAnEquilibrium("the economy has no valued supply at this price")
-    D = econ.B - _proportional(econ.C, y, q, idx, tol_pos)
+    P = _proportional(econ.C, y, q, idx, tol_pos)
+    D = econ.B - P
 
     d1, d0 = D[~off], np.where(off[:, None], D, 0.0)
     if len(idx) == 1 and np.abs(d1).max() > tol * max(1.0, float(np.abs(econ.B).max())):
@@ -294,7 +293,7 @@ def decompose_property(
 
     parts = RepresentationParts(y=y, a=a, d0=d0, I=idx, case=case)
     parts.validate(tol=tol)
-    B_rt = _assemble(econ.C, q, parts, G, tol_pos)
+    B_rt = _assemble(P, G, parts)
     residual = float(
         np.abs(B_rt - econ.B).max() / max(1.0, float(np.abs(econ.B).max()))
     )
@@ -308,7 +307,7 @@ def is_equivalent(B, B_bar, p, tol: float = DEFAULT_TOL) -> bool:
     B_bar = np.asarray(B_bar, dtype=float)
     if B.shape != B_bar.shape:
         raise DimensionMismatch(f"shapes differ: {B.shape} vs {B_bar.shape}")
-    q = as_price(p).normalized()
+    q = _normalized_price(p, B.shape[0], DEFAULT_TOL_POS)
     base = B.T @ q
     gap = np.abs((B_bar - B).T @ q)
     return bool((gap <= tol * (1.0 + np.abs(base))).all())
@@ -347,12 +346,7 @@ def degenerate_transform(
     zero); ``mode='partial'`` starts from a deficit-carrying equilibrium and
     shrinks off-support supply down to demand (column sums nonpositive).
     """
-    _check_case(mode, "mode")
-    price = as_price(p, tol_pos)
-    idx, off = _exact_support(price.normalized(), I, tol_pos)
-    _check_clearing(econ, price, idx, mode, tol, tol_pos)
-
-    y = demand_scales(econ, price, tol_pos)
+    _, idx, off, y = _cleared_support(econ, p, I, mode, tol, tol_pos, "mode")
     B_bar = econ.B.copy()
     B_bar[off, :] = econ.C[off, :] * y[None, :]
     transfer = B_bar - econ.B
@@ -389,11 +383,16 @@ def degeneracy_multiplicity(
     singular values at ``rank_tol`` relative to the largest one, after
     dropping all-zero rows (which change no singular value).  When the
     support ``I`` is supplied the result is checked against the guaranteed
-    lower bound ``n - |I|``.
+    lower bound ``n - |I|``.  Raises :class:`DimensionMismatch` unless ``C``
+    has the shape of ``B_bar`` and ``y`` one entry per column.
     """
     B_bar = np.asarray(B_bar, dtype=float)
     C = np.asarray(C, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
+    if C.shape != B_bar.shape or y.shape != B_bar.shape[1:]:
+        raise DimensionMismatch(
+            f"B_bar {B_bar.shape}, C {C.shape} and y {y.shape} do not match"
+        )
     residual = B_bar - C * y[None, :]
     sv = np.linalg.svd(residual[residual.any(axis=1)], compute_uv=False)
     rank = int((sv > rank_tol * sv[0]).sum()) if sv.size else 0

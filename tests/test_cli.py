@@ -94,6 +94,17 @@ class TestAnalyze:
         assert wide["r"] == 0.0
         assert wide["rankings"] == {"sensitive": [], "contributing": []}
 
+    def test_negative_top_exit_code(self, toy_table, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert main(["analyze", str(toy_table), "--out", str(out), "--top", "-1"]) == 3
+        assert "nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+        argv = ["analyze", str(toy_table), "--out", str(tmp_path / "zero"), "--format", "json"]
+        assert main(argv + ["--top", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["recession_set"] == [2]
+        assert report["rankings"] == {"sensitive": [], "contributing": []}
+
     def test_schema_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,table\n")

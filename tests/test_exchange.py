@@ -139,8 +139,10 @@ class TestCheckEquilibrium:
     def test_zero_supply_warns(self):
         C = np.ones((2, 2))
         B = np.array([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.warns(RuntimeWarning, match="zero total supply"):
+        with pytest.warns(RuntimeWarning, match="zero total supply") as record:
             check_equilibrium(ExchangeEconomy(C, B), np.array([1.0, 0.0]))
+        # the warning points at the caller of check_equilibrium
+        assert record[0].filename == __file__
 
 
 class TestVerifyCertificate:

@@ -186,6 +186,15 @@ class TestRankings:
         with pytest.raises(ValueError):
             rank_industries(report, 1, "alphabetical")
 
+    def test_negative_k_rejected(self):
+        report = analyze_accounts(toy_accounts())
+        assert rank_industries(report, 0, "sensitive") == []
+        for mode in ("sensitive", "contributing"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                rank_industries(report, -1, mode)
+        with pytest.raises(ValueError, match="nonnegative"):
+            analyze_accounts(toy_accounts(), top=-1)
+
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(

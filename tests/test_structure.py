@@ -6,20 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandgap import (
+    AggregationMap,
     DimensionMismatch,
     EmptySupport,
     ExchangeEconomy,
     NegativeEndowment,
     NoMoneySupply,
     NotAnEquilibrium,
+    PriceVector,
     RepresentationParts,
     SupportMismatch,
+    check_aggregation_agreement,
     check_equilibrium,
     clearing_basis,
     decompose_property,
     degeneracy_multiplicity,
     degenerate_transform,
     demand_scales,
+    excess_demand,
     is_equivalent,
     real_money_value,
     synthesize_property,
@@ -433,6 +437,13 @@ class TestDegeneracyMultiplicity:
             full_rank = int((sv > 1e-8 * sv[0]).sum()) if sv[0] > 0 else 0
             assert degeneracy_multiplicity(B_bar, C, y) == n - full_rank
 
+    def test_shape_mismatch_raises(self):
+        econ, _ = economy_e1()
+        with pytest.raises(DimensionMismatch):
+            degeneracy_multiplicity(econ.B, econ.C[:1], [1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            degeneracy_multiplicity(econ.B, econ.C, [1.0, 1.0, 1.0])
+
     def test_bound_holds_on_random_transforms(self):
         for seed in range(20):
             econ, p, parts = random_equilibrium(seed, n=6, l=4, support=2)
@@ -461,3 +472,62 @@ class TestRealMoneyValue:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             real_money_value([1, 2, 3], [1, 2])
+
+
+class TestPriceEntryPoints:
+    """Each public call validates and normalises its price once."""
+
+    CALLS = {
+        "demand_scales": lambda econ, p, parts: demand_scales(econ, p),
+        "excess_demand": lambda econ, p, parts: excess_demand(econ, p),
+        "check_equilibrium": lambda econ, p, parts: check_equilibrium(econ, p),
+        "synthesize_property": lambda econ, p, parts: synthesize_property(econ.C, p, parts),
+        "decompose_property": lambda econ, p, parts: decompose_property(econ, p, parts.I),
+        "degenerate_transform": lambda econ, p, parts: degenerate_transform(econ, p, parts.I),
+        "is_equivalent": lambda econ, p, parts: is_equivalent(econ.B, econ.B, p),
+        "check_aggregation_agreement": lambda econ, p, parts: check_aggregation_agreement(
+            econ, p, AggregationMap.identity(econ.n), p[: econ.n]
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "check_equilibrium",
+            "demand_scales",
+            "synthesize_property",
+            "decompose_property",
+            "degenerate_transform",
+        ],
+    )
+    def test_one_normalisation_per_call(self, name, monkeypatch):
+        econ, p, parts = random_equilibrium(4, n=6, l=4, support=3)
+        calls = []
+        normalized = PriceVector.normalized
+
+        def counted(self):
+            calls.append(1)
+            return normalized(self)
+
+        monkeypatch.setattr(PriceVector, "normalized", counted)
+        self.CALLS[name](econ, p, parts)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("extra", [0.0, 1.0])
+    def test_wrong_length_price_raises(self, name, extra):
+        econ, p, parts = random_equilibrium(4, n=6, l=4, support=3)
+        with pytest.raises(DimensionMismatch, match="price length 7 != good count 6"):
+            self.CALLS[name](econ, np.append(p, extra), parts)
+        with pytest.raises(DimensionMismatch, match="price length 5 != good count 6"):
+            self.CALLS[name](econ, p[:5] + 0.1, parts)
+
+    def test_zero_supply_warning_kept_by_structure_calls(self):
+        # good 1 has zero supply and zero demand, so p = (1, 0) clears exactly
+        C = np.array([[1.0, 1.0], [0.0, 0.0]])
+        econ = ExchangeEconomy(C, C.copy())
+        p = np.array([1.0, 0.0])
+        with pytest.warns(RuntimeWarning, match="zero total supply: \\[1\\]"):
+            decompose_property(econ, p, I=(0,))
+        with pytest.warns(RuntimeWarning, match="zero total supply: \\[1\\]"):
+            degenerate_transform(econ, p, I=(0,))
