@@ -51,6 +51,14 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return m
 
 
+def _check_entries(a: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every entry of ``a`` is finite and
+    nonnegative.  One min and one max per array: NaN fails both
+    comparisons, and a negative entry is named before a non-finite one."""
+    if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < np.inf):
+        raise ValueError(f"{what} must be {'nonnegative' if (a < 0).any() else 'finite'}")
+
+
 def total_supply(B) -> np.ndarray:
     """Total supply ``psi_k = sum_i B[k, i]`` (sum over consumers).
 
@@ -80,8 +88,8 @@ class ExchangeEconomy:
             raise DimensionMismatch(
                 f"C and B must have the same shape, got {C.shape} vs {B.shape}"
             )
-        if (C < 0).any() or (B < 0).any():
-            raise ValueError("C and B must be nonnegative")
+        _check_entries(C, "C and B")
+        _check_entries(B, "C and B")
         C.setflags(write=False)
         B.setflags(write=False)
         object.__setattr__(self, "C", C)
@@ -103,20 +111,18 @@ class ExchangeEconomy:
 
 @dataclass(frozen=True)
 class PriceVector:
-    """Nonnegative price vector; component 0 is the money price.
+    """Finite nonnegative price vector; component 0 is the money price.
 
     ``support`` is the set of strictly positive components, decided at
-    ``tol_pos`` after normalising to unit money price when possible (unit
-    max-norm otherwise).
+    ``DEFAULT_TOL_POS`` after normalising to unit money price when possible
+    (unit max-norm otherwise).
     """
 
     p: np.ndarray
-    tol_pos: float = DEFAULT_TOL_POS
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float).reshape(-1)
-        if (p < 0).any():
-            raise ValueError("prices must be nonnegative")
+        _check_entries(p, "prices")
         if not (p > 0).any():
             raise ValueError("price vector must be nonzero")
         p.setflags(write=False)
@@ -131,14 +137,14 @@ class PriceVector:
     @property
     def support(self) -> tuple[int, ...]:
         q = self.normalized()
-        return tuple(int(k) for k in np.flatnonzero(q > self.tol_pos))
+        return tuple(int(k) for k in np.flatnonzero(q > DEFAULT_TOL_POS))
 
 
-def as_price(p, tol_pos: float = DEFAULT_TOL_POS) -> PriceVector:
+def as_price(p) -> PriceVector:
     """Coerce an array-like or PriceVector into a PriceVector."""
     if isinstance(p, PriceVector):
         return p
-    return PriceVector(np.asarray(p, dtype=float), tol_pos=tol_pos)
+    return PriceVector(np.asarray(p, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -168,30 +174,44 @@ class EquilibriumReport:
         return float(self.residual[list(self.violated_set)].max())
 
 
-def _normalized_price(p, n: int, tol_pos: float) -> np.ndarray:
+def _normalized_price(p, n: int) -> np.ndarray:
     """The price ``p`` at unit money price (see :meth:`PriceVector.normalized`);
     raises :class:`DimensionMismatch` unless it has ``n`` components."""
-    q = as_price(p, tol_pos).normalized()
+    q = as_price(p).normalized()
     if q.shape[0] != n:
         raise DimensionMismatch(f"price length {q.shape[0]} != good count {n}")
     return q
 
 
-def _scales(econ: ExchangeEconomy, q: np.ndarray, tol_pos: float) -> np.ndarray:
+def _scales(econ: ExchangeEconomy, q: np.ndarray) -> np.ndarray:
     """Demand scales at the normalized price ``q``."""
     demand_value = econ.C.T @ q
-    bad = np.flatnonzero(demand_value <= tol_pos)
+    bad = np.flatnonzero(demand_value <= DEFAULT_TOL_POS)
     if bad.size:
         raise ZeroDemandValue(int(bad[0]), float(demand_value[bad[0]]))
     return (econ.B.T @ q) / demand_value
 
 
+def _classify(
+    residual: np.ndarray, scale: np.ndarray, tol: float
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The relative band split of ``residual`` at ``tol * max(1, scale)``:
+    the positions inside the band (equal), below it (strict) and above it
+    (violated).  A NaN residual is in none of the three."""
+    band = tol * np.maximum(1.0, scale)
+    return (
+        tuple(np.flatnonzero(np.abs(residual) <= band).tolist()),
+        tuple(np.flatnonzero(residual < -band).tolist()),
+        tuple(np.flatnonzero(residual > band).tolist()),
+    )
+
+
 def _clearing(
-    econ: ExchangeEconomy, q: np.ndarray, tol: float, tol_pos: float
+    econ: ExchangeEconomy, q: np.ndarray, tol: float
 ) -> tuple[EquilibriumReport, np.ndarray]:
     """The clearing verdict of :func:`check_equilibrium` at the normalized
     price ``q``, and the demand scales it was computed from."""
-    y = _scales(econ, q, tol_pos)
+    y = _scales(econ, q)
     psi = econ.total_supply()
     demand = econ.C @ y
     residual = demand - psi
@@ -203,51 +223,44 @@ def _clearing(
             stacklevel=3,
         )
 
-    band = tol * np.maximum(1.0, psi)
-    violated = residual > band
-    strict = np.flatnonzero(residual < -band)
+    equal, strict, violated = _classify(residual, psi, tol)
     return EquilibriumReport(
         demand=demand,
         residual=residual,
-        equality_set=tuple(np.flatnonzero(np.abs(residual) <= band).tolist()),
-        strict_set=tuple(strict.tolist()),
-        violated_set=tuple(np.flatnonzero(violated).tolist()),
-        is_equilibrium=not violated.any(),
-        zero_price_on_deficit=bool((q[strict] <= tol_pos).all()),
+        equality_set=equal,
+        strict_set=strict,
+        violated_set=violated,
+        is_equilibrium=not violated,
+        zero_price_on_deficit=bool((q[list(strict)] <= DEFAULT_TOL_POS).all()),
         tol=tol,
     ), y
 
 
-def demand_scales(econ: ExchangeEconomy, p, tol_pos: float = DEFAULT_TOL_POS) -> np.ndarray:
+def demand_scales(econ: ExchangeEconomy, p) -> np.ndarray:
     """Demand scales ``y_i = <b_i, p> / <C_i, p>`` for every consumer.
 
     Raises :class:`ZeroDemandValue` when some bundle value ``<C_i, p>`` is
     not positive, which signals a violated support precondition on the
     demand matrix.
     """
-    return _scales(econ, _normalized_price(p, econ.n, tol_pos), tol_pos)
+    return _scales(econ, _normalized_price(p, econ.n))
 
 
-def excess_demand(econ: ExchangeEconomy, p, tol_pos: float = DEFAULT_TOL_POS) -> np.ndarray:
+def excess_demand(econ: ExchangeEconomy, p) -> np.ndarray:
     """Aggregate demand minus total supply, per good (sign of the clearing
     violation; nonpositive everywhere at an equilibrium price)."""
-    y = demand_scales(econ, p, tol_pos)
+    y = demand_scales(econ, p)
     return econ.C @ y - econ.total_supply()
 
 
-def check_equilibrium(
-    econ: ExchangeEconomy,
-    p,
-    tol: float = DEFAULT_TOL,
-    tol_pos: float = DEFAULT_TOL_POS,
-) -> EquilibriumReport:
+def check_equilibrium(econ: ExchangeEconomy, p, tol: float = DEFAULT_TOL) -> EquilibriumReport:
     """Classify every good as cleared, in strict deficit, or violated.
 
     The equality comparison is relative: ``|residual_k| <= tol * max(1,
     psi_k)``.  ``is_equilibrium`` is true iff no good is violated.  A
     ``RuntimeWarning`` names the goods with zero total supply.
     """
-    return _clearing(econ, _normalized_price(p, econ.n, tol_pos), tol, tol_pos)[0]
+    return _clearing(econ, _normalized_price(p, econ.n), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -272,7 +285,6 @@ def verify_certificate(
     y,
     psi_bar,
     tol: float = DEFAULT_TOL,
-    tol_pos: float = DEFAULT_TOL_POS,
 ) -> CertificateReport:
     """Check the certificate (y, psi_bar, p) for an equilibrium of ``econ``.
 
@@ -288,8 +300,7 @@ def verify_certificate(
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     psi_bar = np.asarray(psi_bar, dtype=float).reshape(-1)
-    price = as_price(p, tol_pos)
-    q = price.normalized()
+    q = as_price(p).normalized()
     if y.shape[0] != econ.l or psi_bar.shape[0] != econ.n or q.shape[0] != econ.n:
         raise DimensionMismatch(
             f"certificate dimensions (y: {y.shape[0]}, psi_bar: {psi_bar.shape[0]}, "
@@ -319,13 +330,13 @@ def verify_certificate(
 
     demand_value = econ.C.T @ q
     diag["demand-value"] = float(demand_value.min())
-    if (demand_value <= tol_pos).any():
+    if (demand_value <= DEFAULT_TOL_POS).any():
         failed.append("demand-value")
         # The transfer clause below would divide by these values.
         return CertificateReport(False, tuple(failed), diag)
 
     psi_bar_value = float(psi_bar @ q)
-    if psi_bar_value <= tol_pos:
+    if psi_bar_value <= DEFAULT_TOL_POS:
         failed.append("transfers")
         diag["transfers"] = "psi_bar has zero value at p"
         return CertificateReport(False, tuple(failed), diag)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exchange import DEFAULT_TOL_POS, ExchangeEconomy, as_price
+from .exchange import ExchangeEconomy, as_price
 from .leontief import IOAccounts
 from .structure import RepresentationParts, _proportional, clearing_basis, synthesize_property
 
@@ -105,7 +105,7 @@ def random_equilibrium(
             raw += rng.uniform(0.1, 0.6, (len(J), 1)) / l
         d0[J, :] = raw
 
-    base = _proportional(C, y, q, I, DEFAULT_TOL_POS)
+    base = _proportional(C, C @ y, y, q, I)
     pert = G @ delta + d0
     mask = pert < 0
     alpha = 1.0

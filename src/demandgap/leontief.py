@@ -37,11 +37,13 @@ from .exchange import (
     DEFAULT_TOL,
     DEFAULT_TOL_POS,
     ExchangeEconomy,
+    _check_entries,
+    _classify,
     _clearing,
     _normalized_price,
     check_equilibrium,
 )
-from .solvers import CONE_TOL, PF_MAX_ITER, PF_TOL, _dominant, is_irreducible, solve_nonneg
+from .solvers import CONE_TOL, PF_TOL, _dominant, is_irreducible, solve_nonneg
 
 RHO_TOL = 1e-6
 
@@ -64,8 +66,7 @@ def _vector(v, m: int, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float).reshape(-1)
     if arr.shape[0] != m:
         raise ValueError(f"{name} must have length {m}, got {arr.shape[0]}")
-    if (arr < 0).any():
-        raise ValueError(f"{name} must be nonnegative")
+    _check_entries(arr, name)
     return arr
 
 
@@ -76,7 +77,7 @@ class IOAccounts:
     ``X[k, i]`` is the value of good k absorbed by industry i; ``Xout`` the
     gross output values; ``Cf`` final consumption (households plus capital
     formation); ``E`` exports; ``Imp`` imports; ``pi`` the taxation shares
-    in [0, 1].  All value entries are nonnegative.
+    in [0, 1].  All value entries are finite and nonnegative.
     """
 
     X: np.ndarray
@@ -90,8 +91,7 @@ class IOAccounts:
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 2 or X.shape[0] != X.shape[1]:
             raise ValueError(f"X must be square, got shape {X.shape}")
-        if (X < 0).any():
-            raise ValueError("X must be nonnegative")
+        _check_entries(X, "X")
         m = X.shape[0]
         Xout = _vector(self.Xout, m, "Xout")
         Cf = _vector(self.Cf, m, "Cf")
@@ -102,7 +102,7 @@ class IOAccounts:
             pi = np.full(m, float(pi[0]))
         if pi.shape[0] != m:
             raise ValueError(f"pi must have length {m}, got {pi.shape[0]}")
-        if (pi < 0).any() or (pi > 1).any():
+        if not ((pi >= 0) & (pi <= 1)).all():  # NaN lies in no interval
             raise ValueError("pi entries must lie in [0, 1]")
         for name, arr in [
             ("X", X), ("Xout", Xout), ("Cf", Cf), ("E", E), ("Imp", Imp), ("pi", pi),
@@ -180,6 +180,24 @@ def _final_totals(acc: IOAccounts) -> tuple[float, float, float]:
     return cf_total, e_total, imp_total
 
 
+def _effective_pi(acc: IOAccounts) -> np.ndarray:
+    """The taxation shares with 0 for every industry that buys no inputs
+    (zero input column) but has taxed output ``pi_i * Xout_i > 0``; a
+    ``RuntimeWarning`` addressed to the caller's caller names their 0-based
+    positions."""
+    inputless = (acc.input_value() <= 0) & (acc.pi * acc.Xout > 0)
+    if not inputless.any():
+        return acc.pi
+    warnings.warn(
+        "industries at positions "
+        f"{np.flatnonzero(inputless).tolist()} buy no inputs; their taxed "
+        "value goes to households (effective pi = 0)",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return np.where(inputless, 0.0, acc.pi)
+
+
 def demand_vector(acc: IOAccounts) -> np.ndarray:
     """Per-industry demand in value units.
 
@@ -197,17 +215,7 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
     """
     col = acc.input_value()
     live = col > 0
-    pi = acc.pi
-    inputless = ~live & (pi * acc.Xout > 0)
-    if inputless.any():
-        warnings.warn(
-            "industries at positions "
-            f"{np.flatnonzero(inputless).tolist()} buy no inputs; their taxed "
-            "value goes to households (effective pi = 0)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        pi = np.where(inputless, 0.0, pi)
+    pi = _effective_pi(acc)
     share = np.zeros(acc.m)
     share[live] = pi[live] * acc.Xout[live] / col[live]
     production = acc.X @ share
@@ -315,12 +323,11 @@ def check_aggregation_agreement(
     mapping: AggregationMap,
     p_u,
     tol: float = DEFAULT_TOL,
-    tol_pos: float = DEFAULT_TOL_POS,
 ) -> bool:
     """True when the aggregated clearing inequalities at ``p_u`` hold and
     their equality pattern matches the aggregation of the disaggregated
     equilibrium at ``p0``."""
-    report, y = _clearing(econ, _normalized_price(p0, econ.n, tol_pos), tol, tol_pos)
+    report, y = _clearing(econ, _normalized_price(p0, econ.n), tol)
     if not report.is_equilibrium:
         raise NotAnEquilibrium(
             f"p0 is not an equilibrium (violations on {report.violated_set})"
@@ -328,18 +335,12 @@ def check_aggregation_agreement(
     C_u = mapping.apply(econ.C)
     B_u = mapping.apply(econ.B)
     psi_u = B_u.sum(axis=1)
-    residual_u = C_u @ y - psi_u
-    band = tol * np.maximum(1.0, psi_u)
-    pattern_disagg = np.abs(residual_u) <= band
+    equal_disagg = _classify(C_u @ y - psi_u, psi_u, tol)[0]
 
-    report_u = check_equilibrium(
-        ExchangeEconomy(C_u, B_u), p_u, tol=tol, tol_pos=tol_pos
-    )
+    report_u = check_equilibrium(ExchangeEconomy(C_u, B_u), p_u, tol=tol)
     if not report_u.is_equilibrium:
         return False
-    pattern_agg = np.zeros(mapping.m, dtype=bool)
-    pattern_agg[list(report_u.equality_set)] = True
-    return bool((pattern_disagg == pattern_agg).all())
+    return equal_disagg == report_u.equality_set
 
 
 def build_exchange_from_iot(acc: IOAccounts, p, x) -> ExchangeEconomy:
@@ -432,8 +433,7 @@ def check_value_equilibrium(acc: IOAccounts, tol: float = DEFAULT_TOL) -> ValueB
     """
     S = supply_vector(acc)
     residual = demand_vector(acc) - S
-    band = tol * np.maximum(1.0, S)
-    violated = tuple(np.flatnonzero(residual > band).tolist())
+    violated = _classify(residual, S, tol)[2]
     return ValueBalanceReport(
         residual=residual,
         violated=violated,
@@ -464,18 +464,13 @@ class NationalEquilibrium:
 
 
 def solve_national_equilibrium(
-    acc: IOAccounts,
-    rho_tol: float = RHO_TOL,
-    cone_tol: float = CONE_TOL,
-    tol: float = DEFAULT_TOL,
-    pf_tol: float = PF_TOL,
-    strict: bool = True,
+    acc: IOAccounts, tol: float = DEFAULT_TOL, strict: bool = True
 ) -> NationalEquilibrium:
     """Run the constructive equilibrium procedure on value accounts.
 
     Steps: (a) find nonnegative scales ``y`` reproducing supply from the
     demand columns ``[X | Cf | E]`` — the guaranteed seed ``(1 + pi, 1, 1)``
-    is used whenever it fits within ``cone_tol``, and nonnegative least
+    is used whenever it fits within ``CONE_TOL``, and nonnegative least
     squares runs only when it does not; (b) form the scaled production
     matrix ``A(y)[i, j] = a_ij y_j / pi_i`` and compute its spectral radius
     and left Perron vector in one call to the verified eigen kernel (the
@@ -485,6 +480,13 @@ def solve_national_equilibrium(
     and trade scales and the positivity side conditions.  The diagnostics
     name the kernel's path in ``perron_method``.
 
+    Every share must be positive, after the override of
+    :func:`demand_vector` that gives an industry buying no inputs an
+    effective share of 0 (with the same warning); otherwise
+    :class:`ZeroDenominator` names the positions.  A table with no
+    intermediate flows at all has ``A(y) = 0`` whatever the shares, so its
+    configured shares stand and the solve reports ``rho = 0``.
+
     The solve never rescales ``y`` to force the spectral radius to one: it
     certifies or it reports.  With ``strict=True`` a spectral radius away
     from one raises :class:`RhoNotOne` (the exception carries the partial
@@ -493,8 +495,11 @@ def solve_national_equilibrium(
     """
     m = acc.m
     _, e_total, imp_total = _final_totals(acc)
-    if (acc.pi <= 0).any():
-        raise ZeroDenominator("pi (taxation shares must be positive here)")
+    zero = np.flatnonzero((_effective_pi(acc) if acc.X.any() else acc.pi) <= 0)
+    if zero.size:
+        raise ZeroDenominator(
+            f"pi at positions {zero.tolist()} (taxation shares must be positive here)"
+        )
 
     A = acc.coefficients()
     C_big = np.column_stack([acc.X, acc.Cf, acc.E])
@@ -503,9 +508,9 @@ def solve_national_equilibrium(
     seed = np.concatenate([1.0 + acc.pi, [1.0, 1.0]])
     residual = C_big @ seed - target
     seed_residual = float(np.linalg.norm(residual))
-    seed_used = seed_residual <= cone_tol * float(np.linalg.norm(target))
+    seed_used = seed_residual <= CONE_TOL * float(np.linalg.norm(target))
     if not seed_used:
-        sol = solve_nonneg(C_big, target, cone_tol=cone_tol)
+        sol = solve_nonneg(C_big, target)
         seed_used = seed_residual <= sol.residual * (1.0 + 1e-9)
         if not seed_used:
             residual = C_big @ sol.y - target
@@ -514,12 +519,13 @@ def solve_national_equilibrium(
     # fills it, so every large array is freed before the next is made.
     del C_big
 
-    band = max(tol, cone_tol) * np.maximum(1.0, target)
-    over = residual > band
-    if over.any():
-        raise NotInCone(float(residual[over].max()), float(band[over].max()))
-    I = tuple(np.flatnonzero(np.abs(residual) <= band).tolist())
-    J = tuple(np.flatnonzero(residual < -band).tolist())
+    fit_tol = max(tol, CONE_TOL)
+    I, J, over = _classify(residual, target, fit_tol)
+    if over:
+        over = list(over)
+        raise NotInCone(
+            float(residual[over].max()), fit_tol * max(1.0, float(target[over].max()))
+        )
 
     # One eigen call on A(y)^T serves the spectral radius and the prices:
     # the price system diag(y/pi) A^T p = p has the matrix
@@ -528,7 +534,7 @@ def solve_national_equilibrium(
     A_y = A * y[None, :m]
     A_y /= acc.pi[:, None]
     reducible = not is_irreducible(A_y)
-    rho_m, left, _, _, method = _dominant(A_y.T, pf_tol, PF_MAX_ITER)
+    rho_m, left, _, _, method = _dominant(A_y.T)
     if reducible:
         rho = float(np.abs(np.linalg.eigvals(A_y)).max()) if m > 1 else float(A_y[0, 0])
     else:
@@ -557,7 +563,7 @@ def solve_national_equilibrium(
     input_value_at_p = A.T @ p
     diag["input_value_min"] = float(input_value_at_p.min(initial=np.inf))
 
-    closure_tol = max(rho_tol, tol)
+    closure_tol = max(RHO_TOL, tol)
     if cf_value > DEFAULT_TOL_POS:
         household_scale = float(
             (((1.0 - acc.pi) * acc.Xout) @ p + p @ (acc.X @ acc.pi)) / cf_value
@@ -580,8 +586,8 @@ def solve_national_equilibrium(
         e_value > DEFAULT_TOL_POS or e_total + imp_total == 0.0
     )
     certified = (
-        abs(rho - 1.0) <= rho_tol
-        and diag["value_equation_residual"] <= max(pf_tol * 10, rho_tol)
+        abs(rho - 1.0) <= RHO_TOL
+        and diag["value_equation_residual"] <= max(PF_TOL * 10, RHO_TOL)
         and diag["closure_household"] <= closure_tol
         and diag["closure_trade"] <= closure_tol
         and positivity_ok
@@ -593,6 +599,6 @@ def solve_national_equilibrium(
     result = NationalEquilibrium(
         y=y, p=p, rho=rho, I=I, J=J, certified=certified, diagnostics=diag
     )
-    if strict and abs(rho - 1.0) > rho_tol:
+    if strict and abs(rho - 1.0) > RHO_TOL:
         raise RhoNotOne(rho, solution=result)
     return result

@@ -190,8 +190,9 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
     )
 
 
-def serialize_niot(table: NiotTable, path, write_meta: bool = True) -> None:
-    """Write a table back in the normalized layout.
+def serialize_niot(table: NiotTable, path) -> None:
+    """Write a table back in the normalized layout, with its ``meta.csv``
+    beside it.
 
     Floats are written with ``repr``, which round-trips exactly.
     """
@@ -211,11 +212,10 @@ def serialize_niot(table: NiotTable, path, write_meta: bool = True) -> None:
                     repr(float(table.Xout[k])),
                 ]
             )
-    if write_meta:
-        with (path.parent / "meta.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["country", "year", "currency"])
-            writer.writerow([table.country, table.year, table.currency])
+    with (path.parent / "meta.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["country", "year", "currency"])
+        writer.writerow([table.country, table.year, table.currency])
 
 
 @dataclass
@@ -224,7 +224,8 @@ class RunConfig:
 
     ``pi`` is a scalar broadcast or a per-industry vector; ``tol`` must be
     positive.  ``blocks`` optionally aggregates the table before analysis.
-    The national solve's other tolerances are the library defaults.
+    ``tol`` is the only tolerance a run sets; the national solve's others
+    are the constants ``RHO_TOL``, ``CONE_TOL`` and ``PF_TOL``.
     """
 
     pi: float | np.ndarray = 1.0
@@ -235,10 +236,10 @@ class RunConfig:
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float).reshape(-1)
-        if (pi < 0).any() or (pi > 1).any():
+        if not ((pi >= 0) & (pi <= 1)).all():  # NaN lies in no interval
             raise ValueError("pi entries must lie in [0, 1]")
         self.pi = pi if pi.shape[0] > 1 else float(pi[0])
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.format not in ("json", "csv", "text"):
             raise ValueError(f"format must be json, csv or text, got {self.format!r}")

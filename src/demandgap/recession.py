@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveGDP
+from .exchange import _classify
 from .leontief import IOAccounts, demand_vector, supply_vector
 
 __all__ = [
@@ -50,8 +51,8 @@ def recession_industries(D, S, tol: float = 0.0) -> tuple[tuple[int, ...], np.nd
     if D.shape != S.shape:
         raise ValueError(f"D and S lengths differ: {D.shape[0]} vs {S.shape[0]}")
     gap = D - S
-    mask = gap < -tol * np.maximum(1.0, S)
-    return tuple(np.flatnonzero(mask).tolist()), np.abs(gap[mask])
+    strict = _classify(gap, S, tol)[1]
+    return strict, np.abs(gap[list(strict)])
 
 
 def recession_ratio(acc: IOAccounts, D=None, S=None, tol: float = 0.0) -> float:

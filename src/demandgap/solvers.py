@@ -32,7 +32,7 @@ matrices of national tables, and otherwise hands the matrix to dense
 ``np.linalg.eig``, which periodic matrices (supply chains that form a
 cycle) need.  Whichever path answers, the answer is checked: the vector is
 made nonnegative at max-norm 1 and must satisfy
-``max |M v - rho v| <= pf_tol``, or :class:`NoConvergence` is raised; the
+``max |M v - rho v| <= PF_TOL``, or :class:`NoConvergence` is raised; the
 tolerance is never loosened.
 """
 
@@ -51,7 +51,6 @@ from .errors import (
 )
 from .exchange import (
     DEFAULT_TOL,
-    DEFAULT_TOL_POS,
     EquilibriumReport,
     ExchangeEconomy,
     check_equilibrium,
@@ -136,10 +135,10 @@ class PerronResult:
     method: str
 
 
-def _dominant(M: np.ndarray, pf_tol: float, max_iter: int) -> tuple[float, np.ndarray, int, float, str]:
+def _dominant(M: np.ndarray) -> tuple[float, np.ndarray, int, float, str]:
     """Verified dominant eigenpair of a nonnegative matrix.
 
-    Runs at most ``max_iter`` steps of power iteration on ``M + eps I``
+    Runs at most ``PF_MAX_ITER`` steps of power iteration on ``M + eps I``
     with ``eps = 1e-3 * max(M)``, from the uniform vector, which always
     overlaps the dominant nonnegative eigenvector.  The shift barely damps
     the oscillation of a periodic matrix, so when the budget runs out the
@@ -150,10 +149,10 @@ def _dominant(M: np.ndarray, pf_tol: float, max_iter: int) -> tuple[float, np.nd
     Either way the vector is taken in absolute value at max-norm 1, the
     eigenvalue is its Rayleigh quotient on ``M`` (a weighted mean of the
     Collatz-Wielandt ratios ``(M v)_i / v_i``), and the pair is returned
-    only if ``max |M v - rho v| <= pf_tol``; otherwise
+    only if ``max |M v - rho v| <= PF_TOL``; otherwise
     :class:`NoConvergence` is raised.  Returns ``(rho, v, iterations,
     residual, method)`` with ``method`` ``"power"`` or ``"dense"``; a dense
-    answer reports the ``max_iter`` power iterations spent before it.
+    answer reports the ``PF_MAX_ITER`` power iterations spent before it.
     """
     n = M.shape[0]
     top = float(M.max(initial=0.0))
@@ -162,21 +161,21 @@ def _dominant(M: np.ndarray, pf_tol: float, max_iter: int) -> tuple[float, np.nd
     shift = 1e-3 * top
     v = np.ones(n)
     mv = M @ v
-    for it in range(1, max_iter + 1):
+    for it in range(1, PF_MAX_ITER + 1):
         w = mv + shift * v  # (M + eps I) v from the M v in hand: one product per step
         v = w / w.max()
         mv = M @ v
         rho, residual = _rayleigh(v, mv)
-        if residual <= pf_tol:
+        if residual <= PF_TOL:
             return rho, v, it, residual, "power"
     vals, vecs = np.linalg.eig(M)
     v = np.abs(vecs[:, int(np.argmax(vals.real))])
     v = v / v.max()
     mv = M @ v
     rho, residual = _rayleigh(v, mv)
-    if not residual <= pf_tol:
-        raise NoConvergence(max_iter, residual)
-    return rho, v, max_iter, residual, "dense"
+    if not residual <= PF_TOL:
+        raise NoConvergence(PF_MAX_ITER, residual)
+    return rho, v, PF_MAX_ITER, residual, "dense"
 
 
 def _rayleigh(v: np.ndarray, mv: np.ndarray) -> tuple[float, float]:
@@ -185,20 +184,21 @@ def _rayleigh(v: np.ndarray, mv: np.ndarray) -> tuple[float, float]:
     return rho, float(np.abs(mv - rho * v).max())
 
 
-def perron_eigen(M, pf_tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> PerronResult:
+def perron_eigen(M) -> PerronResult:
     """Dominant eigenvalue and strictly positive eigenvectors of an
     irreducible nonnegative matrix.
 
-    ``pf_tol`` bounds ``max |M v - rho v|`` with ``v`` at max-norm 1, so it
-    is an absolute tolerance on the scale of the matrix entries; rescale it
-    for matrices far from unit scale.  ``max_iter`` is the power-iteration
-    budget per side before the dense fallback.
+    The pair is verified at ``max |M v - rho v| <= PF_TOL`` with ``v`` at
+    max-norm 1, an absolute tolerance on the scale of the matrix entries:
+    rescale a matrix far from unit scale (``rho`` scales with it, the
+    vectors do not) before the call.  Each side runs at most
+    ``PF_MAX_ITER`` power iterations before the dense fallback.
     """
     M = _nonneg_square(M)
     if not is_irreducible(M):
         raise NotIrreducible("matrix graph is not strongly connected")
-    rho_r, right, it_r, res_r, method_r = _dominant(M, pf_tol, max_iter)
-    rho_l, left, it_l, res_l, method_l = _dominant(M.T, pf_tol, max_iter)
+    rho_r, right, it_r, res_r, method_r = _dominant(M)
+    rho_l, left, it_l, res_l, method_l = _dominant(M.T)
     return PerronResult(
         rho=rho_r,
         right=right,
@@ -223,10 +223,10 @@ class ConeSolution:
     interior: bool
 
 
-def solve_nonneg(C, target, cone_tol: float = CONE_TOL) -> ConeSolution:
+def solve_nonneg(C, target) -> ConeSolution:
     """Solve ``C y = target`` for ``y >= 0`` (nonnegative least squares).
 
-    Succeeds when the residual is within ``cone_tol * ||target||``;
+    Succeeds when the residual is within ``CONE_TOL * ||target||``;
     otherwise the target lies outside the cone of the columns and
     :class:`NotInCone` is raised.
     """
@@ -244,7 +244,7 @@ def solve_nonneg(C, target, cone_tol: float = CONE_TOL) -> ConeSolution:
     from scipy.optimize import nnls  # the only scipy use; imported on the first cone solve
 
     y, rnorm = nnls(C, target, maxiter=max(30, 10 * C.shape[1]))
-    threshold = cone_tol * norm
+    threshold = CONE_TOL * norm
     if rnorm > threshold:
         raise NotInCone(float(rnorm), threshold)
     ymax = float(y.max(initial=0.0))
@@ -269,19 +269,12 @@ class ConstructedEquilibrium:
     budget: np.ndarray | None = None
 
 
-def _strictly_positive(p: np.ndarray, tol_pos: float) -> bool:
+def _strictly_positive(p: np.ndarray) -> bool:
     top = float(p.max(initial=0.0))
-    return top > 0 and float(p.min()) / top > max(tol_pos, 1e-10)
+    return top > 0 and float(p.min()) / top > 1e-10
 
 
-def spectral_equilibrium(
-    C,
-    B1,
-    pf_tol: float = PF_TOL,
-    cone_tol: float = CONE_TOL,
-    tol: float = DEFAULT_TOL,
-    tol_pos: float = DEFAULT_TOL_POS,
-) -> ConstructedEquilibrium:
+def spectral_equilibrium(C, B1, tol: float = DEFAULT_TOL) -> ConstructedEquilibrium:
     """Equilibrium price for the economy ``(C, C @ B1)`` with ``B1``
     irreducible.
 
@@ -306,12 +299,12 @@ def spectral_equilibrium(
 
     y = B1.sum(axis=1)
     stochastic = B1 / y[:, None]  # row scaling keeps the graph tested above
-    _, left, _, _, _ = _dominant(stochastic.T, pf_tol, PF_MAX_ITER)
+    _, left, _, _, _ = _dominant(stochastic.T)
     d = left / y
     d = d / d.max()
 
     try:
-        sol = solve_nonneg(C.T, d, cone_tol=cone_tol)
+        sol = solve_nonneg(C.T, d)
     except NotInCone as e:
         raise NoPositivePrice(
             f"budget vector is outside the row cone of C: {e}"
@@ -319,7 +312,7 @@ def spectral_equilibrium(
 
     p = sol.y
     p = p / p.max()
-    report = check_equilibrium(ExchangeEconomy(C, C @ B1), p, tol=tol, tol_pos=tol_pos)
+    report = check_equilibrium(ExchangeEconomy(C, C @ B1), p, tol=tol)
     if not report.is_equilibrium:
         raise NoPositivePrice(
             f"constructed price fails substitution on goods {report.violated_set} "
@@ -327,21 +320,14 @@ def spectral_equilibrium(
         )
     return ConstructedEquilibrium(
         p=p,
-        strictly_positive=_strictly_positive(p, tol_pos),
+        strictly_positive=_strictly_positive(p),
         scales=y,
         report=report,
         budget=d,
     )
 
 
-def unit_value_equilibrium(
-    C,
-    B1,
-    psi,
-    tol: float = DEFAULT_TOL,
-    cone_tol: float = CONE_TOL,
-    tol_pos: float = DEFAULT_TOL_POS,
-) -> ConstructedEquilibrium:
+def unit_value_equilibrium(C, B1, psi, tol: float = DEFAULT_TOL) -> ConstructedEquilibrium:
     """Equilibrium price for ``(C, C @ B1)`` with unit bundle values.
 
     Requires the column sums of ``B1`` to reproduce the supply ``psi``
@@ -369,14 +355,14 @@ def unit_value_equilibrium(
         )
 
     try:
-        sol = solve_nonneg(C.T, np.ones(C.shape[1]), cone_tol=cone_tol)
+        sol = solve_nonneg(C.T, np.ones(C.shape[1]))
     except NotInCone as e:
         raise NoPositivePrice(
             f"the all-ones budget is outside the row cone of C: {e}"
         ) from e
 
     p = sol.y
-    report = check_equilibrium(ExchangeEconomy(C, C @ B1), p, tol=tol, tol_pos=tol_pos)
+    report = check_equilibrium(ExchangeEconomy(C, C @ B1), p, tol=tol)
     if not report.is_equilibrium:
         raise NoPositivePrice(
             f"constructed price fails substitution on goods {report.violated_set}; "
@@ -384,7 +370,7 @@ def unit_value_equilibrium(
         )
     return ConstructedEquilibrium(
         p=p,
-        strictly_positive=_strictly_positive(p, tol_pos),
+        strictly_positive=_strictly_positive(p),
         scales=y_bar,
         report=report,
         budget=None,

@@ -32,6 +32,7 @@ from .exchange import (
     DEFAULT_TOL,
     DEFAULT_TOL_POS,
     ExchangeEconomy,
+    _check_entries,
     _clearing,
     _normalized_price,
     as_price,
@@ -73,14 +74,14 @@ def _positive_support(q: np.ndarray, I, tol_pos: float = 0.0) -> tuple[int, ...]
     return idx
 
 
-def _exact_support(q: np.ndarray, I, tol_pos: float) -> tuple[tuple[int, ...], np.ndarray]:
+def _exact_support(q: np.ndarray, I) -> tuple[tuple[int, ...], np.ndarray]:
     """The support ``I`` and a boolean mask of its complement; raises unless
-    ``I`` is exactly where ``q`` exceeds ``tol_pos``."""
-    idx = _positive_support(q, I, tol_pos)
+    ``I`` is exactly where ``q`` exceeds ``DEFAULT_TOL_POS``."""
+    idx = _positive_support(q, I, DEFAULT_TOL_POS)
     off = np.bincount(idx, minlength=q.shape[0]) == 0
-    if (q[off] > tol_pos).any():
+    if (q[off] > DEFAULT_TOL_POS).any():
         raise SupportMismatch(
-            f"price support must be exactly I = {idx} (tol_pos = {tol_pos})"
+            f"price support must be exactly I = {idx} (tol_pos = {DEFAULT_TOL_POS})"
         )
     return idx, off
 
@@ -91,16 +92,17 @@ def _check_case(case: str, name: str = "case") -> None:
 
 
 def _cleared_support(
-    econ: ExchangeEconomy, p, I, case: str, tol: float, tol_pos: float, name: str = "case"
-) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
+    econ: ExchangeEconomy, p, I, case: str, tol: float, name: str = "case"
+) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
     """The normalized price, its exact support ``I`` with the complement
-    mask, and the demand scales; raises NotAnEquilibrium unless demand never
-    exceeds supply at ``p``, with no deficit at all in the ``exact`` case and
-    none on the support in the ``partial`` one."""
+    mask, the demand scales ``y`` and the scaled demand ``C y``; raises
+    NotAnEquilibrium unless demand never exceeds supply at ``p``, with no
+    deficit at all in the ``exact`` case and none on the support in the
+    ``partial`` one."""
     _check_case(case, name)
-    q = _normalized_price(p, econ.n, tol_pos)
-    idx, off = _exact_support(q, I, tol_pos)
-    report, y = _clearing(econ, q, tol, tol_pos)
+    q = _normalized_price(p, econ.n)
+    idx, off = _exact_support(q, I)
+    report, y = _clearing(econ, q, tol)
     if report.violated_set:
         raise NotAnEquilibrium(f"demand exceeds supply on goods {report.violated_set}")
     if case == "exact" and report.strict_set:
@@ -110,7 +112,7 @@ def _cleared_support(
     on_support = sorted(set(report.strict_set) & set(idx))
     if on_support:
         raise NotAnEquilibrium(f"deficits on the price support {on_support}")
-    return q, idx, off, y
+    return q, idx, off, y, report.demand
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ class RepresentationParts:
         object.__setattr__(self, "I", _index_set(self.I, self.d0.shape[0]))
         _check_case(self.case)
 
-    def validate(self, tol: float = DEFAULT_TOL, a_tol: float = 1e-12) -> None:
+    def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Raise ValueError when an invariant is broken."""
         n, l = self.d0.shape
         if self.y.shape != (l,) or self.a.shape != (len(self.I), l):
@@ -150,7 +152,7 @@ class RepresentationParts:
         if (self.y < 0).any():
             raise ValueError("y must be nonnegative")
         col_sums = self.a.sum(axis=1)
-        if np.abs(col_sums - 1.0).max(initial=0.0) > a_tol:
+        if np.abs(col_sums - 1.0).max(initial=0.0) > 1e-12:
             raise ValueError("each clearing-basis coefficient row must sum to 1")
         if self.I and np.abs(self.d0[list(self.I), :]).max(initial=0.0) > 0:
             raise ValueError("d0 must vanish on the support rows")
@@ -207,7 +209,6 @@ def synthesize_property(
     p,
     parts: RepresentationParts,
     tol: float = DEFAULT_TOL,
-    tol_pos: float = DEFAULT_TOL_POS,
 ) -> np.ndarray:
     """Build the property matrix realised by ``parts`` at price ``p``.
 
@@ -223,23 +224,22 @@ def synthesize_property(
     n, l = C.shape
     if parts.d0.shape != (n, l):
         raise ValueError(f"d0 shape {parts.d0.shape} does not match C {C.shape}")
-    q = _normalized_price(p, n, tol_pos)
-    _exact_support(q, parts.I, tol_pos)
-    P = _proportional(C, parts.y, q, parts.I, tol_pos)
+    q = _normalized_price(p, n)
+    _exact_support(q, parts.I)
+    P = _proportional(C, C @ parts.y, parts.y, q, parts.I)
     return _assemble(P, _clearing_matrix(q, parts.I)[0], parts)
 
 
 def _proportional(
-    C: np.ndarray, y: np.ndarray, q: np.ndarray, I, tol_pos: float
+    C: np.ndarray, psi_bar: np.ndarray, y: np.ndarray, q: np.ndarray, I
 ) -> np.ndarray:
     """The rank-one part ``psi_bar shares^T``: the scaled total demand
     ``psi_bar = C y`` split among the consumers by the value of their
     scaled demand at the normalized price ``q``."""
-    psi_bar = C @ y
     if (psi_bar[list(I)] <= 0).any():
         raise ValueError("sum_i y_i C_i must be strictly positive on the support")
     demand_value = C.T @ q
-    if (demand_value <= tol_pos).any():
+    if (demand_value <= DEFAULT_TOL_POS).any():
         raise ValueError("every consumer must demand something on the support")
     return np.outer(psi_bar, y * demand_value / float(psi_bar @ q))
 
@@ -263,7 +263,6 @@ def decompose_property(
     I,
     case: str = "exact",
     tol: float = DEFAULT_TOL,
-    tol_pos: float = DEFAULT_TOL_POS,
 ) -> tuple[RepresentationParts, float]:
     """Split the economy's endowments into representation parts at ``p``.
 
@@ -276,10 +275,10 @@ def decompose_property(
     The clearing-basis expansion is gauged by the uniform ``1/l``
     symmetrisation, so repeated decompositions are deterministic.
     """
-    q, idx, off, y = _cleared_support(econ, p, I, case, tol, tol_pos)
-    if float(econ.C @ y @ q) <= tol_pos:
+    q, idx, off, y, psi_bar = _cleared_support(econ, p, I, case, tol)
+    if float(psi_bar @ q) <= DEFAULT_TOL_POS:
         raise NotAnEquilibrium("the economy has no valued supply at this price")
-    P = _proportional(econ.C, y, q, idx, tol_pos)
+    P = _proportional(econ.C, psi_bar, y, q, idx)
     D = econ.B - P
 
     d1, d0 = D[~off], np.where(off[:, None], D, 0.0)
@@ -307,7 +306,7 @@ def is_equivalent(B, B_bar, p, tol: float = DEFAULT_TOL) -> bool:
     B_bar = np.asarray(B_bar, dtype=float)
     if B.shape != B_bar.shape:
         raise DimensionMismatch(f"shapes differ: {B.shape} vs {B_bar.shape}")
-    q = _normalized_price(p, B.shape[0], DEFAULT_TOL_POS)
+    q = _normalized_price(p, B.shape[0])
     base = B.T @ q
     gap = np.abs((B_bar - B).T @ q)
     return bool((gap <= tol * (1.0 + np.abs(base))).all())
@@ -338,7 +337,6 @@ def degenerate_transform(
     I,
     mode: str = "exact",
     tol: float = DEFAULT_TOL,
-    tol_pos: float = DEFAULT_TOL_POS,
 ) -> DegenerateTransform:
     """Construct the degenerating redistribution at equilibrium price ``p``.
 
@@ -346,7 +344,7 @@ def degenerate_transform(
     zero); ``mode='partial'`` starts from a deficit-carrying equilibrium and
     shrinks off-support supply down to demand (column sums nonpositive).
     """
-    _, idx, off, y = _cleared_support(econ, p, I, mode, tol, tol_pos, "mode")
+    _, idx, off, y, _ = _cleared_support(econ, p, I, mode, tol, "mode")
     B_bar = econ.B.copy()
     B_bar[off, :] = econ.C[off, :] * y[None, :]
     transfer = B_bar - econ.B
@@ -370,17 +368,11 @@ def degenerate_transform(
     )
 
 
-def degeneracy_multiplicity(
-    B_bar,
-    C,
-    y,
-    I=None,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> int:
+def degeneracy_multiplicity(B_bar, C, y, I=None) -> int:
     """Dimension of the price family fixed by the residual columns.
 
     Computes ``n - rank([b_i - y_i C_i])`` with the rank read off the
-    singular values at ``rank_tol`` relative to the largest one, after
+    singular values at ``DEFAULT_RANK_TOL`` relative to the largest one, after
     dropping all-zero rows (which change no singular value).  When the
     support ``I`` is supplied the result is checked against the guaranteed
     lower bound ``n - |I|``.  Raises :class:`DimensionMismatch` unless ``C``
@@ -395,7 +387,7 @@ def degeneracy_multiplicity(
         )
     residual = B_bar - C * y[None, :]
     sv = np.linalg.svd(residual[residual.any(axis=1)], compute_uv=False)
-    rank = int((sv > rank_tol * sv[0]).sum()) if sv.size else 0
+    rank = int((sv > DEFAULT_RANK_TOL * sv[0]).sum()) if sv.size else 0
     multiplicity = B_bar.shape[0] - rank
     if I is not None:
         bound = B_bar.shape[0] - len(_index_set(I, B_bar.shape[0]))
@@ -410,14 +402,17 @@ def degeneracy_multiplicity(
 def real_money_value(p, psi) -> float:
     """Value of the non-money supply per unit of money supply.
 
-    ``p`` is normalised to money price 1 first.  Under a degenerate
-    equilibrium family this is set-valued: sample the off-support prices to
-    trace the range.  (The display defining the indicator is ambiguous about
-    taking a reciprocal; this returns the ratio as shown, and callers can
-    invert it.)
+    ``p`` passes the check of :class:`PriceVector` and is normalised to
+    money price 1; ``psi`` must be finite and nonnegative, or
+    :class:`ValueError` is raised.  Under a degenerate equilibrium family
+    this is set-valued: sample the off-support prices to trace the range.
+    (The display defining the indicator is ambiguous about taking a
+    reciprocal; this returns the ratio as shown, and callers can invert
+    it.)
     """
-    p = np.asarray(p, dtype=float).reshape(-1)
+    p = as_price(p).p
     psi = np.asarray(psi, dtype=float).reshape(-1)
+    _check_entries(psi, "psi")
     if p.shape != psi.shape:
         raise DimensionMismatch(f"p has {p.shape[0]} entries, psi {psi.shape[0]}")
     if psi[0] <= 0:

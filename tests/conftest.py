@@ -41,3 +41,17 @@ def interior_cone_instance(
     u = raw.T @ p_star
     C = raw * (budget / u)[None, :]
     return C, p_star
+
+
+def inputless_accounts():
+    """Balanced 5-industry table in which industry 2 buys no inputs: the
+    trade-balanced consistent fixture with column 2 of ``X`` zeroed and the
+    balance restored through final consumption.  Its taxation shares are
+    all positive."""
+    from demandgap import IOAccounts
+    from demandgap.fixtures import random_consistent_accounts
+
+    acc, _, _ = random_consistent_accounts(3, 5, trade_balanced=True)
+    X = acc.X.copy()
+    X[:, 2] = 0.0
+    return IOAccounts(X=X, Xout=acc.Xout, Cf=acc.Cf + acc.X[:, 2], E=acc.E, Imp=acc.Imp, pi=acc.pi)

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
+from conftest import inputless_accounts
 
 from demandgap.cli import main
 from demandgap.fixtures import toy_accounts
+from demandgap.niot import NiotTable, serialize_niot
 
 HEADER = (
     "industry_index,industry_name,X_1,X_2,final_consumption,"
@@ -183,6 +186,27 @@ class TestEquilibrium:
         assert payload["value_residual"] == [0.0]
         # certification still depends on the spectral radius, not the verdict
         assert code in (0, 4)
+
+
+    def test_inputless_industry_exits_three(self, tmp_path, capsys):
+        acc = inputless_accounts()
+        m = acc.m
+        table = tmp_path / "inputless.csv"
+        serialize_niot(
+            NiotTable(
+                country="INL", year=2000, currency="u",
+                indices=tuple(range(1, m + 1)), names=("",) * m,
+                X=acc.X, fc=acc.Cf, gcf=np.zeros(m), E=acc.E, Imp=acc.Imp, Xout=acc.Xout,
+            ),
+            table,
+        )
+        pi = tmp_path / "pi.csv"
+        pi.write_text("\n".join(repr(float(v)) for v in acc.pi) + "\n")
+        with pytest.warns(RuntimeWarning, match=r"positions \[2\] buy no inputs"):
+            code = main(["equilibrium", str(table), "--pi", str(pi), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "pi at positions [2]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestDemo:

@@ -210,3 +210,25 @@ class TestEconomyValidation:
             PriceVector(np.array([1.0, -1.0]))
         assert PriceVector(np.array([2.0, 1.0, 0.0])).support == (0, 1)
         assert PriceVector(np.array([0.0, 3.0])).support == (1,)
+
+
+class TestNonFiniteInput:
+    """NaN and infinity are rejected where negativity is; before, each of
+    these cases reported an equilibrium with all three sets empty."""
+
+    @pytest.mark.parametrize("p", [[1.0, np.nan], [np.inf, 1.0], [1.0, np.inf]])
+    def test_price_rejected(self, p):
+        econ, _ = economy_e1()
+        with pytest.raises(ValueError, match="prices must be finite"):
+            check_equilibrium(econ, p)
+
+    def test_nan_in_demand_matrix_rejected(self):
+        econ, _ = economy_e1()
+        C = econ.C.copy()
+        C[1, 1] = np.nan
+        with pytest.raises(ValueError, match="C and B must be finite"):
+            ExchangeEconomy(C, econ.B)
+
+    def test_negative_named_before_non_finite(self):
+        with pytest.raises(ValueError, match="prices must be nonnegative"):
+            PriceVector(np.array([np.nan, -1.0]))

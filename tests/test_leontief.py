@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import dense_perron_oracle
+from conftest import dense_perron_oracle, inputless_accounts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +88,16 @@ class TestIOAccounts:
         with pytest.raises(ValueError):
             IOAccounts(X=np.ones((2, 2)), Xout=[1, 1], Cf=[1, 1],
                        E=[0, 0], Imp=[0, 0], pi=[1.5, 1.0])
+
+    @pytest.mark.parametrize("field", ["X", "Xout", "Cf", "E", "Imp", "pi"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        values = dict(X=np.ones((2, 2)), Xout=np.ones(2), Cf=np.ones(2),
+                      E=np.ones(2), Imp=np.ones(2), pi=np.full(2, 0.5))
+        values[field] = values[field].copy()
+        values[field].flat[1] = bad
+        with pytest.raises(ValueError):
+            IOAccounts(**values)
 
     def test_scalar_pi_broadcast(self):
         acc = IOAccounts(X=np.ones((3, 3)), Xout=np.ones(3), Cf=np.ones(3),
@@ -386,6 +396,16 @@ class TestNationalEquilibrium:
         with pytest.raises(RhoNotOne) as exc:
             solve_national_equilibrium(acc)
         assert exc.value.rho == 0.0
+
+    def test_inputless_industry_fails_share_precondition(self):
+        # the solve takes the effective share 0 of demand_vector, so it no
+        # longer returns a reducible, uncertified system with p_2 ~ 1e-51
+        acc = inputless_accounts()
+        assert np.abs(acc.balance_residual()).max() <= 1e-12 * acc.Xout.max()
+        assert (acc.pi > 0).all()
+        with pytest.warns(RuntimeWarning, match=r"positions \[2\] buy no inputs"):
+            with pytest.raises(ZeroDenominator, match=r"pi at positions \[2\]"):
+                solve_national_equilibrium(acc, strict=False)
 
     def test_unreachable_supply_not_in_cone(self):
         acc = IOAccounts(

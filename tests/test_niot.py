@@ -186,6 +186,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(format="xml")
 
+    @pytest.mark.parametrize("field", ["pi", "tol"])
+    def test_config_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            RunConfig(**{field: float("nan")})
+
     def test_pi_vector_reaches_accounts(self, tmp_path):
         table = parse_niot(write_toy(tmp_path))
         np.testing.assert_array_equal(table.to_accounts(pi=0.5).pi, [0.5, 0.5])

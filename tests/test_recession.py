@@ -249,6 +249,14 @@ class TestAnalyzeArguments:
         with pytest.raises(ValueError, match="names must have length 3"):
             analyze_accounts(random_value_accounts(1, 3), names=names)
 
+    def test_nan_in_flows_rejected(self):
+        # was r = nan
+        acc = toy_accounts()
+        X = acc.X.copy()
+        X[0, 1] = np.nan
+        with pytest.raises(ValueError, match="X must be finite"):
+            analyze_accounts(IOAccounts(X=X, Xout=acc.Xout, Cf=acc.Cf, E=acc.E, Imp=acc.Imp, pi=acc.pi))
+
 
 class TestInvariants:
     def test_value_balance(self):

@@ -123,7 +123,7 @@ class TestPerronEigen:
     def test_residual_invariant(self):
         rng = np.random.default_rng(3)
         M = random_irreducible(rng, 5)
-        result = perron_eigen(M, pf_tol=1e-10)
+        result = perron_eigen(M)
         assert np.abs(M @ result.right - result.rho * result.right).max() <= 1e-10
 
     def test_reducible_rejected(self):

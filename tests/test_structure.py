@@ -238,6 +238,12 @@ class TestDecompose:
         with pytest.raises(NotAnEquilibrium):
             decompose_property(econ, np.array([1.0, 10.0]), I=(0, 1))
 
+    def test_nan_price_off_support_rejected(self):
+        # was NaN parts and a NaN round-trip residual
+        econ, _ = economy_e2(1.0)
+        with pytest.raises(ValueError, match="prices must be finite"):
+            decompose_property(econ, np.array([1.0, np.nan]), I=(0,), case="partial")
+
     def test_support_mismatch_raises(self):
         econ, p = economy_e1()
         with pytest.raises(SupportMismatch):
@@ -472,6 +478,21 @@ class TestRealMoneyValue:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             real_money_value([1, 2, 3], [1, 2])
+
+    def test_negative_price_rejected(self):
+        # was -5.0
+        with pytest.raises(ValueError, match="prices must be nonnegative"):
+            real_money_value([1, -5], [1, 1])
+
+    def test_negative_supply_rejected(self):
+        # was -6.0
+        with pytest.raises(ValueError, match="psi must be nonnegative"):
+            real_money_value([1, 2], [1, -3])
+
+    @pytest.mark.parametrize("p, psi", [([1, np.nan], [1, 1]), ([1, 2], [1, np.inf])])
+    def test_non_finite_rejected(self, p, psi):
+        with pytest.raises(ValueError, match="must be finite"):
+            real_money_value(p, psi)
 
 
 class TestPriceEntryPoints:
