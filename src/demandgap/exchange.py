@@ -194,16 +194,16 @@ def _scales(econ: ExchangeEconomy, q: np.ndarray) -> np.ndarray:
 
 def _classify(
     residual: np.ndarray, scale: np.ndarray, tol: float
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The relative band split of ``residual`` at ``tol * max(1, scale)``:
-    the positions inside the band (equal), below it (strict) and above it
-    (violated).  A NaN residual is in none of the three."""
+    masks of the positions inside the band (equal), below it (strict) and
+    above it (violated).  A NaN residual is in none of the three."""
     band = tol * np.maximum(1.0, scale)
-    return (
-        tuple(np.flatnonzero(np.abs(residual) <= band).tolist()),
-        tuple(np.flatnonzero(residual < -band).tolist()),
-        tuple(np.flatnonzero(residual > band).tolist()),
-    )
+    return np.abs(residual) <= band, residual < -band, residual > band
+
+
+def _positions(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(mask).tolist())
 
 
 def _clearing(
@@ -224,14 +224,15 @@ def _clearing(
         )
 
     equal, strict, violated = _classify(residual, psi, tol)
+    violated_set = _positions(violated)
     return EquilibriumReport(
         demand=demand,
         residual=residual,
-        equality_set=equal,
-        strict_set=strict,
-        violated_set=violated,
-        is_equilibrium=not violated,
-        zero_price_on_deficit=bool((q[list(strict)] <= DEFAULT_TOL_POS).all()),
+        equality_set=_positions(equal),
+        strict_set=_positions(strict),
+        violated_set=violated_set,
+        is_equilibrium=not violated_set,
+        zero_price_on_deficit=bool((q[strict] <= DEFAULT_TOL_POS).all()),
         tol=tol,
     ), y
 

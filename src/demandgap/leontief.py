@@ -41,6 +41,7 @@ from .exchange import (
     _classify,
     _clearing,
     _normalized_price,
+    _positions,
     check_equilibrium,
 )
 from .solvers import CONE_TOL, PF_TOL, _dominant, is_irreducible, solve_nonneg
@@ -180,12 +181,14 @@ def _final_totals(acc: IOAccounts) -> tuple[float, float, float]:
     return cf_total, e_total, imp_total
 
 
-def _effective_pi(acc: IOAccounts) -> np.ndarray:
+def _effective_pi(acc: IOAccounts, live: np.ndarray) -> np.ndarray:
     """The taxation shares with 0 for every industry that buys no inputs
-    (zero input column) but has taxed output ``pi_i * Xout_i > 0``; a
-    ``RuntimeWarning`` addressed to the caller's caller names their 0-based
-    positions."""
-    inputless = (acc.input_value() <= 0) & (acc.pi * acc.Xout > 0)
+    (``live`` is false: zero input column) but has taxed output
+    ``pi_i * Xout_i > 0``; a ``RuntimeWarning`` addressed to the caller's
+    caller names their 0-based positions."""
+    if live.all():
+        return acc.pi
+    inputless = ~live & (acc.pi * acc.Xout > 0)
     if not inputless.any():
         return acc.pi
     warnings.warn(
@@ -215,7 +218,7 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
     """
     col = acc.input_value()
     live = col > 0
-    pi = _effective_pi(acc)
+    pi = _effective_pi(acc, live)
     share = np.zeros(acc.m)
     share[live] = pi[live] * acc.Xout[live] / col[live]
     production = acc.X @ share
@@ -335,7 +338,7 @@ def check_aggregation_agreement(
     C_u = mapping.apply(econ.C)
     B_u = mapping.apply(econ.B)
     psi_u = B_u.sum(axis=1)
-    equal_disagg = _classify(C_u @ y - psi_u, psi_u, tol)[0]
+    equal_disagg = _positions(_classify(C_u @ y - psi_u, psi_u, tol)[0])
 
     report_u = check_equilibrium(ExchangeEconomy(C_u, B_u), p_u, tol=tol)
     if not report_u.is_equilibrium:
@@ -433,7 +436,7 @@ def check_value_equilibrium(acc: IOAccounts, tol: float = DEFAULT_TOL) -> ValueB
     """
     S = supply_vector(acc)
     residual = demand_vector(acc) - S
-    violated = _classify(residual, S, tol)[2]
+    violated = _positions(_classify(residual, S, tol)[2])
     return ValueBalanceReport(
         residual=residual,
         violated=violated,
@@ -495,10 +498,12 @@ def solve_national_equilibrium(
     """
     m = acc.m
     _, e_total, imp_total = _final_totals(acc)
-    zero = np.flatnonzero((_effective_pi(acc) if acc.X.any() else acc.pi) <= 0)
-    if zero.size:
+    live = acc.input_value() > 0
+    pi = _effective_pi(acc, live) if live.any() else acc.pi
+    if (pi <= 0).any():
         raise ZeroDenominator(
-            f"pi at positions {zero.tolist()} (taxation shares must be positive here)"
+            f"pi at positions {np.flatnonzero(pi <= 0).tolist()} "
+            "(taxation shares must be positive here)"
         )
 
     A = acc.coefficients()
@@ -520,12 +525,12 @@ def solve_national_equilibrium(
     del C_big
 
     fit_tol = max(tol, CONE_TOL)
-    I, J, over = _classify(residual, target, fit_tol)
-    if over:
-        over = list(over)
+    inside, below, over = _classify(residual, target, fit_tol)
+    if over.any():
         raise NotInCone(
             float(residual[over].max()), fit_tol * max(1.0, float(target[over].max()))
         )
+    I, J = _positions(inside), _positions(below)
 
     # One eigen call on A(y)^T serves the spectral radius and the prices:
     # the price system diag(y/pi) A^T p = p has the matrix

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveGDP
-from .exchange import _classify
+from .exchange import _classify, _positions
 from .leontief import IOAccounts, demand_vector, supply_vector
 
 __all__ = [
@@ -52,7 +52,7 @@ def recession_industries(D, S, tol: float = 0.0) -> tuple[tuple[int, ...], np.nd
         raise ValueError(f"D and S lengths differ: {D.shape[0]} vs {S.shape[0]}")
     gap = D - S
     strict = _classify(gap, S, tol)[1]
-    return strict, np.abs(gap[list(strict)])
+    return _positions(strict), np.abs(gap[strict])
 
 
 def recession_ratio(acc: IOAccounts, D=None, S=None, tol: float = 0.0) -> float:
