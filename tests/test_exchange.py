@@ -213,8 +213,8 @@ class TestEconomyValidation:
 
 
 class TestNonFiniteInput:
-    """NaN and infinity are rejected where negativity is; before, each of
-    these cases reported an equilibrium with all three sets empty."""
+    """NaN and infinity are rejected where negativity is; unchecked, each of
+    these cases reads as an equilibrium with all three sets empty."""
 
     @pytest.mark.parametrize("p", [[1.0, np.nan], [np.inf, 1.0], [1.0, np.inf]])
     def test_price_rejected(self, p):

@@ -398,8 +398,8 @@ class TestNationalEquilibrium:
         assert exc.value.rho == 0.0
 
     def test_inputless_industry_fails_share_precondition(self):
-        # the solve takes the effective share 0 of demand_vector, so it no
-        # longer returns a reducible, uncertified system with p_2 ~ 1e-51
+        # the solve takes demand_vector's effective share 0; with the
+        # configured share it would give A(y) a zero column and p_2 ~ 1e-51
         acc = inputless_accounts()
         assert np.abs(acc.balance_residual()).max() <= 1e-12 * acc.Xout.max()
         assert (acc.pi > 0).all()

@@ -250,7 +250,7 @@ class TestAnalyzeArguments:
             analyze_accounts(random_value_accounts(1, 3), names=names)
 
     def test_nan_in_flows_rejected(self):
-        # was r = nan
+        # unchecked, the NaN reaches r
         acc = toy_accounts()
         X = acc.X.copy()
         X[0, 1] = np.nan

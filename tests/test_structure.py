@@ -239,7 +239,7 @@ class TestDecompose:
             decompose_property(econ, np.array([1.0, 10.0]), I=(0, 1))
 
     def test_nan_price_off_support_rejected(self):
-        # was NaN parts and a NaN round-trip residual
+        # unchecked, the NaN flows into the parts and the round-trip residual
         econ, _ = economy_e2(1.0)
         with pytest.raises(ValueError, match="prices must be finite"):
             decompose_property(econ, np.array([1.0, np.nan]), I=(0,), case="partial")
@@ -480,12 +480,10 @@ class TestRealMoneyValue:
             real_money_value([1, 2, 3], [1, 2])
 
     def test_negative_price_rejected(self):
-        # was -5.0
         with pytest.raises(ValueError, match="prices must be nonnegative"):
             real_money_value([1, -5], [1, 1])
 
     def test_negative_supply_rejected(self):
-        # was -6.0
         with pytest.raises(ValueError, match="psi must be nonnegative"):
             real_money_value([1, 2], [1, -3])
 
