@@ -20,7 +20,7 @@ to evaluate in parallel over prices or economies.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,12 +59,47 @@ def _check_entries(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be {'nonnegative' if (a < 0).any() else 'finite'}")
 
 
+def _check_finite(a: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every entry of ``a`` is finite (of any sign)."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+
+
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless the tolerance ``tol`` is finite and >= 0."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+def _vector(v, m: int, name: str) -> np.ndarray:
+    """``v`` as a 1-d float array of length ``m`` with finite nonnegative
+    entries; raises ValueError otherwise."""
+    arr = np.asarray(v, dtype=float).reshape(-1)
+    if arr.shape[0] != m:
+        raise ValueError(f"{name} must have length {m}, got {arr.shape[0]}")
+    _check_entries(arr, name)
+    return arr
+
+
+def _nonneg_square(M, name: str = "M") -> np.ndarray:
+    """``M`` as a float array; raises ValueError unless it is square with
+    finite nonnegative entries."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    _check_entries(M, name)
+    return M
+
+
 def total_supply(B) -> np.ndarray:
     """Total supply ``psi_k = sum_i B[k, i]`` (sum over consumers).
 
-    Zero rows are allowed here; the equilibrium checks flag them.
+    Zero rows are allowed here; the equilibrium checks flag them.  A
+    non-finite entry raises ValueError.
     """
-    return _as_matrix(B, "B").sum(axis=1)
+    B = _as_matrix(B, "B")
+    _check_finite(B, "B")
+    return B.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -72,14 +107,13 @@ class ExchangeEconomy:
     """Demand matrix ``C`` and property matrix ``B``, both ``n x l``.
 
     Columns index consumers, rows index goods; good 0 is money.  Entries
-    must be nonnegative.  Zero demand columns are tolerated at construction
+    must be finite and nonnegative.  Zero demand columns are tolerated at construction
     (industrial constructions can produce them) but any price evaluation
     that touches them raises :class:`ZeroDemandValue`.
     """
 
     C: np.ndarray
     B: np.ndarray
-    full_support: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         C = _as_matrix(self.C, "C")
@@ -94,8 +128,6 @@ class ExchangeEconomy:
         B.setflags(write=False)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "B", B)
-        if self.full_support and (self.total_supply() <= 0).any():
-            raise ValueError("full-support economy requires psi > 0 for every good")
 
     @property
     def n(self) -> int:
@@ -106,7 +138,7 @@ class ExchangeEconomy:
         return self.C.shape[1]
 
     def total_supply(self) -> np.ndarray:
-        return total_supply(self.B)
+        return self.B.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -197,7 +229,9 @@ def _classify(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The relative band split of ``residual`` at ``tol * max(1, scale)``:
     masks of the positions inside the band (equal), below it (strict) and
-    above it (violated).  A NaN residual is in none of the three."""
+    above it (violated).  A NaN residual is in none of the three.  Raises
+    ValueError unless ``tol`` is finite and nonnegative."""
+    _check_tol(tol)
     band = tol * np.maximum(1.0, scale)
     return np.abs(residual) <= band, residual < -band, residual > band
 
@@ -298,9 +332,15 @@ def verify_certificate(
     * ``transfers``:  d_i = b_i - y_i <C_i,p>/<psi_bar,p> psi_bar has
       zero value per consumer and sums to psi - psi_bar;
     * ``supply-value``: <psi, p> == <psi_bar, p>.
+
+    A non-finite entry of ``y`` or ``psi_bar``, or a negative, NaN or
+    infinite ``tol``, raises ValueError; a negative entry fails ``nonzero``.
     """
+    _check_tol(tol)
     y = np.asarray(y, dtype=float).reshape(-1)
     psi_bar = np.asarray(psi_bar, dtype=float).reshape(-1)
+    _check_finite(y, "y")
+    _check_finite(psi_bar, "psi_bar")
     q = as_price(p).normalized()
     if y.shape[0] != econ.l or psi_bar.shape[0] != econ.n or q.shape[0] != econ.n:
         raise DimensionMismatch(

@@ -142,7 +142,6 @@ def random_consistent_accounts(
     seed,
     m: int,
     pi=None,
-    prices=None,
     trade_balanced: bool = False,
 ) -> tuple[IOAccounts, np.ndarray, np.ndarray]:
     """Accounts satisfying the interindustry balance, plus the physical
@@ -163,6 +162,6 @@ def random_consistent_accounts(
     cf = x - A @ x - e + imp
     if pi is None:
         pi = rng.uniform(0.1, 1.0, m)
-    p = np.asarray(prices, dtype=float) if prices is not None else rng.uniform(0.5, 2.0, m)
+    p = rng.uniform(0.5, 2.0, m)
     acc = IOAccounts.from_physical(A, x, p, cf, e, imp, pi)
     return acc, p, x

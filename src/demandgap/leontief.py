@@ -37,11 +37,14 @@ from .exchange import (
     DEFAULT_TOL,
     DEFAULT_TOL_POS,
     ExchangeEconomy,
-    _check_entries,
+    _check_finite,
+    _check_tol,
     _classify,
     _clearing,
+    _nonneg_square,
     _normalized_price,
     _positions,
+    _vector,
     check_equilibrium,
 )
 from .solvers import CONE_TOL, PF_TOL, _dominant, is_irreducible, solve_nonneg
@@ -63,12 +66,13 @@ __all__ = [
 ]
 
 
-def _vector(v, m: int, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.shape[0] != m:
-        raise ValueError(f"{name} must have length {m}, got {arr.shape[0]}")
-    _check_entries(arr, name)
-    return arr
+def _shares(pi) -> np.ndarray:
+    """The taxation shares ``pi`` as a 1-d float array; raises ValueError
+    unless every entry lies in [0, 1] (NaN lies in no interval)."""
+    pi = np.asarray(pi, dtype=float).reshape(-1)
+    if not ((pi >= 0) & (pi <= 1)).all():
+        raise ValueError("pi entries must lie in [0, 1]")
+    return pi
 
 
 @dataclass(frozen=True)
@@ -89,22 +93,17 @@ class IOAccounts:
     pi: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim != 2 or X.shape[0] != X.shape[1]:
-            raise ValueError(f"X must be square, got shape {X.shape}")
-        _check_entries(X, "X")
+        X = _nonneg_square(self.X, "X")
         m = X.shape[0]
         Xout = _vector(self.Xout, m, "Xout")
         Cf = _vector(self.Cf, m, "Cf")
         E = _vector(self.E, m, "E")
         Imp = _vector(self.Imp, m, "Imp")
-        pi = np.asarray(self.pi, dtype=float).reshape(-1)
+        pi = _shares(self.pi)
         if pi.shape == (1,) and m > 1:
             pi = np.full(m, float(pi[0]))
         if pi.shape[0] != m:
             raise ValueError(f"pi must have length {m}, got {pi.shape[0]}")
-        if not ((pi >= 0) & (pi <= 1)).all():  # NaN lies in no interval
-            raise ValueError("pi entries must lie in [0, 1]")
         for name, arr in [
             ("X", X), ("Xout", Xout), ("Cf", Cf), ("E", E), ("Imp", Imp), ("pi", pi),
         ]:
@@ -274,12 +273,14 @@ class AggregationMap:
         return len(self.blocks)
 
     def apply(self, v) -> np.ndarray:
-        """Block sums of a vector or of the rows of a matrix."""
+        """Block sums of a vector or of the rows of a matrix; a non-finite
+        entry raises ValueError."""
         arr = np.asarray(v, dtype=float)
         if arr.shape[0] != self.n:
             raise BlockMismatch(
                 f"data has {arr.shape[0]} rows, map expects {self.n}"
             )
+        _check_finite(arr, "aggregated data")
         return np.stack([arr[list(b)].sum(axis=0) for b in self.blocks])
 
 
@@ -349,13 +350,13 @@ def check_aggregation_agreement(
 def build_exchange_from_iot(acc: IOAccounts, p, x) -> ExchangeEconomy:
     """Underlying exchange economy with ``2m + 1`` agents.
 
-    Conversion to physical units uses the declared prices ``p`` (> 0) and
-    gross outputs ``x``.  Agent layout: industries 0..m-1 supply their own
-    output and demand intermediate inputs; households m..2m-1 supply the
-    intermediate use of their industry's good and demand the final-
-    consumption pattern, weighted by resource income plus the untaxed share
-    of new value; the last agent is foreign trade (supplies imports,
-    demands exports).
+    Conversion to physical units uses the declared prices ``p`` (finite,
+    > 0) and gross outputs ``x`` (finite, >= 0).  Agent layout: industries
+    0..m-1 supply their own output and demand intermediate inputs;
+    households m..2m-1 supply the intermediate use of their industry's good
+    and demand the final-consumption pattern, weighted by resource income
+    plus the untaxed share of new value; the last agent is foreign trade
+    (supplies imports, demands exports).
 
     Degenerate agents (zero output, no inputs, or a vacuous trade agent)
     produce zero demand columns; price evaluations on such economies raise
@@ -363,14 +364,11 @@ def build_exchange_from_iot(acc: IOAccounts, p, x) -> ExchangeEconomy:
     reported by :meth:`IOAccounts.balance_residual`, not enforced here.
     """
     m = acc.m
-    p = np.asarray(p, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if p.shape[0] != m or x.shape[0] != m:
-        raise ValueError(f"p and x must have length {m}")
+    p = _vector(p, m, "p")
     if (p <= 0).any():
         raise ValueError("conversion prices must be strictly positive")
-    if (x < 0).any():
-        raise ValueError("gross outputs must be nonnegative")
+    x = _vector(x, m, "x")
+    _final_totals(acc)
 
     A = np.zeros((m, m))
     live = x > 0
@@ -378,13 +376,6 @@ def build_exchange_from_iot(acc: IOAccounts, p, x) -> ExchangeEconomy:
     cf = acc.Cf / p
     e = acc.E / p
     imp = acc.Imp / p
-
-    cf_value = float(acc.Cf.sum())
-    if cf_value <= 0:
-        raise ZeroDenominator("final consumption value")
-    e_value = float(p @ e)
-    if e_value <= 0 and (imp > 0).any():
-        raise ZeroDenominator("export value (imports present)")
 
     new_value = x * (p - A.T @ p)
     resource = A @ x
@@ -496,6 +487,7 @@ def solve_national_equilibrium(
     solution); ``strict=False`` returns the uncertified solution for
     inspection.
     """
+    _check_tol(tol)
     m = acc.m
     _, e_total, imp_total = _final_totals(acc)
     live = acc.input_value() > 0

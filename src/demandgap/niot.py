@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeValue, SchemaError
-from .leontief import IOAccounts
+from .exchange import _check_tol
+from .leontief import IOAccounts, _shares
 
 __all__ = ["NiotTable", "RunConfig", "parse_niot", "serialize_niot", "parse_pi", "parse_blocks"]
 
@@ -223,7 +224,8 @@ class RunConfig:
     """Explicit run configuration (no environment variables).
 
     ``pi`` is a scalar broadcast or a per-industry vector; ``tol`` must be
-    positive.  ``blocks`` optionally aggregates the table before analysis.
+    positive and finite.  ``blocks`` optionally aggregates the table before
+    analysis.
     ``tol`` is the only tolerance a run sets; the national solve's others
     are the constants ``RHO_TOL``, ``CONE_TOL`` and ``PF_TOL``.
     """
@@ -235,12 +237,11 @@ class RunConfig:
     blocks: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float).reshape(-1)
-        if not ((pi >= 0) & (pi <= 1)).all():  # NaN lies in no interval
-            raise ValueError("pi entries must lie in [0, 1]")
+        pi = _shares(self.pi)
         self.pi = pi if pi.shape[0] > 1 else float(pi[0])
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        _check_tol(self.tol)
         if self.format not in ("json", "csv", "text"):
             raise ValueError(f"format must be json, csv or text, got {self.format!r}")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveGDP
-from .exchange import _classify, _positions
+from .exchange import _check_finite, _classify, _positions
 from .leontief import IOAccounts, demand_vector, supply_vector
 
 __all__ = [
@@ -44,18 +44,21 @@ def recession_industries(D, S, tol: float = 0.0) -> tuple[tuple[int, ...], np.nd
     with the shortfall magnitudes.
 
     ``tol`` widens the cut to a relative band for noisy data; the default 0
-    is the strict sign test.
+    is the strict sign test.  A non-finite entry of ``D`` or ``S`` raises
+    ValueError (``D`` may be negative).
     """
     D = np.asarray(D, dtype=float).reshape(-1)
     S = np.asarray(S, dtype=float).reshape(-1)
     if D.shape != S.shape:
         raise ValueError(f"D and S lengths differ: {D.shape[0]} vs {S.shape[0]}")
+    _check_finite(D, "D")
+    _check_finite(S, "S")
     gap = D - S
     strict = _classify(gap, S, tol)[1]
     return _positions(strict), np.abs(gap[strict])
 
 
-def recession_ratio(acc: IOAccounts, D=None, S=None, tol: float = 0.0) -> float:
+def recession_ratio(acc: IOAccounts, tol: float = 0.0) -> float:
     """Total demand shortfall over gross value added (both from the table).
 
     The shortfall is summed over the industries that
@@ -64,12 +67,8 @@ def recession_ratio(acc: IOAccounts, D=None, S=None, tol: float = 0.0) -> float:
     the denominator is the value added recomputed from the same table,
     never an external figure.
     """
-    if D is None:
-        D = demand_vector(acc)
-    if S is None:
-        S = supply_vector(acc)
     gdp = acc.gross_value_added()
-    _, shortfall = recession_industries(D, S, tol=tol)
+    _, shortfall = recession_industries(demand_vector(acc), supply_vector(acc), tol=tol)
     return _ratio(shortfall, gdp)
 
 

@@ -53,6 +53,10 @@ from .exchange import (
     DEFAULT_TOL,
     EquilibriumReport,
     ExchangeEconomy,
+    _check_finite,
+    _check_tol,
+    _nonneg_square,
+    _vector,
     check_equilibrium,
 )
 
@@ -80,19 +84,11 @@ __all__ = [
 ]
 
 
-def _nonneg_square(M, name: str = "M") -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if (M < 0).any():
-        raise ValueError(f"{name} must be nonnegative")
-    return M
-
-
 def is_irreducible(M) -> bool:
     """True when the digraph with an edge i -> j for ``M[i, j] > 0`` is
     strongly connected.  A 1x1 matrix is irreducible iff its entry is
-    positive (self-loop convention)."""
+    positive (self-loop convention).  Raises ValueError unless ``M`` is
+    square with finite nonnegative entries."""
     M = _nonneg_square(M)
     if M.shape[0] == 1:
         return bool(M[0, 0] > 0)
@@ -192,7 +188,9 @@ def perron_eigen(M) -> PerronResult:
     max-norm 1, an absolute tolerance on the scale of the matrix entries:
     rescale a matrix far from unit scale (``rho`` scales with it, the
     vectors do not) before the call.  Each side runs at most
-    ``PF_MAX_ITER`` power iterations before the dense fallback.
+    ``PF_MAX_ITER`` power iterations before the dense fallback.  Raises
+    ValueError unless ``M`` is square with finite nonnegative entries, and
+    :class:`NotIrreducible` unless it is irreducible.
     """
     M = _nonneg_square(M)
     if not is_irreducible(M):
@@ -228,16 +226,15 @@ def solve_nonneg(C, target) -> ConeSolution:
 
     Succeeds when the residual is within ``CONE_TOL * ||target||``;
     otherwise the target lies outside the cone of the columns and
-    :class:`NotInCone` is raised.
+    :class:`NotInCone` is raised.  A non-finite entry of ``C``, or a
+    negative or non-finite entry of ``target``, raises ValueError before
+    scipy is loaded.
     """
     C = np.asarray(C, dtype=float)
-    target = np.asarray(target, dtype=float).reshape(-1)
-    if C.ndim != 2 or C.shape[0] != target.shape[0]:
-        raise ValueError(
-            f"matrix shape {C.shape} does not match target length {target.shape[0]}"
-        )
-    if (target < 0).any():
-        raise ValueError("target must be nonnegative")
+    if C.ndim != 2:
+        raise ValueError(f"C must be a 2-d array, got shape {C.shape}")
+    target = _vector(target, C.shape[0], "target")
+    _check_finite(C, "C")
     norm = float(np.linalg.norm(target))
     if norm == 0.0:
         return ConeSolution(y=np.zeros(C.shape[1]), residual=0.0, interior=False)
@@ -269,9 +266,20 @@ class ConstructedEquilibrium:
     budget: np.ndarray | None = None
 
 
-def _strictly_positive(p: np.ndarray) -> bool:
-    top = float(p.max(initial=0.0))
-    return top > 0 and float(p.min()) / top > 1e-10
+def _factored_economy(C, B1) -> tuple[ExchangeEconomy, np.ndarray]:
+    """The economy ``(C, C @ B1)`` of the constructive solvers, and ``B1``
+    as a float array.  Raises ValueError unless ``B1`` is square with
+    finite nonnegative entries and one row per column of ``C``, ``C``
+    passes the economy's own entry check and every column of ``C`` has a
+    positive sum."""
+    C = np.asarray(C, dtype=float)
+    B1 = _nonneg_square(B1, "B1")
+    if C.ndim != 2 or C.shape[1] != B1.shape[0]:
+        raise ValueError(f"C shape {C.shape} does not match B1 shape {B1.shape}")
+    econ = ExchangeEconomy(C, C @ B1)
+    if (econ.C.sum(axis=0) <= 0).any():
+        raise ValueError("every column of C must have a positive sum")
+    return econ, B1
 
 
 def spectral_equilibrium(C, B1, tol: float = DEFAULT_TOL) -> ConstructedEquilibrium:
@@ -286,14 +294,7 @@ def spectral_equilibrium(C, B1, tol: float = DEFAULT_TOL) -> ConstructedEquilibr
     cone of the rows of ``C``; otherwise :class:`NoPositivePrice` is
     raised.  The returned price is rescaled to max-norm 1.
     """
-    C = np.asarray(C, dtype=float)
-    B1 = _nonneg_square(B1, "B1")
-    if C.ndim != 2 or C.shape[1] != B1.shape[0]:
-        raise ValueError(f"C shape {C.shape} does not match B1 shape {B1.shape}")
-    if (C < 0).any():
-        raise ValueError("C must be nonnegative")
-    if (C.sum(axis=0) <= 0).any():
-        raise ValueError("every column of C must have a positive sum")
+    econ, B1 = _factored_economy(C, B1)
     if not is_irreducible(B1):
         raise NotIrreducible("B1 graph is not strongly connected")
 
@@ -304,7 +305,7 @@ def spectral_equilibrium(C, B1, tol: float = DEFAULT_TOL) -> ConstructedEquilibr
     d = d / d.max()
 
     try:
-        sol = solve_nonneg(C.T, d)
+        sol = solve_nonneg(econ.C.T, d)
     except NotInCone as e:
         raise NoPositivePrice(
             f"budget vector is outside the row cone of C: {e}"
@@ -312,7 +313,7 @@ def spectral_equilibrium(C, B1, tol: float = DEFAULT_TOL) -> ConstructedEquilibr
 
     p = sol.y
     p = p / p.max()
-    report = check_equilibrium(ExchangeEconomy(C, C @ B1), p, tol=tol)
+    report = check_equilibrium(econ, p, tol=tol)
     if not report.is_equilibrium:
         raise NoPositivePrice(
             f"constructed price fails substitution on goods {report.violated_set} "
@@ -320,7 +321,7 @@ def spectral_equilibrium(C, B1, tol: float = DEFAULT_TOL) -> ConstructedEquilibr
         )
     return ConstructedEquilibrium(
         p=p,
-        strictly_positive=_strictly_positive(p),
+        strictly_positive=sol.interior,
         scales=y,
         report=report,
         budget=d,
@@ -336,18 +337,12 @@ def unit_value_equilibrium(C, B1, psi, tol: float = DEFAULT_TOL) -> ConstructedE
     boundary solution (some zero prices) is returned with
     ``strictly_positive=False``.
     """
-    C = np.asarray(C, dtype=float)
-    B1 = _nonneg_square(B1, "B1")
-    psi = np.asarray(psi, dtype=float).reshape(-1)
-    if C.ndim != 2 or C.shape[1] != B1.shape[0] or psi.shape[0] != C.shape[0]:
-        raise ValueError(
-            f"inconsistent shapes: C {C.shape}, B1 {B1.shape}, psi {psi.shape}"
-        )
-    if (C.sum(axis=0) <= 0).any():
-        raise ValueError("every column of C must have a positive sum")
+    econ, B1 = _factored_economy(C, B1)
+    psi = _vector(psi, econ.n, "psi")
+    _check_tol(tol)
 
     y_bar = B1.sum(axis=0)
-    gap = np.abs(C @ y_bar - psi) / np.maximum(1.0, np.abs(psi))
+    gap = np.abs(econ.C @ y_bar - psi) / np.maximum(1.0, np.abs(psi))
     if gap.max(initial=0.0) > tol:
         raise PreconditionFailed(
             "supply-balance",
@@ -355,14 +350,14 @@ def unit_value_equilibrium(C, B1, psi, tol: float = DEFAULT_TOL) -> ConstructedE
         )
 
     try:
-        sol = solve_nonneg(C.T, np.ones(C.shape[1]))
+        sol = solve_nonneg(econ.C.T, np.ones(econ.l))
     except NotInCone as e:
         raise NoPositivePrice(
             f"the all-ones budget is outside the row cone of C: {e}"
         ) from e
 
     p = sol.y
-    report = check_equilibrium(ExchangeEconomy(C, C @ B1), p, tol=tol)
+    report = check_equilibrium(econ, p, tol=tol)
     if not report.is_equilibrium:
         raise NoPositivePrice(
             f"constructed price fails substitution on goods {report.violated_set}; "
@@ -370,7 +365,7 @@ def unit_value_equilibrium(C, B1, psi, tol: float = DEFAULT_TOL) -> ConstructedE
         )
     return ConstructedEquilibrium(
         p=p,
-        strictly_positive=_strictly_positive(p),
+        strictly_positive=sol.interior,
         scales=y_bar,
         report=report,
         budget=None,

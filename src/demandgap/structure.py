@@ -33,6 +33,9 @@ from .exchange import (
     DEFAULT_TOL_POS,
     ExchangeEconomy,
     _check_entries,
+    _check_finite,
+    _check_tol,
+    _classify,
     _clearing,
     _normalized_price,
     as_price,
@@ -142,15 +145,18 @@ class RepresentationParts:
         _check_case(self.case)
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        """Raise ValueError when an invariant is broken."""
+        """Raise ValueError when an invariant is broken, an entry is not
+        finite or ``tol`` is negative, NaN or infinite."""
+        _check_tol(tol)
         n, l = self.d0.shape
         if self.y.shape != (l,) or self.a.shape != (len(self.I), l):
             raise ValueError(
                 f"inconsistent shapes: y {self.y.shape}, a {self.a.shape}, "
                 f"d0 {self.d0.shape}, |I| = {len(self.I)}"
             )
-        if (self.y < 0).any():
-            raise ValueError("y must be nonnegative")
+        _check_entries(self.y, "y")
+        _check_finite(self.a, "a")
+        _check_finite(self.d0, "d0")
         col_sums = self.a.sum(axis=1)
         if np.abs(col_sums - 1.0).max(initial=0.0) > 1e-12:
             raise ValueError("each clearing-basis coefficient row must sum to 1")
@@ -217,9 +223,11 @@ def synthesize_property(
     declared off-support slack.  Negative entries mean the chosen
     coefficients are infeasible; the function raises instead of projecting,
     because projection would silently destroy the clearing property.
-    Magnitudes below the negativity tolerance are snapped to zero.
+    Magnitudes below the negativity tolerance are snapped to zero.  A
+    non-finite entry of ``C`` raises ValueError.
     """
     C = np.asarray(C, dtype=float)
+    _check_finite(C, "C")
     parts.validate(tol=tol)
     n, l = C.shape
     if parts.d0.shape != (n, l):
@@ -301,15 +309,18 @@ def decompose_property(
 
 def is_equivalent(B, B_bar, p, tol: float = DEFAULT_TOL) -> bool:
     """True when the two property distributions have the same per-consumer
-    value at price ``p`` (an equivalent redistribution)."""
+    value at price ``p`` (an equivalent redistribution), within the
+    relative band ``tol * max(1, |value under B|)``.  A non-finite entry
+    raises ValueError."""
     B = np.asarray(B, dtype=float)
     B_bar = np.asarray(B_bar, dtype=float)
     if B.shape != B_bar.shape:
         raise DimensionMismatch(f"shapes differ: {B.shape} vs {B_bar.shape}")
+    _check_finite(B, "B")
+    _check_finite(B_bar, "B_bar")
     q = _normalized_price(p, B.shape[0])
-    base = B.T @ q
-    gap = np.abs((B_bar - B).T @ q)
-    return bool((gap <= tol * (1.0 + np.abs(base))).all())
+    gap = (B_bar - B).T @ q
+    return bool(_classify(gap, np.abs(B.T @ q), tol)[0].all())
 
 
 @dataclass(frozen=True)
@@ -376,7 +387,8 @@ def degeneracy_multiplicity(B_bar, C, y, I=None) -> int:
     dropping all-zero rows (which change no singular value).  When the
     support ``I`` is supplied the result is checked against the guaranteed
     lower bound ``n - |I|``.  Raises :class:`DimensionMismatch` unless ``C``
-    has the shape of ``B_bar`` and ``y`` one entry per column.
+    has the shape of ``B_bar`` and ``y`` one entry per column, and
+    ValueError on a non-finite entry.
     """
     B_bar = np.asarray(B_bar, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -385,6 +397,8 @@ def degeneracy_multiplicity(B_bar, C, y, I=None) -> int:
         raise DimensionMismatch(
             f"B_bar {B_bar.shape}, C {C.shape} and y {y.shape} do not match"
         )
+    for name, arr in (("B_bar", B_bar), ("C", C), ("y", y)):
+        _check_finite(arr, name)
     residual = B_bar - C * y[None, :]
     sv = np.linalg.svd(residual[residual.any(axis=1)], compute_uv=False)
     rank = int((sv > DEFAULT_RANK_TOL * sv[0]).sum()) if sv.size else 0

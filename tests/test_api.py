@@ -35,7 +35,7 @@ SIGNATURES = {
     "SchemaError": ("row", "col", "reason"),
     "NegativeValue": ("row", "col", "value"),
     "UnknownFixture": ("name",),
-    "ExchangeEconomy": ("C", "B", "full_support"),
+    "ExchangeEconomy": ("C", "B"),
     "PriceVector": ("p",),
     "EquilibriumReport": (
         "demand", "residual", "equality_set", "strict_set", "violated_set",
@@ -83,7 +83,7 @@ SIGNATURES = {
     "demand_vector": ("acc",),
     "supply_vector": ("acc",),
     "recession_industries": ("D", "S", "tol"),
-    "recession_ratio": ("acc", "D", "S", "tol"),
+    "recession_ratio": ("acc", "tol"),
     "rank_industries": ("report", "k", "mode"),
     "analyze_accounts": ("acc", "names", "indices", "tol", "top"),
     "NiotTable": (

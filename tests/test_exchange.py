@@ -197,12 +197,6 @@ class TestEconomyValidation:
         with pytest.raises(DimensionMismatch):
             ExchangeEconomy(np.ones((2, 2)), np.ones((3, 2)))
 
-    def test_full_support_mode(self):
-        C = np.ones((2, 2))
-        B = np.array([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            ExchangeEconomy(C, B, full_support=True)
-
     def test_price_vector_validation(self):
         with pytest.raises(ValueError):
             PriceVector(np.array([0.0, 0.0]))

@@ -91,3 +91,23 @@ def test_seed_miss_reaches_nnls_through_the_lazy_import(inputs, tmp_path):
     assert_equilibrium_json(proc.stdout.encode(), (GOLDEN / case / "stdout").read_bytes(), bands)
     report = "TOY_2010_equilibrium.json"
     assert_equilibrium_json((tmp_path / report).read_bytes(), (GOLDEN / case / report).read_bytes(), bands)
+
+
+@pytest.mark.parametrize(
+    "args",
+    ["[[1.0, nan]], [1.0]", "[[1.0, 1.0]], [nan]", "[[1.0, 1.0]], [-1.0]"],
+    ids=["nan-matrix", "nan-target", "negative-target"],
+)
+def test_cone_solve_rejects_bad_input_before_loading_scipy(args, tmp_path):
+    code = (
+        "from math import nan\n"
+        "from demandgap import solve_nonneg\n"
+        "try:\n"
+        f"    solve_nonneg({args})\n"
+        "except ValueError as e:\n"
+        "    print(type(e).__name__, e)\n"
+    )
+    proc, modules = run_fresh(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError ")
+    assert scipy_modules(modules) == []
