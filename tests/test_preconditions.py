@@ -45,7 +45,12 @@ from demandgap import (
     unit_value_equilibrium,
     verify_certificate,
 )
-from demandgap.fixtures import economy_e1, random_consistent_accounts, random_equilibrium, toy_accounts
+from demandgap.fixtures import (
+    economy_e1,
+    random_consistent_accounts,
+    random_equilibrium,
+    toy_accounts,
+)
 
 NON_FINITE = r"must be finite|must lie in \[0, 1\]"
 
@@ -96,32 +101,46 @@ ENTRY_POINTS = {
     "total_supply": (_exchange_args, ("B",), lambda a: total_supply(a["B"])),
     "demand_scales": (_exchange_args, ("p",), lambda a: demand_scales(_econ(a), a["p"])),
     "excess_demand": (_exchange_args, ("p",), lambda a: excess_demand(_econ(a), a["p"])),
-    "check_equilibrium": (_exchange_args, ("p",), lambda a: check_equilibrium(_econ(a), a["p"])),
+    "check_equilibrium": (
+        _exchange_args, ("p",), lambda a: check_equilibrium(_econ(a), a["p"])
+    ),
     "verify_certificate": (
         _exchange_args,
         ("p", "y", "psi_bar"),
         lambda a: verify_certificate(_econ(a), a["p"], a["y"], a["psi_bar"]),
     ),
-    "RepresentationParts.validate": (_exchange_args, ("y", "a", "d0"), lambda a: _parts(a).validate()),
+    "RepresentationParts.validate": (
+        _exchange_args, ("y", "a", "d0"), lambda a: _parts(a).validate()
+    ),
     "clearing_basis": (_exchange_args, ("p",), lambda a: clearing_basis(a["p"], a["I"])),
     "synthesize_property": (
         _exchange_args,
         ("C", "p", "y", "a", "d0"),
         lambda a: synthesize_property(a["C"], a["p"], _parts(a)),
     ),
-    "decompose_property": (_exchange_args, ("p",), lambda a: decompose_property(_econ(a), a["p"], a["I"])),
+    "decompose_property": (
+        _exchange_args, ("p",), lambda a: decompose_property(_econ(a), a["p"], a["I"])
+    ),
     "degenerate_transform": (
         _exchange_args, ("p",), lambda a: degenerate_transform(_econ(a), a["p"], a["I"])
     ),
-    "is_equivalent": (_exchange_args, ("B", "C", "p"), lambda a: is_equivalent(a["B"], a["C"], a["p"])),
-    "degeneracy_multiplicity": (
-        _exchange_args, ("B", "C", "y"), lambda a: degeneracy_multiplicity(a["B"], a["C"], a["y"])
+    "is_equivalent": (
+        _exchange_args, ("B", "C", "p"), lambda a: is_equivalent(a["B"], a["C"], a["p"])
     ),
-    "real_money_value": (_exchange_args, ("p", "psi"), lambda a: real_money_value(a["p"] + 1.0, a["psi"])),
+    "degeneracy_multiplicity": (
+        _exchange_args,
+        ("B", "C", "y"),
+        lambda a: degeneracy_multiplicity(a["B"], a["C"], a["y"]),
+    ),
+    "real_money_value": (
+        _exchange_args, ("p", "psi"), lambda a: real_money_value(a["p"] + 1.0, a["psi"])
+    ),
     "check_aggregation_agreement": (
         _exchange_args,
         ("p", "p_u"),
-        lambda a: check_aggregation_agreement(_econ(a), a["p"], AggregationMap.identity(5), a["p_u"]),
+        lambda a: check_aggregation_agreement(
+            _econ(a), a["p"], AggregationMap.identity(5), a["p_u"]
+        ),
     ),
     "aggregate": (
         _exchange_args,
@@ -131,25 +150,37 @@ ENTRY_POINTS = {
     "is_irreducible": (_factored_args, ("B1",), lambda a: is_irreducible(a["B1"])),
     "perron_eigen": (_factored_args, ("B1",), lambda a: perron_eigen(a["B1"])),
     "solve_nonneg": (_factored_args, ("C", "psi"), lambda a: solve_nonneg(a["C"], a["psi"])),
-    "spectral_equilibrium": (_factored_args, ("C", "B1"), lambda a: spectral_equilibrium(a["C"], a["B1"])),
+    "spectral_equilibrium": (
+        _factored_args, ("C", "B1"), lambda a: spectral_equilibrium(a["C"], a["B1"])
+    ),
     "unit_value_equilibrium": (
-        _factored_args, ("C", "B1", "psi"), lambda a: unit_value_equilibrium(a["C"], a["B1"], a["psi"])
+        _factored_args,
+        ("C", "B1", "psi"),
+        lambda a: unit_value_equilibrium(a["C"], a["B1"], a["psi"]),
     ),
     "IOAccounts": (_accounts_args, ("X", "Xout", "Cf", "E", "Imp", "pi"), _accounts),
     "IOAccounts.from_physical": (
         _accounts_args,
         ("A", "x", "p", "cf", "e", "imp", "pi"),
-        lambda a: IOAccounts.from_physical(a["A"], a["x"], a["p"], a["cf"], a["e"], a["imp"], a["pi"]),
+        lambda a: IOAccounts.from_physical(
+            a["A"], a["x"], a["p"], a["cf"], a["e"], a["imp"], a["pi"]
+        ),
     ),
     "aggregate_accounts": (
         _accounts_args,
         ("pi_u",),
-        lambda a: aggregate_accounts(_accounts(a), AggregationMap(((0, 1), (2,), (3,))), a["pi_u"]),
+        lambda a: aggregate_accounts(
+            _accounts(a), AggregationMap(((0, 1), (2,), (3,))), a["pi_u"]
+        ),
     ),
     "build_exchange_from_iot": (
-        _accounts_args, ("p", "x"), lambda a: build_exchange_from_iot(_accounts(a), a["p"], a["x"])
+        _accounts_args,
+        ("p", "x"),
+        lambda a: build_exchange_from_iot(_accounts(a), a["p"], a["x"]),
     ),
-    "recession_industries": (_accounts_args, ("Cf", "Xout"), lambda a: recession_industries(-a["Cf"], a["Xout"])),
+    "recession_industries": (
+        _accounts_args, ("Cf", "Xout"), lambda a: recession_industries(-a["Cf"], a["Xout"])
+    ),
     "RunConfig": (_accounts_args, ("pi",), lambda a: RunConfig(pi=a["pi"])),
 }
 
@@ -220,7 +251,9 @@ def _tol_users():
     fac = _factored_args()
     return {
         "check_equilibrium": lambda tol: check_equilibrium(e1, p1, tol=tol),
-        "verify_certificate": lambda tol: verify_certificate(econ, p, parts.y, econ.C @ parts.y, tol=tol),
+        "verify_certificate": lambda tol: verify_certificate(
+            econ, p, parts.y, econ.C @ parts.y, tol=tol
+        ),
         "RepresentationParts.validate": lambda tol: parts.validate(tol=tol),
         "synthesize_property": lambda tol: synthesize_property(econ.C, p, parts, tol=tol),
         "decompose_property": lambda tol: decompose_property(econ, p, parts.I, tol=tol),
@@ -230,9 +263,13 @@ def _tol_users():
             econ, p, AggregationMap.identity(econ.n), p, tol=tol
         ),
         "spectral_equilibrium": lambda tol: spectral_equilibrium(fac["C"], fac["B1"], tol=tol),
-        "unit_value_equilibrium": lambda tol: unit_value_equilibrium(fac["C"], fac["B1"], fac["psi"], tol=tol),
+        "unit_value_equilibrium": lambda tol: unit_value_equilibrium(
+            fac["C"], fac["B1"], fac["psi"], tol=tol
+        ),
         "check_value_equilibrium": lambda tol: check_value_equilibrium(acc, tol=tol),
-        "solve_national_equilibrium": lambda tol: solve_national_equilibrium(acc, tol=tol, strict=False),
+        "solve_national_equilibrium": lambda tol: solve_national_equilibrium(
+            acc, tol=tol, strict=False
+        ),
         "recession_industries": lambda tol: recession_industries([1.0, 2.0], [2.0, 1.0], tol=tol),
         "recession_ratio": lambda tol: recession_ratio(acc, tol=tol),
         "analyze_accounts": lambda tol: analyze_accounts(acc, tol=tol),
@@ -266,7 +303,9 @@ def test_bad_tol_raises(name, tol):
         # is_equilibrium was True
         lambda: check_value_equilibrium(toy_accounts(), tol=np.nan),
     ],
-    ids=["negative-tol-overlap", "nan-tol-empty-sets", "nan-tol-recession-set", "nan-tol-value-check"],
+    ids=[
+        "negative-tol-overlap", "nan-tol-empty-sets", "nan-tol-recession-set", "nan-tol-value-check",
+    ],
 )
 def test_former_tol_verdicts_now_raise(call):
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
