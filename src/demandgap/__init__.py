@@ -88,7 +88,7 @@ from .recession import (
     recession_ratio,
     supply_vector,
 )
-from .niot import NiotTable, RunConfig, parse_niot, serialize_niot
+from .niot import NiotTable, parse_niot, serialize_niot
 from .demo import run_demo
 
 __version__ = "0.1.0"
@@ -125,5 +125,5 @@ __all__ = [
     "recession_industries", "recession_ratio", "rank_industries",
     "analyze_accounts",
     # io
-    "NiotTable", "RunConfig", "parse_niot", "serialize_niot", "run_demo",
+    "NiotTable", "parse_niot", "serialize_niot", "run_demo",
 ]

@@ -12,9 +12,10 @@ import sys
 from pathlib import Path
 
 from .demo import run_demo
-from .errors import DemandGapError, RhoNotOne, SchemaError
+from .errors import DemandGapError, SchemaError
+from .exchange import DEFAULT_TOL
 from .leontief import AggregationMap, aggregate_accounts, check_value_equilibrium, solve_national_equilibrium
-from .niot import RunConfig, parse_blocks, parse_niot, parse_pi
+from .niot import parse_blocks, parse_niot, parse_pi
 from .recession import analyze_accounts
 from .registries import registry_for
 from . import reporting
@@ -29,7 +30,7 @@ def _add_table_options(parser: argparse.ArgumentParser, formats: list[str]) -> N
     parser.add_argument("table", help="normalized table CSV")
     parser.add_argument("--out", default=".", help="directory for report files")
     parser.add_argument("--pi", default="1.0", help="taxation shares: scalar or CSV file")
-    parser.add_argument("--tol", type=float, default=1e-9, help="equality tolerance")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="equality tolerance")
     parser.add_argument("--aggregate", default=None, help="aggregation map file")
     parser.add_argument("--format", default="text", choices=formats)
 
@@ -57,41 +58,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, **settings) -> tuple:
-    config = RunConfig(
-        pi=parse_pi(args.pi),
-        tol=args.tol,
-        format=args.format,
-        blocks=parse_blocks(args.aggregate) if args.aggregate else None,
-        **settings,
-    )
+def _load(args) -> tuple:
+    pi = parse_pi(args.pi)
+    blocks = parse_blocks(args.aggregate) if args.aggregate else None
+    if not args.tol > 0:
+        raise ValueError("tol must be positive")
     table = parse_niot(args.table)
     names = table.names
     if not any(names):
         builtin = registry_for(table.m)
         if builtin:
             names = builtin
-    acc = table.to_accounts(pi=config.pi if config.blocks is None else 1.0)
+    acc = table.to_accounts(pi=pi if blocks is None else 1.0)
     indices = table.indices
-    if config.blocks is not None:
-        mapping = AggregationMap(config.blocks)
-        acc = aggregate_accounts(acc, mapping, pi=config.pi)
+    if blocks is not None:
+        mapping = AggregationMap(blocks)
+        acc = aggregate_accounts(acc, mapping, pi=pi)
         names = tuple(
             " + ".join(names[k] for k in block) for block in mapping.blocks
         )
         indices = tuple(range(1, mapping.m + 1))
-    return table, acc, names, indices, config
+    return table, acc, names, indices
 
 
 def _cmd_analyze(args) -> int:
-    table, acc, names, indices, config = _load(args, top=args.top)
-    report = analyze_accounts(acc, names=names, indices=indices, tol=config.tol, top=config.top)
+    table, acc, names, indices = _load(args)
+    report = analyze_accounts(acc, names=names, indices=indices, tol=args.tol, top=args.top)
     payload = reporting.analysis_dict(
         table.country,
         table.year,
         acc.pi,
         report,
-        diagnostics={"currency": table.currency, "tol": config.tol},
+        diagnostics={"currency": table.currency, "tol": args.tol},
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -100,9 +98,9 @@ def _cmd_analyze(args) -> int:
     (out / f"{stem}_deficit.csv").write_text(reporting.deficit_csv(report))
     (out / f"{stem}_histogram.csv").write_text(reporting.histogram_csv(report))
 
-    if config.format == "json":
+    if args.format == "json":
         sys.stdout.write(reporting.to_json(payload))
-    elif config.format == "csv":
+    elif args.format == "csv":
         sys.stdout.write(reporting.deficit_csv(report))
     else:
         sys.stdout.write(reporting.analysis_text(table.country, table.year, report))
@@ -110,16 +108,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    table, acc, names, indices, config = _load(args)
-    solution = solve_national_equilibrium(acc, tol=config.tol, strict=False)
-    balance = check_value_equilibrium(acc, tol=config.tol)
+    table, acc, names, indices = _load(args)
+    solution = solve_national_equilibrium(acc, tol=args.tol, strict=False)
+    balance = check_value_equilibrium(acc, tol=args.tol)
     payload = reporting.equilibrium_dict(table.country, table.year, acc.pi, solution, balance)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{table.country}_{table.year}"
     (out / f"{stem}_equilibrium.json").write_text(reporting.to_json(payload))
 
-    if config.format == "json":
+    if args.format == "json":
         sys.stdout.write(reporting.to_json(payload))
     else:
         sys.stdout.write(
@@ -149,9 +147,6 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except RhoNotOne as e:
-        print(f"not certified: {e}", file=sys.stderr)
-        return EXIT_UNCERTIFIED
     except (DemandGapError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_COMPUTE

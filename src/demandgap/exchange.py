@@ -110,6 +110,10 @@ class ExchangeEconomy:
     must be finite and nonnegative.  Zero demand columns are tolerated at construction
     (industrial constructions can produce them) but any price evaluation
     that touches them raises :class:`ZeroDemandValue`.
+
+    ``C`` and ``B`` are read-only views of the arrays passed in, not
+    copies: the caller's arrays stay writeable, and editing them in place
+    edits the economy behind its checks.
     """
 
     C: np.ndarray
@@ -124,10 +128,10 @@ class ExchangeEconomy:
             )
         _check_entries(C, "C and B")
         _check_entries(B, "C and B")
-        C.setflags(write=False)
-        B.setflags(write=False)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "B", B)
+        for name, arr in (("C", C), ("B", B)):
+            arr = arr.view()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -147,12 +151,14 @@ class PriceVector:
 
     ``support`` is the set of strictly positive components, decided at
     ``DEFAULT_TOL_POS`` after normalising to unit money price when possible
-    (unit max-norm otherwise).
+    (unit max-norm otherwise).  ``p`` is a read-only view of the array
+    passed in, not a copy, as in :class:`ExchangeEconomy`.
     """
 
     p: np.ndarray
 
     def __post_init__(self):
+        # reshape returns a new view, so freezing it leaves the caller's array writeable
         p = np.asarray(self.p, dtype=float).reshape(-1)
         _check_entries(p, "prices")
         if not (p > 0).any():

@@ -47,7 +47,7 @@ from .exchange import (
     _vector,
     check_equilibrium,
 )
-from .solvers import CONE_TOL, PF_TOL, _dominant, is_irreducible, solve_nonneg
+from .solvers import CONE_TOL, PF_TOL, _dominant, _irreducible, solve_nonneg
 
 RHO_TOL = 1e-6
 
@@ -82,7 +82,9 @@ class IOAccounts:
     ``X[k, i]`` is the value of good k absorbed by industry i; ``Xout`` the
     gross output values; ``Cf`` final consumption (households plus capital
     formation); ``E`` exports; ``Imp`` imports; ``pi`` the taxation shares
-    in [0, 1].  All value entries are finite and nonnegative.
+    in [0, 1].  All value entries are finite and nonnegative.  The fields
+    are read-only views of the arrays passed in, not copies, as in
+    :class:`ExchangeEconomy`.
     """
 
     X: np.ndarray
@@ -107,6 +109,7 @@ class IOAccounts:
         for name, arr in [
             ("X", X), ("Xout", Xout), ("Cf", Cf), ("E", E), ("Imp", Imp), ("pi", pi),
         ]:
+            arr = arr.view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -530,7 +533,7 @@ def solve_national_equilibrium(
     # left(A(y)) / pi.
     A_y = A * y[None, :m]
     A_y /= acc.pi[:, None]
-    reducible = not is_irreducible(A_y)
+    reducible = not _irreducible(A_y)
     rho_m, left, _, _, method = _dominant(A_y.T)
     if reducible:
         rho = float(np.abs(np.linalg.eigvals(A_y)).max()) if m > 1 else float(A_y[0, 0])

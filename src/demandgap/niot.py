@@ -28,10 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeValue, SchemaError
-from .exchange import _check_tol
-from .leontief import IOAccounts, _shares
+from .exchange import _nonneg_square, _vector
+from .leontief import IOAccounts
 
-__all__ = ["NiotTable", "RunConfig", "parse_niot", "serialize_niot", "parse_pi", "parse_blocks"]
+__all__ = ["NiotTable", "parse_niot", "serialize_niot", "parse_pi", "parse_blocks"]
 
 _FIXED_COLUMNS = ("final_consumption", "gcf_inventory", "export", "import", "gross_output")
 
@@ -195,13 +195,19 @@ def serialize_niot(table: NiotTable, path) -> None:
     """Write a table back in the normalized layout, with its ``meta.csv``
     beside it.
 
-    Floats are written with ``repr``, which round-trips exactly.
+    Floats are written with ``repr``, which round-trips exactly.  Before
+    any file is created, ValueError is raised unless ``X`` is square and
+    every array is finite and nonnegative with one entry per industry, so
+    that :func:`parse_niot` can read the table back.
     """
+    m = _nonneg_square(table.X, "X").shape[0]
+    for name in ("fc", "gcf", "E", "Imp", "Xout"):
+        _vector(getattr(table, name), m, name)
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_expected_header(table.m))
-        for k in range(table.m):
+        writer.writerow(_expected_header(m))
+        for k in range(m):
             writer.writerow(
                 [table.indices[k], table.names[k]]
                 + [repr(float(v)) for v in table.X[k]]
@@ -217,33 +223,6 @@ def serialize_niot(table: NiotTable, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["country", "year", "currency"])
         writer.writerow([table.country, table.year, table.currency])
-
-
-@dataclass
-class RunConfig:
-    """Explicit run configuration (no environment variables).
-
-    ``pi`` is a scalar broadcast or a per-industry vector; ``tol`` must be
-    positive and finite.  ``blocks`` optionally aggregates the table before
-    analysis.
-    ``tol`` is the only tolerance a run sets; the national solve's others
-    are the constants ``RHO_TOL``, ``CONE_TOL`` and ``PF_TOL``.
-    """
-
-    pi: float | np.ndarray = 1.0
-    tol: float = 1e-9
-    top: int = 4
-    format: str = "text"
-    blocks: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
-        pi = _shares(self.pi)
-        self.pi = pi if pi.shape[0] > 1 else float(pi[0])
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        _check_tol(self.tol)
-        if self.format not in ("json", "csv", "text"):
-            raise ValueError(f"format must be json, csv or text, got {self.format!r}")
 
 
 def parse_pi(text: str) -> float | np.ndarray:

@@ -89,7 +89,11 @@ def is_irreducible(M) -> bool:
     strongly connected.  A 1x1 matrix is irreducible iff its entry is
     positive (self-loop convention).  Raises ValueError unless ``M`` is
     square with finite nonnegative entries."""
-    M = _nonneg_square(M)
+    return _irreducible(_nonneg_square(M))
+
+
+def _irreducible(M: np.ndarray) -> bool:
+    """:func:`is_irreducible` of a matrix its caller has already checked."""
     if M.shape[0] == 1:
         return bool(M[0, 0] > 0)
     adj = M > 0
@@ -149,9 +153,15 @@ def _dominant(M: np.ndarray) -> tuple[float, np.ndarray, int, float, str]:
     :class:`NoConvergence` is raised.  Returns ``(rho, v, iterations,
     residual, method)`` with ``method`` ``"power"`` or ``"dense"``; a dense
     answer reports the ``PF_MAX_ITER`` power iterations spent before it.
+
+    The callers pass checked matrices or, in the national solve, a product
+    of checked arrays, which a subnormal share can overflow; the maximum
+    taken for the shift rejects an infinite or NaN entry with ValueError.
     """
     n = M.shape[0]
     top = float(M.max(initial=0.0))
+    if not top < np.inf:
+        raise ValueError("M must be finite")
     if top == 0.0:
         return 0.0, np.ones(n), 0, 0.0, "power"
     shift = 1e-3 * top
@@ -193,7 +203,7 @@ def perron_eigen(M) -> PerronResult:
     :class:`NotIrreducible` unless it is irreducible.
     """
     M = _nonneg_square(M)
-    if not is_irreducible(M):
+    if not _irreducible(M):
         raise NotIrreducible("matrix graph is not strongly connected")
     rho_r, right, it_r, res_r, method_r = _dominant(M)
     rho_l, left, it_l, res_l, method_l = _dominant(M.T)
@@ -295,7 +305,7 @@ def spectral_equilibrium(C, B1, tol: float = DEFAULT_TOL) -> ConstructedEquilibr
     raised.  The returned price is rescaled to max-norm 1.
     """
     econ, B1 = _factored_economy(C, B1)
-    if not is_irreducible(B1):
+    if not _irreducible(B1):
         raise NotIrreducible("B1 graph is not strongly connected")
 
     y = B1.sum(axis=1)

@@ -1,15 +1,19 @@
-"""Snapshot of the public signatures.
+"""Snapshot of the public signatures and of the CLI.
 
 Every callable and dataclass in ``demandgap.__all__`` is listed with its
-parameter names, so adding, removing or renaming a parameter fails here
-until the snapshot is edited on purpose.  ``tol`` is the only tolerance a
-caller sets; the others are module constants (README, Conventions).
+parameter names, and every CLI subcommand with its options, so adding,
+removing or renaming a parameter or an option fails here until the
+snapshot is edited on purpose.  ``tol`` is the only tolerance a caller
+sets; the others are module constants (README, Conventions).  The CLI
+flags are the only run configuration.
 """
 
+import argparse
 import inspect
 
 import demandgap
-from demandgap.exchange import as_price
+from demandgap.cli import build_parser
+from demandgap.exchange import DEFAULT_TOL, as_price
 from demandgap.structure import RepresentationParts
 
 # None: an exception class that takes only its message
@@ -89,7 +93,6 @@ SIGNATURES = {
     "NiotTable": (
         "country", "year", "currency", "indices", "names", "X", "fc", "gcf", "E", "Imp", "Xout",
     ),
-    "RunConfig": ("pi", "tol", "top", "format", "blocks"),
     "parse_niot": ("path", "clamp_negative"),
     "serialize_niot": ("table", "path"),
     "run_demo": ("spec", "seed"),
@@ -124,3 +127,50 @@ def test_fixed_tolerances_are_not_parameters():
         assert not FIXED & set(_params(obj) or ()), obj.__name__
     assert _params(as_price) == ("p",)
     assert _params(RepresentationParts.validate) == ("self", "tol")
+
+
+# option strings (or the positional's name) -> (default, choices)
+_TABLE_OPTIONS = {
+    "table": (None, None),
+    "--out": (".", None),
+    "--pi": ("1.0", None),
+    "--tol": (DEFAULT_TOL, None),
+    "--aggregate": (None, None),
+}
+CLI = {
+    "analyze": {
+        **_TABLE_OPTIONS,
+        "--format": ("text", ["json", "csv", "text"]),
+        "--top": (4, None),
+    },
+    "equilibrium": {**_TABLE_OPTIONS, "--format": ("text", ["json", "text"])},
+    "demo": {
+        "fixture": (None, None),
+        "--format": ("text", ["json", "text"]),
+        "--seed": (None, None),
+    },
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def test_cli_options_match_the_snapshot():
+    actual = {
+        command: {
+            " ".join(a.option_strings) or a.dest: (a.default, a.choices)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for command, sub in _subparsers().items()
+    }
+    assert actual == CLI
+
+
+def test_cli_tol_default_is_the_library_default():
+    for command in ("analyze", "equilibrium"):
+        (tol,) = [a for a in _subparsers()[command]._actions if a.dest == "tol"]
+        assert tol.default is DEFAULT_TOL

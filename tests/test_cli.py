@@ -134,10 +134,43 @@ class TestAnalyze:
         assert code == 3
 
 
+@pytest.mark.parametrize("aggregate", [False, True], ids=["table", "aggregated"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--pi", "1.5", "pi entries must lie in [0, 1]"),
+        ("--pi", "nan", "pi entries must lie in [0, 1]"),
+        ("--tol", "0", "tol must be positive"),
+        ("--tol", "nan", "tol must be positive"),
+        ("--tol", "inf", "tol must be finite and nonnegative, got inf"),
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "equilibrium"])
+def test_bad_run_setting_exits_three(
+    command, flag, value, message, aggregate, toy_table, tmp_path, capsys
+):
+    argv = [command, str(toy_table), "--out", str(tmp_path / "out"), flag, value]
+    if aggregate:
+        blocks = tmp_path / "map.txt"
+        blocks.write_text("1,2\n")
+        argv += ["--aggregate", str(blocks)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_table_is_reported_before_bad_pi(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not,a,table\n")
+    assert main(["analyze", str(bad), "--pi", "1.5", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("schema error:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "{table}", "--out", "{out}", "--seed", "5"],
+        ["analyze", "{table}", "--out", "{out}", "--format", "xml"],
         ["equilibrium", "{table}", "--out", "{out}", "--top", "1"],
         ["equilibrium", "{table}", "--out", "{out}", "--seed", "5"],
         ["equilibrium", "{table}", "--out", "{out}", "--format", "csv"],

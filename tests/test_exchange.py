@@ -116,6 +116,7 @@ class TestCheckEquilibrium:
         np.testing.assert_allclose(report.residual, [30 / 11, -3 / 11])
         assert not report.is_equilibrium
         assert report.violated_set == (0,)
+        assert report.max_violation() == pytest.approx(30 / 11)
         assert report.strict_set == (1,)
         assert not report.zero_price_on_deficit  # good 1 is priced yet in deficit
 
@@ -186,6 +187,16 @@ class TestVerifyCertificate:
         econ, p = economy_e1()
         with pytest.raises(DimensionMismatch):
             verify_certificate(econ, p, y=[1.0], psi_bar=[2.0, 1.0])
+
+    def test_zero_demand_column_fails_demand_value(self):
+        # consumer 1 demands nothing, so its bundle has zero value at any price
+        C = np.array([[1.0, 0.0], [1.0, 0.0]])
+        econ = ExchangeEconomy(C, np.ones((2, 2)))
+        result = verify_certificate(econ, [1.0, 1.0], y=[1.0, 1.0], psi_bar=[1.0, 1.0])
+        assert not result.ok
+        assert result.failed == ("demand-value",)
+        assert result.diagnostics["demand-value"] == 0.0
+        assert "transfers" not in result.diagnostics  # it would divide by that value
 
 
 class TestEconomyValidation:

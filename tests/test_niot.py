@@ -1,10 +1,12 @@
 """Normalized table parsing, serialization, and config plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from demandgap import NegativeValue, SchemaError, parse_niot, serialize_niot
-from demandgap.niot import NiotTable, RunConfig, parse_blocks, parse_pi
+from demandgap.niot import NiotTable, parse_blocks, parse_pi
 from demandgap.registries import UKRAINE_38, WIOD_34, registry_for
 from demandgap.fixtures import toy_accounts
 
@@ -142,6 +144,22 @@ class TestRoundTrip:
         serialize_niot(parse_niot(p1), p2)
         assert p2.read_text() == text1
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("X", [[10.0, np.nan], [30.0, 10.0]], "X must be finite"),
+            ("Imp", [5.0, -1.0], "Imp must be nonnegative"),
+            ("Xout", [100.0], "Xout must have length 2, got 1"),
+        ],
+    )
+    def test_unreadable_table_is_not_written(self, tmp_path, field, value, message):
+        table = dataclasses.replace(parse_niot(write_toy(tmp_path)), **{field: np.array(value)})
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match=message):
+            serialize_niot(table, out / "table.csv")
+        assert list(out.iterdir()) == []
+
 
 class TestRegistries:
     def test_sizes(self):
@@ -177,19 +195,6 @@ class TestConfig:
         f = tmp_path / "map.txt"
         f.write_text("# merge the first two\n1,2\n3\n")
         assert parse_blocks(f) == ((0, 1), (2,))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(pi=1.5)
-        with pytest.raises(ValueError):
-            RunConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(format="xml")
-
-    @pytest.mark.parametrize("field", ["pi", "tol"])
-    def test_config_rejects_nan(self, field):
-        with pytest.raises(ValueError):
-            RunConfig(**{field: float("nan")})
 
     def test_pi_vector_reaches_accounts(self, tmp_path):
         table = parse_niot(write_toy(tmp_path))

@@ -3,7 +3,8 @@
 Every public entry point raises a plain ``ValueError`` when an array
 argument holds a NaN, before any arithmetic can turn it into a verdict, a
 ``LinAlgError`` or a scipy error.  Every user of ``tol`` rejects a negative,
-NaN or infinite one.
+NaN or infinite one.  A matrix is checked once per call, and the checked
+objects freeze views, not the caller's arrays.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from demandgap import (
     IOAccounts,
     PriceVector,
     RepresentationParts,
-    RunConfig,
     aggregate,
     aggregate_accounts,
     analyze_accounts,
@@ -45,6 +45,7 @@ from demandgap import (
     unit_value_equilibrium,
     verify_certificate,
 )
+from demandgap import exchange, leontief, solvers
 from demandgap.fixtures import (
     economy_e1,
     random_consistent_accounts,
@@ -181,7 +182,6 @@ ENTRY_POINTS = {
     "recession_industries": (
         _accounts_args, ("Cf", "Xout"), lambda a: recession_industries(-a["Cf"], a["Xout"])
     ),
-    "RunConfig": (_accounts_args, ("pi",), lambda a: RunConfig(pi=a["pi"])),
 }
 
 
@@ -312,13 +312,6 @@ def test_former_tol_verdicts_now_raise(call):
         call()
 
 
-def test_run_config_keeps_positive_tol():
-    with pytest.raises(ValueError, match="tol must be positive"):
-        RunConfig(tol=0.0)
-    with pytest.raises(ValueError, match="tol must be finite"):
-        RunConfig(tol=np.inf)
-
-
 class TestEquivalenceBand:
     """is_equivalent uses the shared band tol * max(1, |value|)."""
 
@@ -332,3 +325,47 @@ class TestEquivalenceBand:
         assert 1.05 * shared < tol * (1.0 + value)
         assert not is_equivalent(B, outside, [1.0], tol=tol)
         assert is_equivalent(B, B + 0.95 * shared, [1.0], tol=tol)
+
+
+class TestCheckedOnce:
+    """A matrix that has been checked is not checked again."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        names = []
+        check = exchange._nonneg_square
+
+        def counted(M, name="M"):
+            names.append(name)
+            return check(M, name)
+
+        for module in (solvers, leontief):  # the callers on the paths under test
+            monkeypatch.setattr(module, "_nonneg_square", counted)
+        return names
+
+    def test_perron_eigen(self, checks):
+        perron_eigen([[0.0, 1.0], [1.0, 0.5]])
+        assert checks == ["M"]
+
+    def test_spectral_equilibrium(self, checks):
+        a = _factored_args()
+        spectral_equilibrium(a["C"], a["B1"])
+        assert checks == ["B1"]
+
+    def test_national_solve(self, checks):
+        acc, _, _ = random_consistent_accounts(3, 5, trade_balanced=True)
+        checks.clear()  # the accounts' own check of X
+        solution = solve_national_equilibrium(acc, strict=False)
+        assert checks == []
+        assert solution.diagnostics["reducible"] is False  # the graph test ran
+
+
+def test_objects_freeze_views_not_the_callers_arrays():
+    ex, ac = _exchange_args(), _accounts_args()
+    C, B, p = (np.array(ex[k]) for k in ("C", "B", "p"))
+    accounts = {k: np.array(ac[k]) for k in ("X", "Xout", "Cf", "E", "Imp", "pi")}
+    econ, price, acc = ExchangeEconomy(C, B), PriceVector(p), IOAccounts(**accounts)
+    for caller in (C, B, p, *accounts.values()):
+        assert caller.flags.writeable
+    for held in (econ.C, econ.B, price.p, *(getattr(acc, k) for k in accounts)):
+        assert not held.flags.writeable

@@ -475,6 +475,10 @@ class TestRealMoneyValue:
         with pytest.raises(NoMoneySupply):
             real_money_value([1.0, 1.0], [0.0, 1.0])
 
+    def test_free_money_cannot_normalise(self):
+        with pytest.raises(ValueError, match="money price must be positive"):
+            real_money_value([0.0, 1.0], [1.0, 1.0])
+
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             real_money_value([1, 2, 3], [1, 2])
