@@ -152,25 +152,17 @@ CLI = {
 }
 
 
-def _subparsers() -> dict[str, argparse.ArgumentParser]:
+def test_cli_options_match_the_snapshot():
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return commands.choices
-
-
-def test_cli_options_match_the_snapshot():
     actual = {
         command: {
             " ".join(a.option_strings) or a.dest: (a.default, a.choices)
             for a in sub._actions
             if not isinstance(a, argparse._HelpAction)
         }
-        for command, sub in _subparsers().items()
+        for command, sub in commands.choices.items()
     }
     assert actual == CLI
-
-
-def test_cli_tol_default_is_the_library_default():
     for command in ("analyze", "equilibrium"):
-        (tol,) = [a for a in _subparsers()[command]._actions if a.dest == "tol"]
-        assert tol.default is DEFAULT_TOL
+        assert actual[command]["--tol"][0] is DEFAULT_TOL  # one copy of the default
