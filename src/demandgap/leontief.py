@@ -47,7 +47,7 @@ from .exchange import (
     _vector,
     check_equilibrium,
 )
-from .solvers import CONE_TOL, PF_TOL, _dominant, _irreducible, solve_nonneg
+from .solvers import CONE_TOL, PF_TOL, _dominant, _irreducible, _solve_nonneg
 
 RHO_TOL = 1e-6
 
@@ -510,7 +510,7 @@ def solve_national_equilibrium(
     seed_residual = float(np.linalg.norm(residual))
     seed_used = seed_residual <= CONE_TOL * float(np.linalg.norm(target))
     if not seed_used:
-        sol = solve_nonneg(C_big, target)
+        sol = _solve_nonneg(C_big, target)
         seed_used = seed_residual <= sol.residual * (1.0 + 1e-9)
         if not seed_used:
             residual = C_big @ sol.y - target

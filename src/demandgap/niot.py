@@ -196,13 +196,21 @@ def serialize_niot(table: NiotTable, path) -> None:
     beside it.
 
     Floats are written with ``repr``, which round-trips exactly.  Before
-    any file is created, ValueError is raised unless ``X`` is square and
-    every array is finite and nonnegative with one entry per industry, so
-    that :func:`parse_niot` can read the table back.
+    any file is created, ValueError is raised unless ``X`` is square,
+    every array is finite and nonnegative with one entry per industry, and
+    ``indices`` and ``names`` have one entry per industry with no index
+    repeated, so that :func:`parse_niot` can read the table back.
     """
     m = _nonneg_square(table.X, "X").shape[0]
     for name in ("fc", "gcf", "E", "Imp", "Xout"):
         _vector(getattr(table, name), m, name)
+    for name in ("indices", "names"):
+        labels = getattr(table, name)
+        if len(labels) != m:
+            raise ValueError(f"{name} must have length {m}, got {len(labels)}")
+    if len(set(table.indices)) != m:
+        repeated = next(i for k, i in enumerate(table.indices) if i in table.indices[:k])
+        raise ValueError(f"duplicate index {repeated}")
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

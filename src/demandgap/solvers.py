@@ -27,11 +27,15 @@ imported on its first call), so importing the package, and solving a
 balanced national table whose guaranteed scale seed fits, never load it.
 
 The eigenpair kernel always terminates.  It runs shifted power iteration
-for at most ``PF_MAX_ITER`` steps, which is enough for the aperiodic
-matrices of national tables, and otherwise hands the matrix to dense
+for at most ``min(PF_MAX_ITER, 2 n)`` steps on an n x n matrix, about what
+one dense solve costs, which is enough for the aperiodic matrices of
+national tables, and otherwise hands the matrix to dense
 ``np.linalg.eig``, which periodic matrices (supply chains that form a
-cycle) need.  Whichever path answers, the answer is checked: the vector is
-made nonnegative at max-norm 1 and must satisfy
+cycle) need.  A matrix and its transpose share their spectrum, so power
+iteration converges at the same rate on both: when the right eigenvector
+falls back, the left one goes straight to ``eig``, and each spectrum
+falls back at most once.  Whichever path answers, the answer is checked:
+the vector is made nonnegative at max-norm 1 and must satisfy
 ``max |M v - rho v| <= PF_TOL``, or :class:`NoConvergence` is raised; the
 tolerance is never loosened.
 """
@@ -61,11 +65,19 @@ from .exchange import (
 )
 
 PF_TOL = 1e-10
-# Power iterations before the dense fallback.  The scaled production
-# matrices of balanced 34-300 industry tables converge in 6-8; a periodic
-# matrix needs thousands.  At 34-38 industries one iteration costs about
-# 11 us and one dense eig about 0.5-0.6 ms, so a budget of 40 spends at most
-# what the fallback costs before falling back.
+# Cap on the power iterations before the dense fallback; an n x n matrix
+# gets min(PF_MAX_ITER, 2 n).  The scaled production matrices of balanced
+# 34-300 industry tables converge in 6-10 steps, the toy table in 4 and its
+# 10-block aggregate in 7; a periodic matrix needs thousands.  Measured
+# cost (best of 7 x 500 calls, 2 CPUs, numpy 2.4 with OpenBLAS):
+#
+#     n                          2       8      12      34
+#     one power step, us       8-11    12-13   13-15    8-10
+#     np.linalg.eig, us       12-21    36-40   45-81    300-314
+#     whole fallback, us      27-50    55-72   58-88    348-355
+#
+# (the fallback adds taking the eigenvector and checking its residual), so
+# 2 n steps spend about what the fallback costs before falling back.
 PF_MAX_ITER = 40
 CONE_TOL = 1e-8
 
@@ -123,7 +135,9 @@ class PerronResult:
     the residual tolerance).  ``method`` is ``"power"`` when shifted power
     iteration answered both sides within its budget and ``"dense"`` when
     either side fell back to ``np.linalg.eig``; ``iterations`` counts the
-    power iterations of both sides.
+    power iterations of both sides, at most ``min(PF_MAX_ITER, 2 n)`` each,
+    and only the right side's budget when it fell back (the left side then
+    runs none).
     """
 
     rho: float
@@ -135,30 +149,40 @@ class PerronResult:
     method: str
 
 
-def _dominant(M: np.ndarray) -> tuple[float, np.ndarray, int, float, str]:
+def _dominant(
+    M: np.ndarray, budget: int | None = None
+) -> tuple[float, np.ndarray, int, float, str]:
     """Verified dominant eigenpair of a nonnegative matrix.
 
-    Runs at most ``PF_MAX_ITER`` steps of power iteration on ``M + eps I``
-    with ``eps = 1e-3 * max(M)``, from the uniform vector, which always
-    overlaps the dominant nonnegative eigenvector.  The shift barely damps
-    the oscillation of a periodic matrix, so when the budget runs out the
+    Runs at most ``budget`` steps of power iteration on ``M + eps I`` with
+    ``eps = 1e-3 * max(M)``, from the uniform vector, which always overlaps
+    the dominant nonnegative eigenvector.  The budget defaults to
+    ``min(PF_MAX_ITER, 2 n)`` for an n x n matrix: one step costs 8-15 us
+    below n = 40 and the whole fallback 27-88 us at n = 2-12 (the table
+    above ``PF_MAX_ITER``), so the iteration spends about what the
+    fallback costs before giving up.  The shift barely damps the
+    oscillation of a periodic matrix, so when the budget runs out the
     matrix goes to dense ``np.linalg.eig``, which takes the eigenvalue with
     the largest real part: on a periodic matrix several eigenvalues share
-    the modulus ``rho``, but only ``rho`` itself has real part ``rho``.
+    the modulus ``rho``, but only ``rho`` itself has real part ``rho``.  A
+    budget of 0 goes straight to ``eig``.
 
     Either way the vector is taken in absolute value at max-norm 1, the
     eigenvalue is its Rayleigh quotient on ``M`` (a weighted mean of the
     Collatz-Wielandt ratios ``(M v)_i / v_i``), and the pair is returned
     only if ``max |M v - rho v| <= PF_TOL``; otherwise
-    :class:`NoConvergence` is raised.  Returns ``(rho, v, iterations,
-    residual, method)`` with ``method`` ``"power"`` or ``"dense"``; a dense
-    answer reports the ``PF_MAX_ITER`` power iterations spent before it.
+    :class:`NoConvergence` is raised with the budget spent.  Returns
+    ``(rho, v, iterations, residual, method)`` with ``method`` ``"power"``
+    or ``"dense"``; a dense answer reports the whole budget as its
+    iterations.
 
     The callers pass checked matrices or, in the national solve, a product
     of checked arrays, which a subnormal share can overflow; the maximum
     taken for the shift rejects an infinite or NaN entry with ValueError.
     """
     n = M.shape[0]
+    if budget is None:
+        budget = min(PF_MAX_ITER, 2 * n)
     top = float(M.max(initial=0.0))
     if not top < np.inf:
         raise ValueError("M must be finite")
@@ -167,7 +191,7 @@ def _dominant(M: np.ndarray) -> tuple[float, np.ndarray, int, float, str]:
     shift = 1e-3 * top
     v = np.ones(n)
     mv = M @ v
-    for it in range(1, PF_MAX_ITER + 1):
+    for it in range(1, budget + 1):
         w = mv + shift * v  # (M + eps I) v from the M v in hand: one product per step
         v = w / w.max()
         mv = M @ v
@@ -180,8 +204,8 @@ def _dominant(M: np.ndarray) -> tuple[float, np.ndarray, int, float, str]:
     mv = M @ v
     rho, residual = _rayleigh(v, mv)
     if not residual <= PF_TOL:
-        raise NoConvergence(PF_MAX_ITER, residual)
-    return rho, v, PF_MAX_ITER, residual, "dense"
+        raise NoConvergence(budget, residual)
+    return rho, v, budget, residual, "dense"
 
 
 def _rayleigh(v: np.ndarray, mv: np.ndarray) -> tuple[float, float]:
@@ -197,16 +221,19 @@ def perron_eigen(M) -> PerronResult:
     The pair is verified at ``max |M v - rho v| <= PF_TOL`` with ``v`` at
     max-norm 1, an absolute tolerance on the scale of the matrix entries:
     rescale a matrix far from unit scale (``rho`` scales with it, the
-    vectors do not) before the call.  Each side runs at most
-    ``PF_MAX_ITER`` power iterations before the dense fallback.  Raises
-    ValueError unless ``M`` is square with finite nonnegative entries, and
-    :class:`NotIrreducible` unless it is irreducible.
+    vectors do not) before the call.  The right side runs at most
+    ``min(PF_MAX_ITER, 2 n)`` power iterations before the dense fallback.
+    ``M.T`` has the same spectrum, so power iteration converges at the same
+    rate on it: the left side gets the same budget when the right side
+    converged, and none when it fell back.  Raises ValueError unless ``M``
+    is square with finite nonnegative entries, and :class:`NotIrreducible`
+    unless it is irreducible.
     """
     M = _nonneg_square(M)
     if not _irreducible(M):
         raise NotIrreducible("matrix graph is not strongly connected")
     rho_r, right, it_r, res_r, method_r = _dominant(M)
-    rho_l, left, it_l, res_l, method_l = _dominant(M.T)
+    rho_l, left, it_l, res_l, method_l = _dominant(M.T, 0 if method_r == "dense" else None)
     return PerronResult(
         rho=rho_r,
         right=right,
@@ -243,8 +270,14 @@ def solve_nonneg(C, target) -> ConeSolution:
     C = np.asarray(C, dtype=float)
     if C.ndim != 2:
         raise ValueError(f"C must be a 2-d array, got shape {C.shape}")
-    target = _vector(target, C.shape[0], "target")
     _check_finite(C, "C")
+    return _solve_nonneg(C, target)
+
+
+def _solve_nonneg(C: np.ndarray, target) -> ConeSolution:
+    """:func:`solve_nonneg` of a finite 2-d float matrix its caller has
+    already checked; only the target is checked here."""
+    target = _vector(target, C.shape[0], "target")
     norm = float(np.linalg.norm(target))
     if norm == 0.0:
         return ConeSolution(y=np.zeros(C.shape[1]), residual=0.0, interior=False)
@@ -315,7 +348,7 @@ def spectral_equilibrium(C, B1, tol: float = DEFAULT_TOL) -> ConstructedEquilibr
     d = d / d.max()
 
     try:
-        sol = solve_nonneg(econ.C.T, d)
+        sol = _solve_nonneg(econ.C.T, d)
     except NotInCone as e:
         raise NoPositivePrice(
             f"budget vector is outside the row cone of C: {e}"
@@ -360,7 +393,7 @@ def unit_value_equilibrium(C, B1, psi, tol: float = DEFAULT_TOL) -> ConstructedE
         )
 
     try:
-        sol = solve_nonneg(econ.C.T, np.ones(econ.l))
+        sol = _solve_nonneg(econ.C.T, np.ones(econ.l))
     except NotInCone as e:
         raise NoPositivePrice(
             f"the all-ones budget is outside the row cone of C: {e}"

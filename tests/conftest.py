@@ -31,6 +31,32 @@ def dense_perron_oracle(M: np.ndarray) -> tuple[float, np.ndarray]:
     return rho, v
 
 
+def power_steps(M: np.ndarray) -> int:
+    """Power steps the Perron kernel takes to meet ``PF_TOL`` on ``M``
+    when its budget is far beyond the one it gets in use."""
+    from demandgap.solvers import _dominant
+
+    _, _, steps, _, method = _dominant(M, 100_000)
+    assert method == "power"
+    return steps
+
+
+def perron_path(M: np.ndarray) -> tuple[str, int]:
+    """The ``(method, iterations)`` that ``perron_eigen`` documents for
+    ``M``: each side has ``min(PF_MAX_ITER, 2 n)`` power steps, a side that
+    needs more falls back to the dense solve after spending them all, and
+    after a fallback on the right side the left side spends none."""
+    from demandgap.solvers import PF_MAX_ITER
+
+    budget = min(PF_MAX_ITER, 2 * M.shape[0])
+    right, left = power_steps(M), power_steps(M.T)
+    if right > budget:
+        return "dense", budget
+    if left > budget:
+        return "dense", right + budget
+    return "power", right + left
+
+
 def interior_cone_instance(
     rng: np.random.Generator, n: int, l: int, budget: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

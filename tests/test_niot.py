@@ -160,6 +160,22 @@ class TestRoundTrip:
             serialize_niot(table, out / "table.csv")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("indices", (1,), "indices must have length 2, got 1"),
+            ("names", ("Alpha", "Beta", "Gamma"), "names must have length 2, got 3"),
+            ("indices", (7, 7), "duplicate index 7"),
+        ],
+    )
+    def test_unreadable_labels_are_not_written(self, tmp_path, field, value, message):
+        table = dataclasses.replace(parse_niot(write_toy(tmp_path)), **{field: value})
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match=message):
+            serialize_niot(table, out / "t.csv")
+        assert list(out.iterdir()) == []
+
 
 class TestRegistries:
     def test_sizes(self):

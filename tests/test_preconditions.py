@@ -359,6 +359,41 @@ class TestCheckedOnce:
         assert checks == []
         assert solution.diagnostics["reducible"] is False  # the graph test ran
 
+    @pytest.fixture
+    def cone_checks(self, monkeypatch):
+        names = []
+        check = exchange._check_finite
+
+        def counted(a, what):
+            names.append(what)
+            return check(a, what)
+
+        monkeypatch.setattr(solvers, "_check_finite", counted)  # the cone solve's matrix check
+        return names
+
+    def test_solve_nonneg(self, cone_checks):
+        solve_nonneg([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
+        assert cone_checks == ["C"]
+
+    def test_constructive_solvers_solve_the_cone_unchecked(self, cone_checks):
+        a = _factored_args()
+        assert spectral_equilibrium(a["C"], a["B1"]).report.is_equilibrium
+        assert unit_value_equilibrium(a["C"], a["B1"], a["psi"]).report.is_equilibrium
+        assert cone_checks == []
+
+    def test_national_nnls_fallback(self, cone_checks, monkeypatch):
+        shapes = []
+        solve = solvers._solve_nonneg
+
+        def recorded(C, target):
+            shapes.append(C.shape)
+            return solve(C, target)
+
+        monkeypatch.setattr(leontief, "_solve_nonneg", recorded)
+        solve_national_equilibrium(toy_accounts(), strict=False)  # the seed does not fit
+        assert shapes == [(2, 4)]
+        assert cone_checks == []
+
 
 def test_objects_freeze_views_not_the_callers_arrays():
     ex, ac = _exchange_args(), _accounts_args()

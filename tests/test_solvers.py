@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import dense_perron_oracle, interior_cone_instance, random_irreducible
+from conftest import dense_perron_oracle, interior_cone_instance, perron_path, random_irreducible
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from demandgap import (
+    NoConvergence,
     NoPositivePrice,
     NotInCone,
     NotIrreducible,
@@ -18,7 +19,7 @@ from demandgap import (
     spectral_equilibrium,
     unit_value_equilibrium,
 )
-from demandgap.solvers import PF_TOL
+from demandgap.solvers import PF_MAX_ITER, PF_TOL, _dominant
 
 
 class TestIrreducibility:
@@ -107,7 +108,7 @@ class TestPerronEigen:
             rho_oracle, v_oracle = dense_perron_oracle(M)
             assert result.rho == pytest.approx(rho_oracle, abs=1e-8)
             np.testing.assert_allclose(result.right, v_oracle, atol=1e-8)
-            assert result.method == "power"
+            assert (result.method, result.iterations) == perron_path(M)
 
     def test_left_right_agreement_and_collatz_bounds(self):
         rng = np.random.default_rng(2)
@@ -153,6 +154,30 @@ class TestPerronEigen:
         np.testing.assert_allclose(result.left, left / left.max(), atol=1e-8)
         assert result.residual <= PF_TOL
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 19, 24])
+    def test_pure_cycle_spends_one_budget(self, n):
+        # power iteration cannot converge on a pure cycle, so the right side
+        # spends its whole budget and the transpose, which has the same
+        # spectrum, goes straight to the dense solve
+        rng = np.random.default_rng(n)
+        order = rng.permutation(n)
+        M = np.zeros((n, n))
+        M[order, np.roll(order, -1)] = rng.uniform(0.5, 2.0, n)
+        result = perron_eigen(M)
+        assert result.method == "dense"
+        assert result.iterations == min(PF_MAX_ITER, 2 * n)
+        assert result.residual <= PF_TOL
+
+    def test_no_convergence_reports_the_budget_spent(self):
+        # two 2-cycles of root 1, the first with access to the second:
+        # rho is defective, and eig misses PF_TOL on the transpose
+        M = np.zeros((4, 4))
+        M[0, 1] = M[1, 0] = M[2, 3] = M[3, 2] = M[0, 2] = 1.0
+        for budget, spent in ((None, 8), (0, 0)):
+            with pytest.raises(NoConvergence) as exc:
+                _dominant(M.T, budget)
+            assert exc.value.iterations == spent
+
 
 def _irreducible_case(n: int, seed: int, kind: str) -> np.ndarray:
     """Irreducible nonnegative matrix: random (a cycle plus dense extras),
@@ -193,6 +218,26 @@ class TestPerronProperties:
         ratios = (M @ result.right) / result.right
         slack = 1e-12 * max(1.0, result.rho)
         assert ratios.min() - slack <= result.rho <= ratios.max() + slack
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 30),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "periodic"]),
+    )
+    def test_each_side_keeps_its_budget(self, n, seed, kind):
+        M = _irreducible_case(n, seed, kind)
+        budget = min(PF_MAX_ITER, 2 * n)
+        sides = [_dominant(A) for A in (M, M.T)]
+        for A, (rho, v, steps, residual, method) in zip((M, M.T), sides):
+            assert steps <= budget
+            assert method == "power" or steps == budget
+            assert residual <= PF_TOL
+            assert float(np.abs(A @ v - rho * v).max()) <= PF_TOL
+        (_, _, it_r, _, method_r), (_, _, it_l, _, _) = sides
+        result = perron_eigen(M)
+        assert result.iterations == it_r + (0 if method_r == "dense" else it_l)
+        assert result.residual <= PF_TOL
 
 
 class TestSolveNonneg:
