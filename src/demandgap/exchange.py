@@ -82,11 +82,11 @@ def _vector(v, m: int, name: str) -> np.ndarray:
 
 
 def _nonneg_square(M, name: str = "M") -> np.ndarray:
-    """``M`` as a float array; raises ValueError unless it is square with
-    finite nonnegative entries."""
+    """``M`` as a float array; raises ValueError unless it is square and
+    non-empty with finite nonnegative entries."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError(f"{name} must be square and non-empty, got shape {M.shape}")
     _check_entries(M, name)
     return M
 

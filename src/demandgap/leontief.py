@@ -47,7 +47,7 @@ from .exchange import (
     _vector,
     check_equilibrium,
 )
-from .solvers import CONE_TOL, PF_TOL, _dominant, _irreducible, _solve_nonneg
+from .solvers import CONE_TOL, PF_TOL, _dominant, _period, _solve_nonneg
 
 RHO_TOL = 1e-6
 
@@ -469,11 +469,13 @@ def solve_national_equilibrium(
     demand columns ``[X | Cf | E]`` — the guaranteed seed ``(1 + pi, 1, 1)``
     is used whenever it fits within ``CONE_TOL``, and nonnegative least
     squares runs only when it does not; (b) form the scaled production
-    matrix ``A(y)[i, j] = a_ij y_j / pi_i`` and compute its spectral radius
-    and left Perron vector in one call to the verified eigen kernel (the
-    spectral radius of a reducible ``A(y)`` comes from its full spectrum);
-    (c) read the candidate prices ``p ∝ left / pi`` of the value system
-    off that vector; (d) check the closure identities for the household
+    matrix ``A(y)[i, j] = a_ij y_j / pi_i``, test its graph once for
+    irreducibility and period, and compute its spectral radius and left
+    Perron vector in one call to the verified eigen kernel, which runs no
+    power step when ``A(y)`` is periodic (the spectral radius of a
+    reducible ``A(y)`` comes from its full spectrum); (c) read the
+    candidate prices ``p ∝ left / pi`` of the value system off that
+    vector; (d) check the closure identities for the household
     and trade scales and the positivity side conditions.  The diagnostics
     name the kernel's path in ``perron_method``.
 
@@ -533,8 +535,9 @@ def solve_national_equilibrium(
     # left(A(y)) / pi.
     A_y = A * y[None, :m]
     A_y /= acc.pi[:, None]
-    reducible = not _irreducible(A_y)
-    rho_m, left, _, _, method = _dominant(A_y.T)
+    period = _period(A_y)
+    reducible = not period
+    rho_m, left, _, _, method = _dominant(A_y.T, period)
     if reducible:
         rho = float(np.abs(np.linalg.eigvals(A_y)).max()) if m > 1 else float(A_y[0, 0])
     else:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -36,18 +38,39 @@ def power_steps(M: np.ndarray) -> int:
     when its budget is far beyond the one it gets in use."""
     from demandgap.solvers import _dominant
 
-    _, _, steps, _, method = _dominant(M, 100_000)
+    _, _, steps, _, method = _dominant(M, budget=100_000)
     assert method == "power"
     return steps
 
 
-def perron_path(M: np.ndarray) -> tuple[str, int]:
-    """The ``(method, iterations)`` that ``perron_eigen`` documents for
-    ``M``: each side has ``min(PF_MAX_ITER, 2 n)`` power steps, a side that
-    needs more falls back to the dense solve after spending them all, and
-    after a fallback on the right side the left side spends none."""
-    from demandgap.solvers import PF_MAX_ITER
+def cycle_gcd(M: np.ndarray) -> int:
+    """Reference period of the digraph of ``M``: the gcd of the lengths
+    k <= n of its closed walks, ``trace(adj^k) > 0``, from boolean matrix
+    powers (0 when it has no cycle)."""
+    adj = M > 0
+    walks = adj.copy()
+    period = 0
+    for k in range(1, M.shape[0] + 1):
+        if walks.diagonal().any():
+            period = math.gcd(period, k)
+        walks = (walks.astype(np.int64) @ adj) > 0
+    return period
 
+
+def perron_path(M: np.ndarray) -> tuple[str, int]:
+    """The ``(method, iterations)`` that ``perron_eigen`` documents for an
+    irreducible ``M``.  A periodic ``M`` runs no power step: each side is
+    answered by the uniform start vector or goes to the dense solve.
+    Otherwise each side has ``min(PF_MAX_ITER, 2 n)`` power steps, a side
+    that needs more falls back to the dense solve after spending them all,
+    and after a fallback on the right side the left side spends none."""
+    from demandgap.solvers import PF_MAX_ITER, PF_TOL
+
+    if cycle_gcd(M) > 1:
+        # the uniform vector is exact when every row sum equals their mean
+        sums = [A.sum(axis=1) for A in (M, M.T)]
+        exact = all(float(np.abs(s - s.mean()).max()) <= PF_TOL for s in sums)
+        return ("power" if exact else "dense"), 0
     budget = min(PF_MAX_ITER, 2 * M.shape[0])
     right, left = power_steps(M), power_steps(M.T)
     if right > budget:

@@ -31,7 +31,7 @@ from demandgap import (
     supply_vector,
     synthesize_property,
 )
-from demandgap.solvers import PF_MAX_ITER
+from demandgap.solvers import PF_MAX_ITER, _dominant
 from demandgap.structure import RepresentationParts
 from demandgap.fixtures import (
     random_consistent_accounts,
@@ -367,12 +367,22 @@ class TestNationalEquilibrium:
         assert sol.diagnostics["seed_used"] and sol.certified
 
     @pytest.mark.parametrize("m", [24, 40])
-    def test_cyclic_supply_chain_certifies(self, m):
+    def test_cyclic_supply_chain_certifies(self, m, monkeypatch):
+        steps = []
+
+        def counted(*args):
+            out = _dominant(*args)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr("demandgap.leontief._dominant", counted)
         sol = solve_national_equilibrium(cyclic_accounts(m, m), strict=False)
         assert sol.certified
         assert abs(sol.rho - 1.0) <= 1e-6
         assert (sol.p > 0).all()
         assert sol.diagnostics["perron_method"] == "dense"
+        # A(y) is periodic, so the kernel runs no power step
+        assert steps == [0]
 
     def test_price_is_left_perron_vector_over_pi(self):
         for seed, m in ((6, 5), (7, 8), (8, 12)):

@@ -150,6 +150,7 @@ class TestRoundTrip:
             ("X", [[10.0, np.nan], [30.0, 10.0]], "X must be finite"),
             ("Imp", [5.0, -1.0], "Imp must be nonnegative"),
             ("Xout", [100.0], "Xout must have length 2, got 1"),
+            ("X", np.zeros((0, 0)), "X must be square and non-empty"),
         ],
     )
     def test_unreadable_table_is_not_written(self, tmp_path, field, value, message):

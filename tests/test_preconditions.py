@@ -231,6 +231,24 @@ def test_former_nan_holes_raise(call):
     assert err.type is ValueError
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_irreducible(np.zeros((0, 0))),
+        lambda: perron_eigen(np.zeros((0, 0))),
+        lambda: spectral_equilibrium(np.zeros((2, 0)), np.zeros((0, 0))),
+        lambda: unit_value_equilibrium(np.zeros((2, 0)), np.zeros((0, 0)), [1.0, 1.0]),
+        lambda: IOAccounts(X=np.zeros((0, 0)), Xout=[], Cf=[], E=[], Imp=[], pi=[]),
+    ],
+    ids=["is_irreducible", "perron_eigen", "spectral", "unit_value", "IOAccounts"],
+)
+def test_empty_matrix_raises_value_error(call):
+    # the graph test used to index vertex 0 and raise IndexError
+    with pytest.raises(ValueError, match="must be square and non-empty") as err:
+        call()
+    assert err.type is ValueError
+
+
 def test_synthesis_rejects_nan_demand():
     econ, p, parts = _equilibrium()
     C = econ.C.copy()

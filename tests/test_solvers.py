@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import dense_perron_oracle, interior_cone_instance, perron_path, random_irreducible
+from conftest import (
+    cycle_gcd,
+    dense_perron_oracle,
+    interior_cone_instance,
+    perron_path,
+    random_irreducible,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
@@ -19,7 +25,8 @@ from demandgap import (
     spectral_equilibrium,
     unit_value_equilibrium,
 )
-from demandgap.solvers import PF_MAX_ITER, PF_TOL, _dominant
+from demandgap import solvers
+from demandgap.solvers import PF_MAX_ITER, PF_TOL, _dominant, _period
 
 
 class TestIrreducibility:
@@ -47,7 +54,28 @@ class TestIrreducibility:
     )
     def test_agrees_with_scipy_strong_components(self, n, seed, density, kind):
         M = _graph_case(n, seed, density, kind)
-        assert is_irreducible(M) == _scipy_irreducible(M)
+        period = _period(M)
+        assert is_irreducible(M) == (period > 0) == _scipy_irreducible(M)
+        assert period in (0, cycle_gcd(M))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "periodic", "one-loop"]),
+    )
+    def test_period_matches_cycle_gcd(self, n, seed, kind):
+        if kind == "one-loop":
+            # a pure cycle with exactly one positive diagonal entry: primitive
+            order = np.random.default_rng(seed).permutation(n)
+            M = np.zeros((n, n))
+            M[order, np.roll(order, -1)] = 1.0
+            M[order[0], order[0]] = 0.5
+        else:
+            M = _irreducible_case(n, seed, kind)
+        period = _period(M)
+        assert period == cycle_gcd(M)
+        assert is_irreducible(M) == (period > 0) == _scipy_irreducible(M)
 
     def test_long_weighted_cycle(self):
         # a pure cycle is the longest sweep: n steps in each direction
@@ -57,8 +85,10 @@ class TestIrreducibility:
         M = np.zeros((n, n))
         M[order, np.roll(order, -1)] = rng.uniform(0.5, 2.0, n)
         assert is_irreducible(M) and _scipy_irreducible(M)
+        assert _period(M) == n
         M[order[n // 2], order[n // 2 + 1]] = 0.0
         assert not is_irreducible(M) and not _scipy_irreducible(M)
+        assert _period(M) == 0
 
 
 def _scipy_irreducible(M: np.ndarray) -> bool:
@@ -156,17 +186,36 @@ class TestPerronEigen:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 19, 24])
     def test_pure_cycle_spends_one_budget(self, n):
-        # power iteration cannot converge on a pure cycle, so the right side
-        # spends its whole budget and the transpose, which has the same
-        # spectrum, goes straight to the dense solve
+        # a pure n-cycle has period n, so power iteration cannot converge on
+        # it: both sides run no power step, and with unequal weights the
+        # start vector is not exact, so the dense solve answers
         rng = np.random.default_rng(n)
         order = rng.permutation(n)
         M = np.zeros((n, n))
         M[order, np.roll(order, -1)] = rng.uniform(0.5, 2.0, n)
         result = perron_eigen(M)
         assert result.method == "dense"
-        assert result.iterations == min(PF_MAX_ITER, 2 * n)
+        assert result.iterations == 0
         assert result.residual <= PF_TOL
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[0.0, 1e300], [1e300, 0.0]],
+            [[0.0, 2.5, 0.0], [0.0, 0.0, 2.5], [2.5, 0.0, 0.0]],
+            np.kron([[0.0, 1.0], [1.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]]),
+        ],
+        ids=["two-cycle-1e300", "three-cycle", "period-2-blocks"],
+    )
+    def test_equal_row_sums_are_answered_by_the_start_vector(self, M):
+        # periodic, but every row and column sum is equal, so the uniform
+        # start vector is the exact Perron vector on both sides; eig would
+        # leave a residual of about 3e284 on the 1e300 matrix
+        assert _period(np.asarray(M)) > 1
+        result = perron_eigen(M)
+        assert (result.method, result.iterations, result.residual) == ("power", 0, 0.0)
+        np.testing.assert_array_equal(result.right, np.ones(len(M)))
+        np.testing.assert_array_equal(result.left, np.ones(len(M)))
 
     def test_no_convergence_reports_the_budget_spent(self):
         # two 2-cycles of root 1, the first with access to the second:
@@ -175,7 +224,7 @@ class TestPerronEigen:
         M[0, 1] = M[1, 0] = M[2, 3] = M[3, 2] = M[0, 2] = 1.0
         for budget, spent in ((None, 8), (0, 0)):
             with pytest.raises(NoConvergence) as exc:
-                _dominant(M.T, budget)
+                _dominant(M.T, budget=budget)
             assert exc.value.iterations == spent
 
 
@@ -227,8 +276,8 @@ class TestPerronProperties:
     )
     def test_each_side_keeps_its_budget(self, n, seed, kind):
         M = _irreducible_case(n, seed, kind)
-        budget = min(PF_MAX_ITER, 2 * n)
-        sides = [_dominant(A) for A in (M, M.T)]
+        budget = 0 if cycle_gcd(M) > 1 else min(PF_MAX_ITER, 2 * n)
+        sides = [_dominant(A, budget=budget) for A in (M, M.T)]
         for A, (rho, v, steps, residual, method) in zip((M, M.T), sides):
             assert steps <= budget
             assert method == "power" or steps == budget
@@ -237,6 +286,7 @@ class TestPerronProperties:
         (_, _, it_r, _, method_r), (_, _, it_l, _, _) = sides
         result = perron_eigen(M)
         assert result.iterations == it_r + (0 if method_r == "dense" else it_l)
+        assert (result.method, result.iterations) == perron_path(M)
         assert result.residual <= PF_TOL
 
 
@@ -335,6 +385,29 @@ class TestSpectralEquilibrium:
     def test_reducible_factor_rejected(self):
         with pytest.raises(NotIrreducible):
             spectral_equilibrium(np.eye(2), [[1.0, 1.0], [0.0, 1.0]])
+
+    def test_periodic_factor_takes_the_dense_path(self, monkeypatch):
+        # B1 has period 2, and the column sums of its row-normalised form
+        # differ, so the start vector is not exact: no power step, then eig
+        B1 = np.array(
+            [[0.0, 0.0, 1.0, 3.0], [0.0, 0.0, 2.0, 1.0], [1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0]]
+        )
+        paths = []
+
+        def recorded(*args):
+            out = _dominant(*args)
+            paths.append(out[2:])
+            return out
+
+        monkeypatch.setattr(solvers, "_dominant", recorded)
+        y = B1.sum(axis=1)
+        _, stationary = dense_perron_oracle((B1 / y[:, None]).T)
+        budget = stationary / y
+        C, _ = interior_cone_instance(np.random.default_rng(9), 4, 4, budget / budget.max())
+        result = spectral_equilibrium(C, B1)
+        assert [(steps, method) for steps, _, method in paths] == [(0, "dense")]
+        assert paths[0][1] <= PF_TOL
+        assert result.report.is_equilibrium
 
     def test_budget_outside_cone(self):
         # demand rows collinear on (1, 1), but the factor prices bundles (1, 2)
