@@ -221,13 +221,20 @@ def _normalized_price(p, n: int) -> np.ndarray:
     return q
 
 
-def _scales(econ: ExchangeEconomy, q: np.ndarray) -> np.ndarray:
-    """Demand scales at the normalized price ``q``."""
+def _scales(econ: ExchangeEconomy, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Demand scales at the normalized price ``q``, and the demand values
+    ``C^T q`` they divide by."""
     demand_value = econ.C.T @ q
     bad = np.flatnonzero(demand_value <= DEFAULT_TOL_POS)
     if bad.size:
         raise ZeroDemandValue(int(bad[0]), float(demand_value[bad[0]]))
-    return (econ.B.T @ q) / demand_value
+    return (econ.B.T @ q) / demand_value, demand_value
+
+
+def _proportional(psi_bar, y, demand_value, psi_bar_value: float) -> np.ndarray:
+    """The rank-one part: the scaled supply ``psi_bar`` split among the
+    consumers in shares ``y_i <C_i, q> / <psi_bar, q>``, given ``C^T q``."""
+    return np.outer(psi_bar, y * demand_value / psi_bar_value)
 
 
 def _classify(
@@ -248,10 +255,10 @@ def _positions(mask: np.ndarray) -> tuple[int, ...]:
 
 def _clearing(
     econ: ExchangeEconomy, q: np.ndarray, tol: float
-) -> tuple[EquilibriumReport, np.ndarray]:
+) -> tuple[EquilibriumReport, np.ndarray, np.ndarray]:
     """The clearing verdict of :func:`check_equilibrium` at the normalized
-    price ``q``, and the demand scales it was computed from."""
-    y = _scales(econ, q)
+    price ``q``, and the demand scales and values it was computed from."""
+    y, demand_value = _scales(econ, q)
     psi = econ.total_supply()
     demand = econ.C @ y
     residual = demand - psi
@@ -274,7 +281,7 @@ def _clearing(
         is_equilibrium=not violated_set,
         zero_price_on_deficit=bool((q[strict] <= DEFAULT_TOL_POS).all()),
         tol=tol,
-    ), y
+    ), y, demand_value
 
 
 def demand_scales(econ: ExchangeEconomy, p) -> np.ndarray:
@@ -284,7 +291,7 @@ def demand_scales(econ: ExchangeEconomy, p) -> np.ndarray:
     not positive, which signals a violated support precondition on the
     demand matrix.
     """
-    return _scales(econ, _normalized_price(p, econ.n))
+    return _scales(econ, _normalized_price(p, econ.n))[0]
 
 
 def excess_demand(econ: ExchangeEconomy, p) -> np.ndarray:
@@ -388,8 +395,7 @@ def verify_certificate(
         diag["transfers"] = "psi_bar has zero value at p"
         return CertificateReport(False, tuple(failed), diag)
 
-    shares = y * demand_value / psi_bar_value
-    D = econ.B - np.outer(psi_bar, shares)
+    D = econ.B - _proportional(psi_bar, y, demand_value, psi_bar_value)
     value_gap = np.abs(D.T @ q) / np.maximum(1.0, np.abs(econ.B.T @ q))
     sum_gap = np.abs(D.sum(axis=1) - (psi - psi_bar)) / scale
     diag["transfers"] = float(max(value_gap.max(), sum_gap.max()))

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exchange import ExchangeEconomy, as_price
+from .exchange import ExchangeEconomy, _proportional, as_price
 from .leontief import IOAccounts
-from .structure import RepresentationParts, _proportional, clearing_basis, synthesize_property
+from .structure import RepresentationParts, clearing_basis, synthesize_property
 
 __all__ = [
     "economy_e1",
@@ -105,7 +105,8 @@ def random_equilibrium(
             raw += rng.uniform(0.1, 0.6, (len(J), 1)) / l
         d0[J, :] = raw
 
-    base = _proportional(C, C @ y, y, q, I)
+    psi_bar = C @ y
+    base = _proportional(psi_bar, y, C.T @ q, float(psi_bar @ q))
     pert = G @ delta + d0
     mask = pert < 0
     alpha = 1.0
@@ -124,7 +125,13 @@ def random_equilibrium(
 
 def random_value_accounts(seed, m: int, pi=None) -> IOAccounts:
     """Strictly positive value accounts (no balance imposed); useful for
-    identities that hold for arbitrary tables."""
+    identities that hold for arbitrary tables, such as ``sum D = sum S``.
+
+    Gross value added is often negative: on seeds 0-49 it is for 3 of 50
+    tables at ``m = 15``, 25 at ``m = 20`` and all 50 at ``m = 34`` and
+    ``38``, and :func:`analyze_accounts` raises :class:`NonpositiveGDP` on
+    such a table.  A caller that needs a valid table uses
+    :func:`random_consistent_accounts`."""
     rng = _rng(seed)
     if pi is None:
         pi = rng.uniform(0.0, 1.0, m)

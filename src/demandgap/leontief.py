@@ -334,7 +334,7 @@ def check_aggregation_agreement(
     """True when the aggregated clearing inequalities at ``p_u`` hold and
     their equality pattern matches the aggregation of the disaggregated
     equilibrium at ``p0``."""
-    report, y = _clearing(econ, _normalized_price(p0, econ.n), tol)
+    report, y, _ = _clearing(econ, _normalized_price(p0, econ.n), tol)
     if not report.is_equilibrium:
         raise NotAnEquilibrium(
             f"p0 is not an equilibrium (violations on {report.violated_set})"
@@ -505,7 +505,8 @@ def solve_national_equilibrium(
 
     A = acc.coefficients()
     C_big = np.column_stack([acc.X, acc.Cf, acc.E])
-    target = acc.Xout + acc.Imp + acc.X @ acc.pi
+    taxed_use = acc.X @ acc.pi
+    target = acc.Xout + acc.Imp + taxed_use
 
     seed = np.concatenate([1.0 + acc.pi, [1.0, 1.0]])
     residual = C_big @ seed - target
@@ -569,7 +570,7 @@ def solve_national_equilibrium(
     closure_tol = max(RHO_TOL, tol)
     if cf_value > DEFAULT_TOL_POS:
         household_scale = float(
-            (((1.0 - acc.pi) * acc.Xout) @ p + p @ (acc.X @ acc.pi)) / cf_value
+            (((1.0 - acc.pi) * acc.Xout) @ p + p @ taxed_use) / cf_value
         )
         diag["closure_household"] = abs(household_scale - y[m]) / max(1.0, abs(y[m]))
     else:

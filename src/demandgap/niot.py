@@ -10,6 +10,12 @@ changes are kept as separate columns for auditability; the model consumes
 their sum.  A ``meta.csv`` in the same directory carries
 ``country,year,currency``.
 
+The ``m + 5`` numeric cells of the body rows form one ``(m, m + 5)``
+block: ``X`` followed by the five fixed columns, which fill the table
+fields ``fc, gcf, E, Imp, Xout``.  The parser reads each row of the block
+in one pass and names a faulty cell by its header column; the serializer
+writes one row of the same block per industry.
+
 Upstream spreadsheets vary by vintage, so this module parses only the
 normalized layout; converting a published workbook into it is a documented,
 user-side step.  Totals are recomputed internally and never trusted from
@@ -23,6 +29,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +40,9 @@ from .leontief import IOAccounts
 
 __all__ = ["NiotTable", "parse_niot", "serialize_niot", "parse_pi", "parse_blocks"]
 
+# The columns after the X block, and the NiotTable field each one fills.
 _FIXED_COLUMNS = ("final_consumption", "gcf_inventory", "export", "import", "gross_output")
+_FIXED_FIELDS = ("fc", "gcf", "E", "Imp", "Xout")
 
 
 @dataclass(frozen=True)
@@ -128,12 +137,8 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
 
     first_row: dict[int, int] = {}  # declared index -> its row, in file order
     names: list[str] = []
-    X = np.zeros((m, m))
-    fc = np.zeros(m)
-    gcf = np.zeros(m)
-    E = np.zeros(m)
-    Imp = np.zeros(m)
-    Xout = np.zeros(m)
+    columns = header[2:]  # the numeric block's column names, checked above
+    block = np.empty((m, len(columns)))
     for k, row in enumerate(body, start=1):
         if len(row) != len(header):
             raise SchemaError(k, None, f"expected {len(header)} cells, found {len(row)}")
@@ -147,14 +152,11 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
             )
         first_row[index] = k
         names.append(row[1].strip())
-        for i in range(m):
-            X[k - 1, i] = _parse_cell(row[2 + i], k, f"X_{i + 1}", clamp_negative)
-        tail = row[2 + m:]
-        fc[k - 1] = _parse_cell(tail[0], k, "final_consumption", clamp_negative)
-        gcf[k - 1] = _parse_cell(tail[1], k, "gcf_inventory", clamp_negative)
-        E[k - 1] = _parse_cell(tail[2], k, "export", clamp_negative)
-        Imp[k - 1] = _parse_cell(tail[3], k, "import", clamp_negative)
-        Xout[k - 1] = _parse_cell(tail[4], k, "gross_output", clamp_negative)
+        # map adds no Python frame, so the clamping warning's stacklevel
+        # still points at the caller of parse_niot
+        block[k - 1] = list(
+            map(_parse_cell, row[2:], repeat(k), columns, repeat(clamp_negative))
+        )
 
     country, year, currency = "XXX", 0, "value units"
     meta_path = path.parent / "meta.csv"
@@ -182,12 +184,8 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
         currency=currency,
         indices=tuple(first_row),
         names=tuple(names),
-        X=X,
-        fc=fc,
-        gcf=gcf,
-        E=E,
-        Imp=Imp,
-        Xout=Xout,
+        X=block[:, :m].copy(),
+        **{name: block[:, m + j].copy() for j, name in enumerate(_FIXED_FIELDS)},
     )
 
 
@@ -201,9 +199,10 @@ def serialize_niot(table: NiotTable, path) -> None:
     ``indices`` and ``names`` have one entry per industry with no index
     repeated, so that :func:`parse_niot` can read the table back.
     """
-    m = _nonneg_square(table.X, "X").shape[0]
-    for name in ("fc", "gcf", "E", "Imp", "Xout"):
-        _vector(getattr(table, name), m, name)
+    X = _nonneg_square(table.X, "X")
+    m = X.shape[0]
+    fixed = [_vector(getattr(table, name), m, name) for name in _FIXED_FIELDS]
+    block = np.column_stack([X, *fixed])
     for name in ("indices", "names"):
         labels = getattr(table, name)
         if len(labels) != m:
@@ -215,18 +214,8 @@ def serialize_niot(table: NiotTable, path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_expected_header(m))
-        for k in range(m):
-            writer.writerow(
-                [table.indices[k], table.names[k]]
-                + [repr(float(v)) for v in table.X[k]]
-                + [
-                    repr(float(table.fc[k])),
-                    repr(float(table.gcf[k])),
-                    repr(float(table.E[k])),
-                    repr(float(table.Imp[k])),
-                    repr(float(table.Xout[k])),
-                ]
-            )
+        for index, name, values in zip(table.indices, table.names, block.tolist()):
+            writer.writerow([index, name, *map(repr, values)])
     with (path.parent / "meta.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["country", "year", "currency"])

@@ -38,6 +38,7 @@ from .exchange import (
     _classify,
     _clearing,
     _normalized_price,
+    _proportional,
     as_price,
 )
 
@@ -96,16 +97,16 @@ def _check_case(case: str, name: str = "case") -> None:
 
 def _cleared_support(
     econ: ExchangeEconomy, p, I, case: str, tol: float, name: str = "case"
-) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The normalized price, its exact support ``I`` with the complement
-    mask, the demand scales ``y`` and the scaled demand ``C y``; raises
-    NotAnEquilibrium unless demand never exceeds supply at ``p``, with no
-    deficit at all in the ``exact`` case and none on the support in the
-    ``partial`` one."""
+    mask, the demand scales ``y``, the scaled demand ``C y`` and the demand
+    values ``C^T q``; raises NotAnEquilibrium unless demand never exceeds
+    supply at ``p``, with no deficit at all in the ``exact`` case and none
+    on the support in the ``partial`` one."""
     _check_case(case, name)
     q = _normalized_price(p, econ.n)
     idx, off = _exact_support(q, I)
-    report, y = _clearing(econ, q, tol)
+    report, y, demand_value = _clearing(econ, q, tol)
     if report.violated_set:
         raise NotAnEquilibrium(f"demand exceeds supply on goods {report.violated_set}")
     if case == "exact" and report.strict_set:
@@ -115,7 +116,7 @@ def _cleared_support(
     on_support = sorted(set(report.strict_set) & set(idx))
     if on_support:
         raise NotAnEquilibrium(f"deficits on the price support {on_support}")
-    return q, idx, off, y, report.demand
+    return q, idx, off, y, report.demand, demand_value
 
 
 @dataclass(frozen=True)
@@ -234,28 +235,26 @@ def synthesize_property(
         raise ValueError(f"d0 shape {parts.d0.shape} does not match C {C.shape}")
     q = _normalized_price(p, n)
     _exact_support(q, parts.I)
-    P = _proportional(C, C @ parts.y, parts.y, q, parts.I)
-    return _assemble(P, _clearing_matrix(q, parts.I)[0], parts)
-
-
-def _proportional(
-    C: np.ndarray, psi_bar: np.ndarray, y: np.ndarray, q: np.ndarray, I
-) -> np.ndarray:
-    """The rank-one part ``psi_bar shares^T``: the scaled total demand
-    ``psi_bar = C y`` split among the consumers by the value of their
-    scaled demand at the normalized price ``q``."""
-    if (psi_bar[list(I)] <= 0).any():
-        raise ValueError("sum_i y_i C_i must be strictly positive on the support")
+    psi_bar = C @ parts.y
+    _check_supplied(psi_bar, parts.I)
     demand_value = C.T @ q
     if (demand_value <= DEFAULT_TOL_POS).any():
         raise ValueError("every consumer must demand something on the support")
-    return np.outer(psi_bar, y * demand_value / float(psi_bar @ q))
+    P = _proportional(psi_bar, parts.y, demand_value, float(psi_bar @ q))
+    return _assemble(P, _clearing_matrix(q, parts.I)[0], parts)
+
+
+def _check_supplied(psi_bar: np.ndarray, I) -> None:
+    """Raise ValueError unless the scaled demand ``psi_bar = C y`` is
+    positive on the support ``I``."""
+    if (psi_bar[list(I)] <= 0).any():
+        raise ValueError("sum_i y_i C_i must be strictly positive on the support")
 
 
 def _assemble(P: np.ndarray, G: np.ndarray, parts: RepresentationParts) -> np.ndarray:
     """The property matrix of validated ``parts`` with the rank-one part
-    ``P`` of :func:`_proportional` and the clearing basis ``G``; magnitudes
-    below the negativity tolerance are snapped to zero."""
+    ``P`` of :func:`exchange._proportional` and the clearing basis ``G``;
+    magnitudes below the negativity tolerance are snapped to zero."""
     B = P + G @ parts.a + parts.d0
     neg_tol = 1e-12 * max(1.0, float(np.abs(B).max()))
     if B.min() < -neg_tol:
@@ -283,10 +282,12 @@ def decompose_property(
     The clearing-basis expansion is gauged by the uniform ``1/l``
     symmetrisation, so repeated decompositions are deterministic.
     """
-    q, idx, off, y, psi_bar = _cleared_support(econ, p, I, case, tol)
-    if float(psi_bar @ q) <= DEFAULT_TOL_POS:
+    q, idx, off, y, psi_bar, demand_value = _cleared_support(econ, p, I, case, tol)
+    psi_bar_value = float(psi_bar @ q)
+    if psi_bar_value <= DEFAULT_TOL_POS:
         raise NotAnEquilibrium("the economy has no valued supply at this price")
-    P = _proportional(econ.C, psi_bar, y, q, idx)
+    _check_supplied(psi_bar, idx)
+    P = _proportional(psi_bar, y, demand_value, psi_bar_value)
     D = econ.B - P
 
     d1, d0 = D[~off], np.where(off[:, None], D, 0.0)
@@ -355,7 +356,7 @@ def degenerate_transform(
     zero); ``mode='partial'`` starts from a deficit-carrying equilibrium and
     shrinks off-support supply down to demand (column sums nonpositive).
     """
-    _, idx, off, y, _ = _cleared_support(econ, p, I, mode, tol, "mode")
+    _, idx, off, y, _, _ = _cleared_support(econ, p, I, mode, tol, "mode")
     B_bar = econ.B.copy()
     B_bar[off, :] = econ.C[off, :] * y[None, :]
     transfer = B_bar - econ.B

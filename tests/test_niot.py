@@ -109,6 +109,61 @@ class TestParse:
         assert err.value.row == 2
 
 
+# Each fault kind and the error it raises; the toy body's cells at row 2.
+FAULTS = {
+    "x": (SchemaError, "not a number: 'x'"),
+    "nan": (SchemaError, "non-finite value 'nan'"),
+    "inf": (SchemaError, "non-finite value 'inf'"),
+    "-3": (NegativeValue, "negative value -3.0"),
+}
+TOY_ROW_2 = ["2", "Beta", "30", "10", "25", "5", "10", "15", "100"]
+
+
+class TestCellLabels:
+    """A faulty numeric cell is named by its row and its header column."""
+
+    @pytest.mark.parametrize("text", sorted(FAULTS))
+    @pytest.mark.parametrize(
+        "column",
+        ["X_2", "final_consumption", "gcf_inventory", "export", "import", "gross_output"],
+    )
+    def test_fault_names_row_and_column(self, tmp_path, column, text):
+        row = list(TOY_ROW_2)
+        row[HEADER.split(",").index(column)] = text
+        table = write_toy(tmp_path, body=["1,Alpha,10,20,40,10,20,5,100", ",".join(row)])
+        error, reason = FAULTS[text]
+        with pytest.raises(error) as err:
+            parse_niot(table)
+        assert type(err.value) is error
+        assert (err.value.row, err.value.col) == (2, column)
+        assert str(err.value) == f"schema error at row 2, column {column!r}: {reason}" + (
+            " (clamping is off)" if error is NegativeValue else ""
+        )
+
+    def test_clamped_cells_warn_in_file_order(self, tmp_path):
+        table = write_toy(
+            tmp_path,
+            body=["1,Alpha,10,20,40,10,-20,5,100", "2,Beta,-30,10,25,5,10,15,100"],
+        )
+        with pytest.warns(RuntimeWarning) as record:
+            parsed = parse_niot(table, clamp_negative=True)
+        assert [str(w.message) for w in record] == [
+            "clamping negative cell at row 1, column export: -20.0",
+            "clamping negative cell at row 2, column X_1: -30.0",
+        ]
+        assert {w.filename for w in record} == {__file__}  # the caller of parse_niot
+        assert parsed.E[0] == 0.0 and parsed.X[1, 0] == 0.0
+
+    def test_first_fault_in_the_row_is_reported(self, tmp_path):
+        table = write_toy(
+            tmp_path,
+            body=["1,Alpha,10,-20,40,x,20,5,100", "2,Beta,30,10,25,5,10,15,100"],
+        )
+        with pytest.raises(NegativeValue) as err:
+            parse_niot(table)
+        assert (err.value.row, err.value.col, err.value.value) == (1, "X_2", -20.0)
+
+
 class TestRoundTrip:
     def test_lossless_values(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -45,7 +45,7 @@ from demandgap import (
     unit_value_equilibrium,
     verify_certificate,
 )
-from demandgap import exchange, leontief, solvers
+from demandgap import exchange, leontief, solvers, structure
 from demandgap.fixtures import (
     economy_e1,
     random_consistent_accounts,
@@ -411,6 +411,34 @@ class TestCheckedOnce:
         solve_national_equilibrium(toy_accounts(), strict=False)  # the seed does not fit
         assert shapes == [(2, 4)]
         assert cone_checks == []
+
+
+
+class TestOneSplit:
+    """Synthesis, decomposition and the certificate share one rank-one split."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        calls = []
+        split = exchange._proportional
+
+        def counted(*args):
+            calls.append(args)
+            return split(*args)
+
+        for module in (exchange, structure):  # the callers on the paths under test
+            monkeypatch.setattr(module, "_proportional", counted)
+        return calls
+
+    def test_each_call_splits_once(self, splits):
+        econ, p, parts = random_equilibrium(3, n=5, l=4, support=3)
+        splits.clear()
+        synthesize_property(econ.C, p, parts)
+        assert len(splits) == 1
+        decompose_property(econ, p, parts.I)
+        assert len(splits) == 2
+        assert verify_certificate(econ, p, parts.y, econ.C @ parts.y).ok
+        assert len(splits) == 3
 
 
 def test_objects_freeze_views_not_the_callers_arrays():
