@@ -222,8 +222,7 @@ def _normalized_price(p, n: int) -> np.ndarray:
 
 
 def _scales(econ: ExchangeEconomy, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Demand scales at the normalized price ``q``, and the demand values
-    ``C^T q`` they divide by."""
+    """Demand scales at the normalized price ``q``, and the values ``C^T q``."""
     demand_value = econ.C.T @ q
     bad = np.flatnonzero(demand_value <= DEFAULT_TOL_POS)
     if bad.size:

@@ -126,12 +126,9 @@ def random_equilibrium(
 def random_value_accounts(seed, m: int, pi=None) -> IOAccounts:
     """Strictly positive value accounts (no balance imposed); useful for
     identities that hold for arbitrary tables, such as ``sum D = sum S``.
-
-    Gross value added is often negative: on seeds 0-49 it is for 3 of 50
-    tables at ``m = 15``, 25 at ``m = 20`` and all 50 at ``m = 34`` and
-    ``38``, and :func:`analyze_accounts` raises :class:`NonpositiveGDP` on
-    such a table.  A caller that needs a valid table uses
-    :func:`random_consistent_accounts`."""
+    Gross value added is negative on 3 of seeds 0-49 at m = 15, 25 at m = 20
+    and all 50 at m = 34 and 38, where :func:`analyze_accounts` raises
+    NonpositiveGDP; use :func:`random_consistent_accounts` for a valid table."""
     rng = _rng(seed)
     if pi is None:
         pi = rng.uniform(0.0, 1.0, m)

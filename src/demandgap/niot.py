@@ -152,11 +152,8 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
             )
         first_row[index] = k
         names.append(row[1].strip())
-        # map adds no Python frame, so the clamping warning's stacklevel
-        # still points at the caller of parse_niot
-        block[k - 1] = list(
-            map(_parse_cell, row[2:], repeat(k), columns, repeat(clamp_negative))
-        )
+        # map adds no frame, so the clamping warning still names parse_niot's caller
+        block[k - 1] = list(map(_parse_cell, row[2:], repeat(k), columns, repeat(clamp_negative)))
 
     country, year, currency = "XXX", 0, "value units"
     meta_path = path.parent / "meta.csv"
