@@ -1,7 +1,8 @@
 """Command-line workflow: analyze, equilibrium, demo.
 
-Exit codes: 0 success, 2 schema error, 3 computation/config error,
-4 equilibrium not certified.
+Exit codes: 0 success, 2 schema error (any unreadable, undecodable or
+malformed input file), 3 computation/config error (an unwritable ``--out``
+included), 4 equilibrium not certified.
 """
 
 from __future__ import annotations
@@ -81,6 +82,18 @@ def _load(args) -> tuple:
     return table, acc, names, indices
 
 
+def _emit(args, table, reports: dict[str, str], summary, *data) -> None:
+    """Write each report to ``--out`` as ``<country>_<year>_<suffix>``, then
+    print the first report whose suffix has the ``--format`` extension, or
+    ``summary(country, year, *data)`` for ``--format text``."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for suffix, text in reports.items():
+        (out / f"{table.country}_{table.year}_{suffix}").write_text(text)
+    shown = [text for suffix, text in reports.items() if suffix.endswith(f".{args.format}")]
+    sys.stdout.write(shown[0] if shown else summary(table.country, table.year, *data))
+
+
 def _cmd_analyze(args) -> int:
     table, acc, names, indices = _load(args)
     report = analyze_accounts(acc, names=names, indices=indices, tol=args.tol, top=args.top)
@@ -91,19 +104,12 @@ def _cmd_analyze(args) -> int:
         report,
         diagnostics={"currency": table.currency, "tol": args.tol},
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = f"{table.country}_{table.year}"
-    (out / f"{stem}_report.json").write_text(reporting.to_json(payload))
-    (out / f"{stem}_deficit.csv").write_text(reporting.deficit_csv(report))
-    (out / f"{stem}_histogram.csv").write_text(reporting.histogram_csv(report))
-
-    if args.format == "json":
-        sys.stdout.write(reporting.to_json(payload))
-    elif args.format == "csv":
-        sys.stdout.write(reporting.deficit_csv(report))
-    else:
-        sys.stdout.write(reporting.analysis_text(table.country, table.year, report))
+    reports = {
+        "report.json": reporting.to_json(payload),
+        "deficit.csv": reporting.deficit_csv(report),
+        "histogram.csv": reporting.histogram_csv(report),
+    }
+    _emit(args, table, reports, reporting.analysis_text, report)
     return EXIT_OK
 
 
@@ -112,17 +118,8 @@ def _cmd_equilibrium(args) -> int:
     solution = solve_national_equilibrium(acc, tol=args.tol, strict=False)
     balance = check_value_equilibrium(acc, tol=args.tol)
     payload = reporting.equilibrium_dict(table.country, table.year, acc.pi, solution, balance)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = f"{table.country}_{table.year}"
-    (out / f"{stem}_equilibrium.json").write_text(reporting.to_json(payload))
-
-    if args.format == "json":
-        sys.stdout.write(reporting.to_json(payload))
-    else:
-        sys.stdout.write(
-            reporting.equilibrium_text(table.country, table.year, solution, balance)
-        )
+    reports = {"equilibrium.json": reporting.to_json(payload)}
+    _emit(args, table, reports, reporting.equilibrium_text, solution, balance)
     return EXIT_OK if solution.certified else EXIT_UNCERTIFIED
 
 
@@ -147,7 +144,7 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (DemandGapError, ValueError) as e:
+    except (DemandGapError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_COMPUTE
 

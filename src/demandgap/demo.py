@@ -124,13 +124,15 @@ def run_demo(spec: str, seed: int | None = None) -> dict:
     """Run a named demonstration and return its transcript.
 
     ``spec`` is ``E1``, ``E2``, or ``random:seed=42,n=4,l=3,I=2`` (all
-    parameters optional).  ``seed`` overrides the seed parameter.
+    parameters optional; any other key is :class:`UnknownFixture`).
+    ``seed`` overrides the seed parameter; the fixed fixtures take no seed
+    (ValueError).
     """
     spec = spec.strip()
-    if spec == "E1":
-        return round6(_e1_transcript())
-    if spec == "E2":
-        return round6(_e2_transcript())
+    if spec in ("E1", "E2"):
+        if seed is not None:
+            raise ValueError(f"fixture {spec} takes no seed")
+        return round6(_e1_transcript() if spec == "E1" else _e2_transcript())
     if spec == "random" or spec.startswith("random:"):
         params: dict = {}
         if ":" in spec:
@@ -138,9 +140,9 @@ def run_demo(spec: str, seed: int | None = None) -> dict:
             for token in body.split(","):
                 if not token.strip():
                     continue
-                if "=" not in token:
+                key, eq, value = token.partition("=")
+                if not eq or key.strip() not in ("seed", "n", "l", "I"):
                     raise UnknownFixture(spec)
-                key, value = token.split("=", 1)
                 params[key.strip()] = value.strip()
         if seed is not None:
             params["seed"] = seed

@@ -7,8 +7,11 @@ The normalized table is a CSV with the exact header
 and one row per supplying industry k (``X_i`` is the value of good k used
 by industry i).  Final consumption and gross capital formation / inventory
 changes are kept as separate columns for auditability; the model consumes
-their sum.  A ``meta.csv`` in the same directory carries
-``country,year,currency``.
+their sum.  A ``meta.csv`` in the same directory carries the header
+``country,year,currency`` and one row of those three cells; the country
+names the report files, so it must be a single path component.  An input
+file that cannot be opened, decoded or split into cells is a
+:class:`SchemaError`, and rows of blank cells are skipped.
 
 The ``m + 5`` numeric cells of the body rows form one ``(m, m + 5)``
 block: ``X`` followed by the five fixed columns, which fill the table
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -96,6 +100,15 @@ def _expected_header(m: int) -> list[str]:
     )
 
 
+def _read_rows(path: Path, what: str = "") -> list[list[str]]:
+    """The CSV rows of ``path`` that have a non-blank cell."""
+    try:
+        with path.open(newline="") as fh:
+            return [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
+    except (OSError, UnicodeError, csv.Error) as e:
+        raise SchemaError(None, None, f"cannot read {what}{path}: {e}") from e
+
+
 def _parse_cell(text: str, row: int, col: str, clamp_negative: bool) -> float:
     try:
         value = float(text)
@@ -118,12 +131,7 @@ def _parse_cell(text: str, row: int, col: str, clamp_negative: bool) -> float:
 def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
     """Parse a normalized table CSV (and ``meta.csv`` beside it)."""
     path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as e:
-        raise SchemaError(None, None, f"cannot read {path}: {e}") from e
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    rows = _read_rows(path)
     if not rows:
         raise SchemaError(None, None, "empty table file")
 
@@ -164,11 +172,15 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
             stacklevel=2,
         )
     else:
-        with meta_path.open(newline="") as fh:
-            meta_rows = [r for r in csv.reader(fh) if r]
+        meta_rows = _read_rows(meta_path)
         if len(meta_rows) < 2 or [h.strip() for h in meta_rows[0]] != ["country", "year", "currency"]:
             raise SchemaError(0, None, "meta.csv must have header country,year,currency")
+        if len(meta_rows[1]) != 3:
+            raise SchemaError(1, None, f"expected 3 cells, found {len(meta_rows[1])}")
         country = meta_rows[1][0].strip()
+        # the country names the report files, so it must stay one path component
+        if any(c in country for c in (os.sep, os.altsep, "\0") if c):
+            raise SchemaError(1, "country", f"not a single path component: {country!r}")
         try:
             year = int(meta_rows[1][1])
         except ValueError:
@@ -226,11 +238,7 @@ def parse_pi(text: str) -> float | np.ndarray:
     except ValueError:
         pass
     path = Path(text)
-    try:
-        with path.open(newline="") as fh:
-            cells = [c for row in csv.reader(fh) for c in row if c.strip()]
-    except OSError as e:
-        raise SchemaError(None, None, f"cannot read pi file {path}: {e}") from e
+    cells = [c for row in _read_rows(path, "pi file ") for c in row if c.strip()]
     if not cells:
         raise SchemaError(None, None, f"pi file {path} is empty")
     try:
@@ -245,7 +253,7 @@ def parse_blocks(path) -> tuple[tuple[int, ...], ...]:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeError) as e:
         raise SchemaError(None, None, f"cannot read map file {path}: {e}") from e
     blocks = []
     for ln, line in enumerate(lines, start=1):

@@ -49,12 +49,15 @@ def round6(obj):
     return obj
 
 
+def _head(country: str, year: int, pi) -> dict:
+    """The fields every JSON report opens with."""
+    return {"country": country, "year": year, "pi": round6(np.asarray(pi, dtype=float))}
+
+
 def analysis_dict(country: str, year: int, pi, report: RecessionReport, diagnostics=None) -> dict:
     """Recession analysis in the fixed JSON field order."""
     return {
-        "country": country,
-        "year": year,
-        "pi": round6(np.asarray(pi, dtype=float)),
+        **_head(country, year, pi),
         "D": round6(report.D),
         "S": round6(report.S),
         "deficit": round6(report.deficit),
@@ -77,9 +80,7 @@ def equilibrium_dict(
     balance: ValueBalanceReport,
 ) -> dict:
     return {
-        "country": country,
-        "year": year,
-        "pi": round6(np.asarray(pi, dtype=float)),
+        **_head(country, year, pi),
         "rho": round6(solution.rho),
         "certified": bool(solution.certified),
         "equality_set": list(solution.I),
@@ -96,39 +97,37 @@ def to_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def deficit_csv(report: RecessionReport) -> str:
     """Per-industry deficit table, one row per industry."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["industry_index", "industry_name", "demand", "supply", "deficit", "creates_recession"]
-    )
     recession = set(report.recession_set)
-    for pos, idx in enumerate(report.indices):
-        writer.writerow(
-            [
-                idx,
-                report.names[pos],
-                f"{report.D[pos]:.6g}",
-                f"{report.S[pos]:.6g}",
-                f"{report.deficit[pos]:.6g}",
-                int(idx in recession),
-            ]
-        )
-    return buf.getvalue()
+    return _csv([
+        ["industry_index", "industry_name", "demand", "supply", "deficit", "creates_recession"],
+        *(
+            [idx, name, f"{D:.6g}", f"{S:.6g}", f"{deficit:.6g}", int(idx in recession)]
+            for idx, name, D, S, deficit in zip(
+                report.indices, report.names, report.D, report.S, report.deficit
+            )
+        ),
+    ])
 
 
 def histogram_csv(report: RecessionReport) -> str:
     """Two-sided histogram data: supply bars on the right, demand
     shortfalls (negative deficits only) on the left, industries ordered
     upwards.  The supply column sums to gross output plus imports."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["industry_index", "shortfall_left", "supply_right"])
-    for pos, idx in enumerate(report.indices):
-        shortfall = report.deficit[pos] if report.deficit[pos] < 0 else 0.0
-        writer.writerow([idx, f"{shortfall:.6g}", f"{report.S[pos]:.6g}"])
-    return buf.getvalue()
+    return _csv([
+        ["industry_index", "shortfall_left", "supply_right"],
+        *(
+            [idx, f"{deficit if deficit < 0 else 0.0:.6g}", f"{S:.6g}"]
+            for idx, deficit, S in zip(report.indices, report.deficit, report.S)
+        ),
+    ])
 
 
 def analysis_text(country: str, year: int, report: RecessionReport) -> str:
@@ -137,17 +136,16 @@ def analysis_text(country: str, year: int, report: RecessionReport) -> str:
         f"(gross value added {report.gdp:.6g})",
         f"recession-creating industries: {list(report.recession_set)}",
         "",
-        "most sensitive (shortfall / gross output):",
     ]
-    for row in report.rankings.get("sensitive", []):
-        lines.append(
+    for mode, title in (
+        ("sensitive", "most sensitive (shortfall / gross output)"),
+        ("contributing", "most contributing (absolute shortfall)"),
+    ):
+        lines.append(f"{title}:")
+        lines += [
             f"  {row.index:>3} {row.name[:52]:<52} reduction {row.demand_reduction:>14.6g}"
-        )
-    lines.append("most contributing (absolute shortfall):")
-    for row in report.rankings.get("contributing", []):
-        lines.append(
-            f"  {row.index:>3} {row.name[:52]:<52} reduction {row.demand_reduction:>14.6g}"
-        )
+            for row in report.rankings.get(mode, [])
+        ]
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,17 @@
 """Command-line workflow and report emission."""
 
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import inputless_accounts
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandgap.cli import main
 from demandgap.fixtures import toy_accounts
@@ -274,3 +281,167 @@ class TestDemo:
 
     def test_unknown_fixture_exit_code(self, capsys):
         assert main(["demo", "E3"]) == 3
+
+    @pytest.mark.parametrize("spec", ["random:sed=5", "random:seed=5,m=3", "random:seed=5,n"])
+    def test_unknown_random_key_exit_code(self, spec, capsys):
+        assert main(["demo", spec]) == 3
+        assert capsys.readouterr().err == (
+            f"error: unknown fixture {spec!r}; try E1, E2 or random:...\n"
+        )
+
+    @pytest.mark.parametrize("fixture", ["E1", "E2"])
+    def test_seed_of_a_fixed_fixture_exit_code(self, fixture, capsys):
+        assert main(["demo", fixture, "--seed", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: fixture {fixture} takes no seed\n"
+        assert captured.out == ""
+
+
+def _one_line(err: str) -> str:
+    """The only line of ``err`` (a fault is one line, never a traceback)."""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+@pytest.fixture
+def inputs(toy_table, tmp_path):
+    """The toy table, its meta.csv, a pi file and an identity map."""
+    (tmp_path / "pi.csv").write_text("0.5,0.25\n")
+    (tmp_path / "map.txt").write_text("# identity\n1\n2\n")
+    return {
+        "table": toy_table,
+        "meta": tmp_path / "meta.csv",
+        "pi": tmp_path / "pi.csv",
+        "map": tmp_path / "map.txt",
+    }
+
+
+def _argv(command, inputs, out):
+    return [
+        command, str(inputs["table"]), "--out", str(out),
+        "--pi", str(inputs["pi"]), "--aggregate", str(inputs["map"]),
+    ]
+
+
+class TestFileFaults:
+    """Every input-file fault exits 2 with one schema error line, and an
+    unwritable --out exits 3 with one error line."""
+
+    @pytest.mark.parametrize(
+        "name, what", [("table", ""), ("meta", ""), ("pi", "pi file "), ("map", "map file ")]
+    )
+    @pytest.mark.parametrize("command", ["analyze", "equilibrium"])
+    def test_undecodable_bytes(self, command, name, what, inputs, tmp_path, capsys):
+        path = inputs[name]
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert main(_argv(command, inputs, tmp_path / "out")) == 2
+        assert _one_line(capsys.readouterr().err).startswith(
+            f"schema error: schema error at file: cannot read {what}{path}: "
+            "'utf-8' codec can't decode byte 0xff"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_over_long_cell(self, inputs, tmp_path, capsys):
+        table = inputs["table"]
+        table.write_text(table.read_text().replace("Alpha", "A" * (1 << 18)))
+        assert main(_argv("analyze", inputs, tmp_path / "out")) == 2
+        assert _one_line(capsys.readouterr().err) == (
+            f"schema error: schema error at file: cannot read {table}: "
+            "field larger than field limit (131072)"
+        )
+
+    def test_meta_is_a_directory(self, inputs, tmp_path, capsys):
+        meta = inputs["meta"]
+        meta.unlink()
+        meta.mkdir()
+        assert main(_argv("analyze", inputs, tmp_path / "out")) == 2
+        assert _one_line(capsys.readouterr().err) == (
+            f"schema error: schema error at file: cannot read {meta}: "
+            f"[Errno 21] Is a directory: '{meta}'"
+        )
+
+    @pytest.mark.parametrize("row", ["TOY,2010", "../x,2010,MUAH", "A/B,2010,MUAH", "T\0Y,2010,MUAH"])
+    def test_bad_meta_row(self, row, inputs, tmp_path, capsys):
+        inputs["meta"].write_text(f"country,year,currency\n{row}\n")
+        out = tmp_path / "deep" / "out"
+        assert main(_argv("analyze", inputs, out)) == 2
+        assert _one_line(capsys.readouterr().err).startswith("schema error: schema error at row 1")
+        assert not (tmp_path / "deep").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "equilibrium"])
+    def test_out_names_a_file(self, command, inputs, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(_argv(command, inputs, out)) == 3
+        assert _one_line(capsys.readouterr().err) == (
+            f"error: [Errno 17] File exists: '{out}'"
+        )
+        assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_each_report_is_rendered_once(fmt, toy_table, tmp_path, capsys, monkeypatch):
+    from demandgap import reporting
+
+    calls = []
+    for name in ("to_json", "deficit_csv", "histogram_csv", "analysis_text"):
+        real = getattr(reporting, name)
+        monkeypatch.setattr(
+            reporting, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    out = tmp_path / "out"
+    assert main(["analyze", str(toy_table), "--out", str(out), "--format", fmt]) == 0
+    shown = {"json": "report.json", "csv": "deficit.csv"}.get(fmt)
+    stdout = capsys.readouterr().out
+    if shown:
+        assert stdout == (out / f"TOY_2010_{shown}").read_text()
+    assert sorted(calls) == sorted(
+        ["to_json", "deficit_csv", "histogram_csv"] + (["analysis_text"] if fmt == "text" else [])
+    )
+
+
+# The four input files of a run, by file name, and the bytes a mutation puts in.
+TOY_FILES = {
+    "toy.csv": (HEADER + "\n1,Alpha,10,20,40,10,20,5,100\n2,Beta,30,10,25,5,10,15,100\n").encode(),
+    "meta.csv": b"country,year,currency\nTOY,2010,MUAH\n",
+    "pi.csv": b"0.5,0.25\n",
+    "map.txt": b"# identity\n1\n2\n",
+}
+NOISE = [b"\x00", b"\xff", b'"', b"/", b"#", b"\n", b"\r", b",", b".", b"-", b"9", b"e"]
+
+
+@st.composite
+def mutated_file(draw):
+    """One input file with bytes deleted, inserted or replaced, or truncated."""
+    name = draw(st.sampled_from(sorted(TOY_FILES)))
+    data = TOY_FILES[name]
+    at = draw(st.integers(0, len(data)))
+    op = draw(st.sampled_from(["delete", "insert", "replace", "truncate"]))
+    if op == "truncate":
+        return name, data[:at]
+    if op == "delete":
+        return name, data[:at] + data[at + draw(st.integers(1, 4)):]
+    noise = b"".join(draw(st.lists(st.sampled_from(NOISE), min_size=1, max_size=3)))
+    return name, data[:at] + noise + data[at + (op == "replace"):]
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(change=mutated_file(), command=st.sampled_from(["analyze", "equilibrium"]))
+def test_no_input_file_fault_escapes_main(change, command):
+    name, data = change
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp) / "in" / "toy"  # a "../" country stays inside tmp
+        folder.mkdir(parents=True)
+        for file, content in TOY_FILES.items():
+            (folder / file).write_bytes(data if file == name else content)
+        argv = [
+            command, str(folder / "toy.csv"), "--out", str(folder / "out"),
+            "--pi", str(folder / "pi.csv"), "--aggregate", str(folder / "map.txt"),
+        ]
+        # the property is about exceptions and exit codes, so warnings are only recorded
+        with warnings.catch_warnings(record=True), contextlib.redirect_stdout(
+            io.StringIO()
+        ), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
+            assert main(argv) in (0, 2, 3, 4)

@@ -274,3 +274,109 @@ class TestConfig:
         np.testing.assert_array_equal(table.to_accounts(pi=[0.5, 0.6]).pi, [0.5, 0.6])
         with pytest.raises(ValueError, match="length 2"):
             table.to_accounts(pi=[0.5, 0.6, 0.7])
+
+
+class TestReaderMessages:
+    """Each reader fault names its file, row and column in a fixed message."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                ["1,Alpha,10,20,40,10,20,5", "2,Beta,30,10,25,5,10,15,100"],
+                "schema error at row 1: expected 9 cells, found 8",
+            ),
+            (
+                ["1,Alpha,10,20,40,10,20,5,100", "two,Beta,30,10,25,5,10,15,100"],
+                "schema error at row 2, column 'industry_index': not an integer: 'two'",
+            ),
+        ],
+        ids=["cell-count", "industry-index"],
+    )
+    def test_table_row_faults(self, tmp_path, body, message):
+        with pytest.raises(SchemaError) as err:
+            parse_niot(write_toy(tmp_path, body=body))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ("nation,year,currency\nTOY,2010,MUAH\n", "schema error at row 0: meta.csv must have header country,year,currency"),
+            ("country,year,currency\n", "schema error at row 0: meta.csv must have header country,year,currency"),
+            ("country,year,currency\nTOY, 20x0 ,MUAH\n", "schema error at row 1, column 'year': not an integer: ' 20x0 '"),
+        ],
+        ids=["header", "no-row", "year"],
+    )
+    def test_meta_faults(self, tmp_path, meta, message):
+        with pytest.raises(SchemaError) as err:
+            parse_niot(write_toy(tmp_path, meta=meta))
+        assert str(err.value) == message
+
+    def test_missing_table(self, tmp_path):
+        path = tmp_path / "nope.csv"
+        with pytest.raises(SchemaError) as err:
+            parse_niot(path)
+        assert str(err.value) == (
+            f"schema error at file: cannot read {path}: "
+            f"[Errno 2] No such file or directory: '{path}'"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read pi file {path}: [Errno 2] No such file or directory: '{path}'"),
+            (" , \n\n", "pi file {path} is empty"),
+            ("0.5,half\n", "pi file {path}: could not convert string to float: 'half'"),
+        ],
+        ids=["missing", "empty", "not-a-number"],
+    )
+    def test_pi_file_faults(self, tmp_path, text, message):
+        path = tmp_path / "pi.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SchemaError) as err:
+            parse_pi(str(path))
+        assert str(err.value) == "schema error at file: " + message.format(path=path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "at file: cannot read map file {path}: [Errno 2] No such file or directory: '{path}'"),
+            ("# comment only\n\n", "at file: map file {path} has no blocks"),
+            ("1,2\n# next\n3, x\n", "at row 3: bad block line: '3, x'"),
+        ],
+        ids=["missing", "no-blocks", "bad-line"],
+    )
+    def test_map_file_faults(self, tmp_path, text, message):
+        path = tmp_path / "map.txt"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SchemaError) as err:
+            parse_blocks(path)
+        assert str(err.value) == "schema error " + message.format(path=path)
+
+
+class TestMetaRow:
+    """meta.csv holds one row of three cells, and its country is one path
+    component, because it names the report files."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("TOY,2010", "schema error at row 1: expected 3 cells, found 2"),
+            ("TOY", "schema error at row 1: expected 3 cells, found 1"),
+            ("TOY,2010,MUAH,extra", "schema error at row 1: expected 3 cells, found 4"),
+            ("../x,2010,MUAH", "schema error at row 1, column 'country': not a single path component: '../x'"),
+            ("A/B,2010,MUAH", "schema error at row 1, column 'country': not a single path component: 'A/B'"),
+            ("T\0Y,2010,MUAH", "schema error at row 1, column 'country': not a single path component: 'T\\x00Y'"),
+        ],
+        ids=["two-cells", "one-cell", "four-cells", "parent-dir", "subdir", "nul"],
+    )
+    def test_bad_row(self, tmp_path, row, message):
+        with pytest.raises(SchemaError) as err:
+            parse_niot(write_toy(tmp_path, meta=f"country,year,currency\n{row}\n"))
+        assert str(err.value) == message
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        table = parse_niot(write_toy(tmp_path, meta="\ncountry,year,currency\n , ,\nTOY,2010,MUAH\n"))
+        assert (table.country, table.year, table.currency) == ("TOY", 2010, "MUAH")
