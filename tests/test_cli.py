@@ -304,23 +304,28 @@ def _one_line(err: str) -> str:
     return lines[0]
 
 
+# The four input files of a run, by file name, and the bytes a mutation puts in.
+TOY_FILES = {
+    "toy.csv": (HEADER + "\n1,Alpha,10,20,40,10,20,5,100\n2,Beta,30,10,25,5,10,15,100\n").encode(),
+    "meta.csv": b"country,year,currency\nTOY,2010,MUAH\n",
+    "pi.csv": b"0.5,0.25\n",
+    "map.txt": b"# identity\n1\n2\n",
+}
+NOISE = [b"\x00", b"\xff", b'"', b"/", b"#", b"\n", b"\r", b",", b".", b"-", b"9", b"e"]
+
+
 @pytest.fixture
-def inputs(toy_table, tmp_path):
-    """The toy table, its meta.csv, a pi file and an identity map."""
-    (tmp_path / "pi.csv").write_text("0.5,0.25\n")
-    (tmp_path / "map.txt").write_text("# identity\n1\n2\n")
-    return {
-        "table": toy_table,
-        "meta": tmp_path / "meta.csv",
-        "pi": tmp_path / "pi.csv",
-        "map": tmp_path / "map.txt",
-    }
+def inputs(tmp_path):
+    """A folder holding the four toy input files."""
+    for name, data in TOY_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    return tmp_path
 
 
-def _argv(command, inputs, out):
+def _argv(command, folder, out):
     return [
-        command, str(inputs["table"]), "--out", str(out),
-        "--pi", str(inputs["pi"]), "--aggregate", str(inputs["map"]),
+        command, str(folder / "toy.csv"), "--out", str(out),
+        "--pi", str(folder / "pi.csv"), "--aggregate", str(folder / "map.txt"),
     ]
 
 
@@ -329,11 +334,12 @@ class TestFileFaults:
     unwritable --out exits 3 with one error line."""
 
     @pytest.mark.parametrize(
-        "name, what", [("table", ""), ("meta", ""), ("pi", "pi file "), ("map", "map file ")]
+        "name, what",
+        [("toy.csv", ""), ("meta.csv", ""), ("pi.csv", "pi file "), ("map.txt", "map file ")],
     )
     @pytest.mark.parametrize("command", ["analyze", "equilibrium"])
     def test_undecodable_bytes(self, command, name, what, inputs, tmp_path, capsys):
-        path = inputs[name]
+        path = inputs / name
         path.write_bytes(path.read_bytes() + b"\xff\n")
         assert main(_argv(command, inputs, tmp_path / "out")) == 2
         assert _one_line(capsys.readouterr().err).startswith(
@@ -343,7 +349,7 @@ class TestFileFaults:
         assert not (tmp_path / "out").exists()
 
     def test_over_long_cell(self, inputs, tmp_path, capsys):
-        table = inputs["table"]
+        table = inputs / "toy.csv"
         table.write_text(table.read_text().replace("Alpha", "A" * (1 << 18)))
         assert main(_argv("analyze", inputs, tmp_path / "out")) == 2
         assert _one_line(capsys.readouterr().err) == (
@@ -352,7 +358,7 @@ class TestFileFaults:
         )
 
     def test_meta_is_a_directory(self, inputs, tmp_path, capsys):
-        meta = inputs["meta"]
+        meta = inputs / "meta.csv"
         meta.unlink()
         meta.mkdir()
         assert main(_argv("analyze", inputs, tmp_path / "out")) == 2
@@ -363,7 +369,7 @@ class TestFileFaults:
 
     @pytest.mark.parametrize("row", ["TOY,2010", "../x,2010,MUAH", "A/B,2010,MUAH", "T\0Y,2010,MUAH"])
     def test_bad_meta_row(self, row, inputs, tmp_path, capsys):
-        inputs["meta"].write_text(f"country,year,currency\n{row}\n")
+        (inputs / "meta.csv").write_text(f"country,year,currency\n{row}\n")
         out = tmp_path / "deep" / "out"
         assert main(_argv("analyze", inputs, out)) == 2
         assert _one_line(capsys.readouterr().err).startswith("schema error: schema error at row 1")
@@ -401,16 +407,6 @@ def test_each_report_is_rendered_once(fmt, toy_table, tmp_path, capsys, monkeypa
     )
 
 
-# The four input files of a run, by file name, and the bytes a mutation puts in.
-TOY_FILES = {
-    "toy.csv": (HEADER + "\n1,Alpha,10,20,40,10,20,5,100\n2,Beta,30,10,25,5,10,15,100\n").encode(),
-    "meta.csv": b"country,year,currency\nTOY,2010,MUAH\n",
-    "pi.csv": b"0.5,0.25\n",
-    "map.txt": b"# identity\n1\n2\n",
-}
-NOISE = [b"\x00", b"\xff", b'"', b"/", b"#", b"\n", b"\r", b",", b".", b"-", b"9", b"e"]
-
-
 @st.composite
 def mutated_file(draw):
     """One input file with bytes deleted, inserted or replaced, or truncated."""
@@ -435,13 +431,9 @@ def test_no_input_file_fault_escapes_main(change, command):
         folder.mkdir(parents=True)
         for file, content in TOY_FILES.items():
             (folder / file).write_bytes(data if file == name else content)
-        argv = [
-            command, str(folder / "toy.csv"), "--out", str(folder / "out"),
-            "--pi", str(folder / "pi.csv"), "--aggregate", str(folder / "map.txt"),
-        ]
         # the property is about exceptions and exit codes, so warnings are only recorded
         with warnings.catch_warnings(record=True), contextlib.redirect_stdout(
             io.StringIO()
         ), contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("always")
-            assert main(argv) in (0, 2, 3, 4)
+            assert main(_argv(command, folder, folder / "out")) in (0, 2, 3, 4)
