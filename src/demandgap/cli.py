@@ -8,7 +8,9 @@ included), 4 equilibrium not certified.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -83,13 +85,34 @@ def _load(args) -> tuple:
 
 
 def _emit(args, table, reports: dict[str, str], summary, *data) -> None:
-    """Write each report to ``--out`` as ``<country>_<year>_<suffix>``, then
-    print the first report whose suffix has the ``--format`` extension, or
-    ``summary(country, year, *data)`` for ``--format text``."""
+    """Write every report to ``--out`` as ``<country>_<year>_<suffix>``, or
+    none, then print the first report whose suffix has the ``--format``
+    extension, or ``summary(country, year, *data)`` for ``--format text``.
+
+    Each report is written to a hidden temporary beside its target, and the
+    temporaries replace their targets only once all of them are written, so
+    a write that fails leaves no file of the run and every existing report
+    as it was.  A target that is a directory fails before anything is
+    written."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for suffix, text in reports.items():
-        (out / f"{table.country}_{table.year}_{suffix}").write_text(text)
+    paths = [out / f"{table.country}_{table.year}_{suffix}" for suffix in reports]
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    written: list[Path] = []
+    try:
+        for path, text in zip(paths, reports.values()):
+            tmp = path.with_name(f".{path.name}.tmp")
+            with open(tmp, "w") as fh:
+                written.append(tmp)
+                fh.write(text)
+        for tmp, path in zip(written, paths):
+            tmp.replace(path)
+    except BaseException:
+        for tmp in written:
+            tmp.unlink(missing_ok=True)
+        raise
     shown = [text for suffix, text in reports.items() if suffix.endswith(f".{args.format}")]
     sys.stdout.write(shown[0] if shown else summary(table.country, table.year, *data))
 

@@ -167,3 +167,9 @@ class UnknownFixture(DemandGapError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"unknown fixture {name!r}; try E1, E2 or random:...")
+
+
+__all__ = [
+    name for name, obj in list(globals().items())
+    if isinstance(obj, type) and issubclass(obj, DemandGapError)
+]

@@ -91,6 +91,16 @@ def _nonneg_square(M, name: str = "M") -> np.ndarray:
     return M
 
 
+def _hold_read_only(obj, **fields: np.ndarray) -> None:
+    """Set each field of the frozen dataclass ``obj`` to a read-only view
+    of its checked array.  A view, not a copy: the caller's array stays
+    writeable, and editing it in place edits ``obj`` behind its checks."""
+    for name, arr in fields.items():
+        arr = arr.view()
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 def total_supply(B) -> np.ndarray:
     """Total supply ``psi_k = sum_i B[k, i]`` (sum over consumers).
 
@@ -128,10 +138,7 @@ class ExchangeEconomy:
             )
         _check_entries(C, "C and B")
         _check_entries(B, "C and B")
-        for name, arr in (("C", C), ("B", B)):
-            arr = arr.view()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _hold_read_only(self, C=C, B=B)
 
     @property
     def n(self) -> int:
@@ -158,13 +165,11 @@ class PriceVector:
     p: np.ndarray
 
     def __post_init__(self):
-        # reshape returns a new view, so freezing it leaves the caller's array writeable
         p = np.asarray(self.p, dtype=float).reshape(-1)
         _check_entries(p, "prices")
         if not (p > 0).any():
             raise ValueError("price vector must be nonzero")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
+        _hold_read_only(self, p=p)
 
     def normalized(self) -> np.ndarray:
         """Prices scaled to money price 1 (max-norm 1 when money is free)."""

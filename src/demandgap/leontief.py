@@ -21,6 +21,7 @@ ingestion at declared prices.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,6 +42,7 @@ from .exchange import (
     _check_tol,
     _classify,
     _clearing,
+    _hold_read_only,
     _nonneg_square,
     _normalized_price,
     _positions,
@@ -106,12 +108,7 @@ class IOAccounts:
             pi = np.full(m, float(pi[0]))
         if pi.shape[0] != m:
             raise ValueError(f"pi must have length {m}, got {pi.shape[0]}")
-        for name, arr in [
-            ("X", X), ("Xout", Xout), ("Cf", Cf), ("E", E), ("Imp", Imp), ("pi", pi),
-        ]:
-            arr = arr.view()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _hold_read_only(self, X=X, Xout=Xout, Cf=Cf, E=E, Imp=Imp, pi=pi)
 
     @classmethod
     def from_physical(cls, A, x, p, cf, e, imp, pi) -> "IOAccounts":
@@ -481,8 +478,11 @@ def solve_national_equilibrium(
 
     Every share must be positive, after the override of
     :func:`demand_vector` that gives an industry buying no inputs an
-    effective share of 0 (with the same warning); otherwise
-    :class:`ZeroDenominator` names the positions.  A table with no
+    effective share of 0 (with the same warning), and at least
+    ``2 max(1, y) max(1, A)`` over the largest float, so that no entry of
+    ``A(y)``, of the price system or of ``p`` can overflow when divided by
+    it; otherwise :class:`ZeroDenominator` names the positions, before any
+    division by them.  A table with no
     intermediate flows at all has ``A(y) = 0`` whatever the shares, so its
     configured shares stand and the solve reports ``rho = 0``.
 
@@ -529,6 +529,18 @@ def solve_national_equilibrium(
             float(residual[over].max()), fit_tol * max(1.0, float(target[over].max()))
         )
     I, J = _positions(inside), _positions(below)
+
+    # Row i of A(y), y_i and the Perron entry left_i <= 1 are divided by
+    # pi_i, and M scales column i of A by y_i / pi_i.  None of these
+    # quotients exceeds max(1, y) max(1, A) / pi_i, so a share that puts
+    # twice that bound out of the float range is refused, as a zero share is.
+    bound = 2.0 * max(1.0, float(y[:m].max())) * max(1.0, float(A.max()))
+    tiny = acc.pi * sys.float_info.max < bound
+    if tiny.any():
+        raise ZeroDenominator(
+            f"pi at positions {np.flatnonzero(tiny).tolist()} "
+            "(taxation shares too small: dividing by them can overflow)"
+        )
 
     # One eigen call on A(y)^T serves the spectral radius and the prices:
     # the price system diag(y/pi) A^T p = p has the matrix

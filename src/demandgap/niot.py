@@ -42,7 +42,7 @@ from .errors import NegativeValue, SchemaError
 from .exchange import _nonneg_square, _vector
 from .leontief import IOAccounts
 
-__all__ = ["NiotTable", "parse_niot", "serialize_niot", "parse_pi", "parse_blocks"]
+__all__ = ["NiotTable", "parse_niot", "serialize_niot"]
 
 # The columns after the X block, and the NiotTable field each one fills.
 _FIXED_COLUMNS = ("final_consumption", "gcf_inventory", "export", "import", "gross_output")

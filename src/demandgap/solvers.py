@@ -236,8 +236,9 @@ def _dominant(
     answer reports the whole budget as its iterations.
 
     The callers pass checked matrices or, in the national solve, a product
-    of checked arrays, which a subnormal share can overflow; the maximum
-    taken for the shift rejects an infinite or NaN entry with ValueError.
+    of checked arrays divided by shares that the solve has checked for
+    overflow; the maximum taken for the shift still rejects an infinite
+    or NaN entry with ValueError.
     """
     n = M.shape[0]
     if budget is None:

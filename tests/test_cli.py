@@ -248,6 +248,17 @@ class TestEquilibrium:
         assert "pi at positions [2]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_share_too_small_to_divide_by_exits_three(self, toy_table, tmp_path, capsys):
+        pi = tmp_path / "pi.csv"
+        pi.write_text("1e-310,1.0\n")
+        code = main(["equilibrium", str(toy_table), "--pi", str(pi), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert _one_line(capsys.readouterr().err) == (
+            "error: zero denominator: pi at positions [0] "
+            "(taxation shares too small: dividing by them can overflow)"
+        )
+        assert not (tmp_path / "o").exists()
+
 
 class TestDemo:
     def test_e1_fixture(self, capsys):
@@ -331,7 +342,7 @@ def _argv(command, folder, out):
 
 class TestFileFaults:
     """Every input-file fault exits 2 with one schema error line, and an
-    unwritable --out exits 3 with one error line."""
+    unwritable --out exits 3 with one error line and writes no report."""
 
     @pytest.mark.parametrize(
         "name, what",
@@ -384,6 +395,28 @@ class TestFileFaults:
             f"error: [Errno 17] File exists: '{out}'"
         )
         assert out.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "taken, existing",
+        [
+            ("TOY_2010_deficit.csv", {}),
+            ("TOY_2010_deficit.csv", {"TOY_2010_report.json": "old\n", "TOY_2010_histogram.csv": ""}),
+            (".TOY_2010_histogram.csv.tmp", {"TOY_2010_report.json": "old\n"}),
+        ],
+    )
+    def test_failed_write_leaves_no_file(self, taken, existing, inputs, tmp_path, capsys):
+        # a directory where a report (or its temporary) goes makes one write fail
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        for name, text in existing.items():
+            (out / name).write_text(text)
+        assert main([*_argv("analyze", inputs, out), "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert _one_line(captured.err) == f"error: [Errno 21] Is a directory: '{out / taken}'"
+        assert captured.out == ""
+        assert sorted(f.name for f in out.iterdir()) == sorted([taken, *existing])
+        for name, text in existing.items():
+            assert (out / name).read_text() == text
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

@@ -451,3 +451,29 @@ class TestNationalEquilibrium:
         acc = toy_accounts(pi=(0.0, 1.0))
         with pytest.raises(ZeroDenominator):
             solve_national_equilibrium(acc, strict=False)
+
+    @pytest.mark.parametrize(
+        "pi0, X, final",
+        [
+            (1e-310, [[10.0, 20.0], [30.0, 10.0]], {}),  # A(y) overflows
+            (1e-310, [[0.0, 0.0], [30.0, 10.0]], {}),  # left / pi and y / pi overflow
+            # balanced, so the seed y = (1 + pi, 2, 1, 1) fits and a_01 y_1 = 1.9
+            (1e-308, [[5.0, 95.0], [30.0, 1.0]], dict(Cf=[1.0, 60.0], E=[1.0, 10.0], Imp=[2.0, 1.0])),
+        ],
+    )
+    def test_share_too_small_to_divide_by_rejected(self, pi0, X, final):
+        toy = toy_accounts()
+        final = {"Cf": toy.Cf, "E": toy.E, "Imp": toy.Imp, **final}
+        acc = IOAccounts(X=X, Xout=toy.Xout, pi=(pi0, 1.0), **final)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any division overflows
+            with pytest.raises(
+                ZeroDenominator,
+                match=r"pi at positions \[0\] \(taxation shares too small: dividing by them can overflow\)",
+            ):
+                solve_national_equilibrium(acc, strict=False)
+
+    def test_small_share_that_divides_finitely_is_solved(self):
+        sol = solve_national_equilibrium(toy_accounts(pi=(1e-300, 1.0)), strict=False)
+        assert not sol.certified
+        assert np.isfinite(sol.p).all() and np.isfinite(sol.diagnostics["value_equation_residual"])
