@@ -455,8 +455,8 @@ class TestNationalEquilibrium:
     @pytest.mark.parametrize(
         "pi0, X, final",
         [
-            (1e-310, [[10.0, 20.0], [30.0, 10.0]], {}),  # A(y) overflows
-            (1e-310, [[0.0, 0.0], [30.0, 10.0]], {}),  # left / pi and y / pi overflow
+            (1e-310, [[10.0, 20.0], [30.0, 10.0]], {}),  # A(y) would overflow
+            (1e-310, [[0.0, 0.0], [30.0, 10.0]], {}),  # left / pi and y / pi would overflow
             # balanced, so the seed y = (1 + pi, 2, 1, 1) fits and a_01 y_1 = 1.9
             (1e-308, [[5.0, 95.0], [30.0, 1.0]], dict(Cf=[1.0, 60.0], E=[1.0, 10.0], Imp=[2.0, 1.0])),
         ],
