@@ -50,9 +50,9 @@ class NotAnEquilibrium(DemandGapError):
 
 
 class RankDeficiency(DemandGapError):
-    """Internal error: a transfer or rank breaks a law that holds at a
-    valid equilibrium (single-good support, degenerating transfer sums,
-    degeneracy multiplicity bound)."""
+    """A numerical rank breaks the degeneracy multiplicity bound
+    ``n - |I|`` that holds at a valid equilibrium: the rank tolerance of
+    :func:`degeneracy_multiplicity` misjudged the residual columns."""
 
 
 class SupportMismatch(DemandGapError):

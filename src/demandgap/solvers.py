@@ -47,8 +47,11 @@ their spectrum, so power iteration converges at the same rate on both:
 when the right eigenvector falls back, the left one goes straight to
 ``eig``, and each spectrum falls back at most once.  Whichever path
 answers, the answer is checked: the vector is made nonnegative at max-norm
-1 and must satisfy ``max |M v - rho v| <= PF_TOL``, or
-:class:`NoConvergence` is raised; the tolerance is never loosened.
+1 and must satisfy ``max |M v - rho v| <= PF_TOL * min(1, |M|_inf)``, or
+:class:`NoConvergence` is raised; the tolerance is never loosened.  The
+bound shrinks with a matrix below unit norm, so a small matrix gets the
+relative accuracy of a unit one; above unit norm it stays the absolute
+``PF_TOL``.
 """
 
 from __future__ import annotations
@@ -229,7 +232,8 @@ def _dominant(
     Either way the vector is taken in absolute value at max-norm 1, the
     eigenvalue is its Rayleigh quotient on ``M`` (a weighted mean of the
     Collatz-Wielandt ratios ``(M v)_i / v_i``), and the pair is returned
-    only if ``max |M v - rho v| <= PF_TOL``; otherwise
+    only if ``max |M v - rho v| <= PF_TOL * min(1, |M|_inf)``, the
+    largest row sum read off the first product ``M @ 1``; otherwise
     :class:`NoConvergence` is raised with the budget spent.  Returns
     ``(rho, v, iterations, residual, method)`` with ``method`` ``"power"``
     (the start vector answers with 0 iterations) or ``"dense"``; a dense
@@ -251,22 +255,23 @@ def _dominant(
     shift = 1e-3 * top
     v = np.ones(n)
     mv = M @ v
+    bound = PF_TOL * min(1.0, float(mv.max()))  # M @ 1 is the row sums: |M|_inf
     rho, residual = _rayleigh(v, mv)
     it = 0
-    while residual > PF_TOL and it < budget:
+    while residual > bound and it < budget:
         w = mv + shift * v  # (M + eps I) v from the M v in hand: one product per step
         v = w / w.max()
         mv = M @ v
         rho, residual = _rayleigh(v, mv)
         it += 1
-    if residual <= PF_TOL:
+    if residual <= bound:
         return rho, v, it, residual, "power"
     vals, vecs = np.linalg.eig(M)
     v = np.abs(vecs[:, int(np.argmax(vals.real))])
     v = v / v.max()
     mv = M @ v
     rho, residual = _rayleigh(v, mv)
-    if not residual <= PF_TOL:
+    if not residual <= bound:
         raise NoConvergence(budget, residual)
     return rho, v, budget, residual, "dense"
 
@@ -281,11 +286,12 @@ def perron_eigen(M) -> PerronResult:
     """Dominant eigenvalue and strictly positive eigenvectors of an
     irreducible nonnegative matrix.
 
-    The pair is verified at ``max |M v - rho v| <= PF_TOL`` with ``v`` at
-    max-norm 1, an absolute tolerance on the scale of the matrix entries:
-    rescale a matrix far from unit scale (``rho`` scales with it, the
-    vectors do not) before the call.  The graph test that proves ``M``
-    irreducible also gives its period.  A periodic matrix (period > 1) has
+    The pair is verified at ``max |M v - rho v| <= PF_TOL * min(1,
+    |M|_inf)`` with ``v`` at max-norm 1 and ``|M|_inf`` the largest row
+    sum: below unit norm the bound is relative to the matrix, above it the
+    absolute ``PF_TOL``, so rescale a matrix far above unit norm (``rho``
+    scales with it, the vectors do not) before the call.  The graph test
+    that proves ``M`` irreducible also gives its period.  A periodic matrix (period > 1) has
     that many eigenvalues of modulus ``rho``, so power iteration cannot
     converge on it: each side runs no power step and, unless the uniform
     start vector is exact, goes to the dense solve.  On a primitive matrix

@@ -253,19 +253,26 @@ class TestPerronProperties:
         n=st.integers(2, 16),
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["random", "periodic"]),
+        log_scale=st.floats(-12.0, 0.0),
     )
-    def test_verified_positive_pair_in_collatz_wielandt_bracket(self, n, seed, kind):
+    def test_verified_positive_pair_in_collatz_wielandt_bracket(self, n, seed, kind, log_scale):
         M = _irreducible_case(n, seed, kind)
-        result = perron_eigen(M)
-        for vec, rho, A in ((result.right, result.rho, M), (result.left, result.rho_left, M.T)):
+        s = 10.0**log_scale
+        S = s * M
+        result = perron_eigen(S)
+        bounds = []
+        for vec, rho, A in ((result.right, result.rho, S), (result.left, result.rho_left, S.T)):
             assert (vec > 0).all()
             assert vec.max() == 1.0
-            assert float(np.abs(A @ vec - rho * vec).max()) <= PF_TOL
-        assert result.residual <= PF_TOL
+            # below unit norm the bound shrinks with the matrix: PF_TOL * |A|_inf
+            bounds.append(PF_TOL * min(1.0, float((A @ np.ones(n)).max())))
+            assert float(np.abs(A @ vec - rho * vec).max()) <= bounds[-1]
+        assert result.residual <= max(bounds)
+        assert result.rho / s == pytest.approx(perron_eigen(M).rho, rel=1e-9)
         # rho is the Rayleigh quotient of the right vector, a weighted mean
         # of the ratios (M v)_i / v_i; the slack covers rounding only
-        ratios = (M @ result.right) / result.right
-        slack = 1e-12 * max(1.0, result.rho)
+        ratios = (S @ result.right) / result.right
+        slack = 1e-12 * max(s, result.rho)
         assert ratios.min() - slack <= result.rho <= ratios.max() + slack
 
     @settings(max_examples=150, deadline=None, database=None)

@@ -207,6 +207,36 @@ class TestRoundTripProperty:
         )
 
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 8),
+        l=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+        slack=st.booleans(),
+        log_scale=st.integers(-3, 9),
+        tol=st.sampled_from([0.0, 1e-9, 1e-6]),
+    )
+    def test_what_clears_decomposes_and_degenerates(self, data, n, l, seed, slack, log_scale, tol):
+        support = data.draw(st.integers(1, n), label="support")
+        base, p, parts = random_equilibrium(seed, n=n, l=l, support=support, slack=slack)
+        econ = ExchangeEconomy(base.C, base.B * 10.0**log_scale)
+        report = check_equilibrium(econ, p, tol=tol)
+        if report.violated_set or set(report.strict_set) & set(parts.I):
+            return
+        psi = econ.total_supply()
+        band = tol * np.maximum(1.0, psi) + 4 * np.spacing(np.maximum(1.0, psi))
+        for case in ("exact", "partial"):
+            if case == "exact" and report.strict_set:
+                continue
+            _, residual = decompose_property(econ, p, I=parts.I, case=case, tol=tol)
+            assert residual <= 1e-15
+            net = degenerate_transform(econ, p, I=parts.I, mode=case, tol=tol).transfer.sum(axis=1)
+            assert (net <= band).all()
+            if case == "exact":
+                assert (net >= -band).all()
+
+
 class TestDecompose:
     def test_e1_uniform_gauge(self):
         econ, p = economy_e1()
