@@ -48,10 +48,7 @@ when the right eigenvector falls back, the left one goes straight to
 ``eig``, and each spectrum falls back at most once.  Whichever path
 answers, the answer is checked: the vector is made nonnegative at max-norm
 1 and must satisfy ``max |M v - rho v| <= PF_TOL * min(1, |M|_inf)``, or
-:class:`NoConvergence` is raised; the tolerance is never loosened.  The
-bound shrinks with a matrix below unit norm, so a small matrix gets the
-relative accuracy of a unit one; above unit norm it stays the absolute
-``PF_TOL``.
+:class:`NoConvergence` is raised; the tolerance is never loosened.
 """
 
 from __future__ import annotations
@@ -232,8 +229,7 @@ def _dominant(
     Either way the vector is taken in absolute value at max-norm 1, the
     eigenvalue is its Rayleigh quotient on ``M`` (a weighted mean of the
     Collatz-Wielandt ratios ``(M v)_i / v_i``), and the pair is returned
-    only if ``max |M v - rho v| <= PF_TOL * min(1, |M|_inf)``, the
-    largest row sum read off the first product ``M @ 1``; otherwise
+    only if ``max |M v - rho v| <= PF_TOL * min(1, |M|_inf)``; otherwise
     :class:`NoConvergence` is raised with the budget spent.  Returns
     ``(rho, v, iterations, residual, method)`` with ``method`` ``"power"``
     (the start vector answers with 0 iterations) or ``"dense"``; a dense
@@ -287,11 +283,10 @@ def perron_eigen(M) -> PerronResult:
     irreducible nonnegative matrix.
 
     The pair is verified at ``max |M v - rho v| <= PF_TOL * min(1,
-    |M|_inf)`` with ``v`` at max-norm 1 and ``|M|_inf`` the largest row
-    sum: below unit norm the bound is relative to the matrix, above it the
-    absolute ``PF_TOL``, so rescale a matrix far above unit norm (``rho``
-    scales with it, the vectors do not) before the call.  The graph test
-    that proves ``M`` irreducible also gives its period.  A periodic matrix (period > 1) has
+    |M|_inf)`` with ``v`` at max-norm 1, relative below unit norm and
+    absolute above: rescale a matrix far above unit norm before the
+    call (``rho`` scales with it).  The graph test that proves ``M``
+    irreducible also gives its period.  A periodic matrix (period > 1) has
     that many eigenvalues of modulus ``rho``, so power iteration cannot
     converge on it: each side runs no power step and, unless the uniform
     start vector is exact, goes to the dense solve.  On a primitive matrix

@@ -130,10 +130,7 @@ class RepresentationParts:
     ``d0``: off-support transfers, shape ``(n, l)``, identically zero on the
     rows in ``I``; columns sum to zero in the ``exact`` case and to a
     nonnegative vector in the ``partial`` (deficit-carrying) case.
-
-    Parts returned by :func:`decompose_property` meet these laws to the
-    clearing band of the ``tol`` they were decomposed at, not to the fixed
-    bands of :meth:`validate`.
+    Decomposed parts meet these laws to the clearing band of their ``tol``.
     """
 
     y: np.ndarray
@@ -285,16 +282,9 @@ def decompose_property(
 
     The clearing-basis expansion is gauged by the uniform ``1/l``
     symmetrisation, so repeated decompositions are deterministic.
-
-    The clearing check at ``tol`` is the only test of the parts' laws:
-    whatever it accepts decomposes.  Raises ValueError on a bad ``case``,
-    ``tol``, price or index set, :class:`DimensionMismatch` unless ``p``
-    has one entry per good, :class:`SupportMismatch` or
-    :class:`EmptySupport` unless ``I`` is exactly the support of ``p``,
-    :class:`ZeroDemandValue` when a consumer demands nothing of value,
-    :class:`NotAnEquilibrium` when the check refuses ``p`` or the economy
-    has no valued supply there, and ValueError when ``sum_i y_i C_i``
-    vanishes somewhere on ``I``.
+    Raises what the clearing check of :func:`degenerate_transform` raises,
+    :class:`NotAnEquilibrium` when the economy has no valued supply at
+    ``p`` and ValueError when ``sum_i y_i C_i`` vanishes somewhere on ``I``.
     """
     q, idx, off, y, psi_bar, demand_value = _cleared_support(econ, p, I, case, tol)
     psi_bar_value = float(psi_bar @ q)
@@ -366,13 +356,10 @@ def degenerate_transform(
     ``mode='exact'`` preserves total supply (column sums of the transfer are
     zero); ``mode='partial'`` starts from a deficit-carrying equilibrium and
     shrinks off-support supply down to demand (column sums nonpositive).
-    Those sums are the clearing residuals ``C y - psi`` off the support, so
-    they meet their law to the clearing band of ``tol``.  Raises only what
-    the clearing check raises: ValueError on a bad ``mode``, ``tol``,
-    price or index set, :class:`DimensionMismatch` unless ``p`` has one
-    entry per good, :class:`SupportMismatch` or :class:`EmptySupport`
-    unless ``I`` is exactly the support of ``p``, :class:`ZeroDemandValue`
-    and :class:`NotAnEquilibrium`.
+    Those sums are the clearing residuals ``C y - psi``, so they meet their
+    law to the clearing band of ``tol``.  Raises only what the clearing
+    check raises: ValueError, DimensionMismatch, SupportMismatch or
+    EmptySupport on a bad argument, ZeroDemandValue and NotAnEquilibrium.
     """
     _, idx, off, y, _, _ = _cleared_support(econ, p, I, mode, tol, "mode")
     B_bar = econ.B.copy()
