@@ -55,6 +55,8 @@ WORTHLESS = ExchangeEconomy(np.ones((2, 2)), [[1e-14, 1e-14], [1.0, 1.0]])
 # good 1 is priced at 1e-10, so a deficit of 10 there offsets an excess of
 # 1e-9 on money, inside the band at tol = 1e-6
 BARELY_PRICED = ExchangeEconomy([[1.0], [10.0]], [[1.0], [20.0]])
+# one priced good whose on-support transfer is a rounding error
+SINGLE_GOOD = ExchangeEconomy([[0.1, 0.1], [1.0, 1.0]], [[0.1, 0.7], [10.0, 10.0]])
 # y = (1, 1, 1, 1); good 1 falls 2e-6 short of its supply of 4, inside the
 # clearing band 4e-6 though more than tol * max|B| = 1e-6
 WIDE_BAND = ExchangeEconomy([[1.0] * 4, [1.0 - 0.5e-6] * 4], np.ones((2, 4)))
@@ -207,11 +209,15 @@ def test_raise_site(site):
 
 def test_single_good_roundoff_decomposes():
     # with one priced good the on-support transfer B_0 - y C_0 is zero in
-    # exact arithmetic and a rounding error in floating point, at any tol
-    econ = ExchangeEconomy([[0.1, 0.1], [1.0, 1.0]], [[0.1, 0.7], [10.0, 10.0]])
-    for tol in (0.0, 1e-9):
-        _, residual = decompose_property(econ, [1.0, 0.0], I=(0,), case="partial", tol=tol)
-        assert residual <= 1e-15
+    # exact arithmetic and a rounding error in floating point, even at tol = 0
+    _, residual = decompose_property(SINGLE_GOOD, [1.0, 0.0], I=(0,), case="partial", tol=0.0)
+    assert residual <= 1e-15
+
+
+def test_wider_tol_clears_what_tol_zero_refuses():
+    # tol = 0 once refused this economy; it now decomposes at any tol
+    _, residual = decompose_property(SINGLE_GOOD, [1.0, 0.0], I=(0,), case="partial", tol=1e-9)
+    assert residual <= 1e-15
 
 
 def test_wide_clearing_band_degenerates():
