@@ -13,6 +13,13 @@ aggregate demand ``sum_i C_i y_i`` does not exceed total supply
 ``psi = sum_i b_i`` in every good, with equality on the goods that carry a
 positive price.
 
+One private helper checks each price (finite, nonnegative, nonzero) and
+normalises it to unit money price, or unit max-norm when money is free,
+once per call, whether it arrives as an array or a :class:`PriceVector`.
+It refuses, before dividing, a price whose normalisation would overflow
+(``max(p) / p[0]`` beyond the float range), and the clearing check refuses
+arithmetic that overflows to NaN instead of leaving a good unclassified.
+
 Everything here is a pure function over immutable value objects; it is safe
 to evaluate in parallel over prices or economies.
 """
@@ -51,12 +58,15 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return m
 
 
-def _check_entries(a: np.ndarray, what: str) -> None:
+def _check_entries(a: np.ndarray, what: str) -> float:
     """Raise ValueError unless every entry of ``a`` is finite and
-    nonnegative.  One min and one max per array: NaN fails both
-    comparisons, and a negative entry is named before a non-finite one."""
-    if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < np.inf):
+    nonnegative; return the largest entry (0 for an empty array).  One min
+    and one max per array: NaN fails both comparisons, and a negative entry
+    is named before a non-finite one."""
+    top = a.max(initial=0.0)
+    if not (a.min(initial=0.0) >= 0.0 and top < np.inf):
         raise ValueError(f"{what} must be {'nonnegative' if (a < 0).any() else 'finite'}")
+    return top
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -166,21 +176,36 @@ class PriceVector:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float).reshape(-1)
-        _check_entries(p, "prices")
-        if not (p > 0).any():
-            raise ValueError("price vector must be nonzero")
+        _unit_price(p)
         _hold_read_only(self, p=p)
 
     def normalized(self) -> np.ndarray:
         """Prices scaled to money price 1 (max-norm 1 when money is free)."""
-        if self.p[0] > 0:
-            return self.p / self.p[0]
-        return self.p / self.p.max()
+        return _unit_price(self)
 
     @property
     def support(self) -> tuple[int, ...]:
         q = self.normalized()
         return tuple(int(k) for k in np.flatnonzero(q > DEFAULT_TOL_POS))
+
+
+def _unit_price(p) -> np.ndarray:
+    """The price ``p`` (array-like or :class:`PriceVector`) scaled to money
+    price 1, or to max-norm 1 when money is free.  The one check of a
+    price: raises ValueError unless its entries are finite, nonnegative
+    and not all zero, and, before dividing, unless ``max(p) / p[0]`` is
+    finite, so the scaled price cannot overflow."""
+    p = np.asarray(p.p if isinstance(p, PriceVector) else p, dtype=float).reshape(-1)
+    top = _check_entries(p, "prices")
+    if not top > 0.0:
+        raise ValueError("price vector must be nonzero")
+    unit = p[0] if p[0] > 0.0 else top
+    if float(top) / float(unit) == np.inf:
+        raise ValueError(
+            "prices overflow at unit money price: "
+            f"max(p) / p[0] = {float(top)!r} / {float(unit)!r}"
+        )
+    return p / unit
 
 
 def as_price(p) -> PriceVector:
@@ -220,7 +245,7 @@ class EquilibriumReport:
 def _normalized_price(p, n: int) -> np.ndarray:
     """The price ``p`` at unit money price (see :meth:`PriceVector.normalized`);
     raises :class:`DimensionMismatch` unless it has ``n`` components."""
-    q = as_price(p).normalized()
+    q = _unit_price(p)
     if q.shape[0] != n:
         raise DimensionMismatch(f"price length {q.shape[0]} != good count {n}")
     return q
@@ -229,16 +254,16 @@ def _normalized_price(p, n: int) -> np.ndarray:
 def _scales(econ: ExchangeEconomy, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Demand scales at the normalized price ``q``, and the values ``C^T q``."""
     demand_value = econ.C.T @ q
-    bad = np.flatnonzero(demand_value <= DEFAULT_TOL_POS)
-    if bad.size:
-        raise ZeroDemandValue(int(bad[0]), float(demand_value[bad[0]]))
+    if demand_value.min(initial=np.inf) <= DEFAULT_TOL_POS:
+        bad = np.flatnonzero(demand_value <= DEFAULT_TOL_POS)[0]
+        raise ZeroDemandValue(int(bad), float(demand_value[bad]))
     return (econ.B.T @ q) / demand_value, demand_value
 
 
 def _proportional(psi_bar, y, demand_value, psi_bar_value: float) -> np.ndarray:
     """The rank-one part: the scaled supply ``psi_bar`` split among the
     consumers in shares ``y_i <C_i, q> / <psi_bar, q>``, given ``C^T q``."""
-    return np.outer(psi_bar, y * demand_value / psi_bar_value)
+    return psi_bar[:, None] * (y * demand_value / psi_bar_value)
 
 
 def _classify(
@@ -254,20 +279,24 @@ def _classify(
 
 
 def _positions(mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(mask).tolist())
+    """The positions where the 1-d ``mask`` is true, as Python ints."""
+    return tuple(mask.nonzero()[0].tolist())
 
 
 def _clearing(
     econ: ExchangeEconomy, q: np.ndarray, tol: float
 ) -> tuple[EquilibriumReport, np.ndarray, np.ndarray]:
     """The clearing verdict of :func:`check_equilibrium` at the normalized
-    price ``q``, and the demand scales and values it was computed from."""
+    price ``q``, and the demand scales and values it was computed from.
+    Raises ValueError when the three sets miss a good, which happens only
+    when an overflow in ``C^T q``, ``C y`` or ``psi`` leaves a NaN
+    residual or band."""
     y, demand_value = _scales(econ, q)
     psi = econ.total_supply()
     demand = econ.C @ y
     residual = demand - psi
 
-    if (psi == 0).any():
+    if not psi.all():
         warnings.warn(
             f"goods with zero total supply: {np.flatnonzero(psi == 0).tolist()}",
             RuntimeWarning,
@@ -275,15 +304,19 @@ def _clearing(
         )
 
     equal, strict, violated = _classify(residual, psi, tol)
+    equality_set, strict_set = _positions(equal), _positions(strict)
     violated_set = _positions(violated)
+    if len(equality_set) + len(strict_set) + len(violated_set) != econ.n:
+        missing = set(range(econ.n)).difference(equality_set, strict_set, violated_set)
+        raise ValueError(f"the clearing check overflows at this price on goods {sorted(missing)}")
     return EquilibriumReport(
         demand=demand,
         residual=residual,
-        equality_set=_positions(equal),
-        strict_set=_positions(strict),
+        equality_set=equality_set,
+        strict_set=strict_set,
         violated_set=violated_set,
         is_equilibrium=not violated_set,
-        zero_price_on_deficit=bool((q[strict] <= DEFAULT_TOL_POS).all()),
+        zero_price_on_deficit=not strict_set or bool((q[strict] <= DEFAULT_TOL_POS).all()),
         tol=tol,
     ), y, demand_value
 
@@ -352,13 +385,15 @@ def verify_certificate(
 
     A non-finite entry of ``y`` or ``psi_bar``, or a negative, NaN or
     infinite ``tol``, raises ValueError; a negative entry fails ``nonzero``.
+    A clause passes only when its measure is at most ``tol``, so a measure
+    that overflows to NaN fails it.
     """
     _check_tol(tol)
     y = np.asarray(y, dtype=float).reshape(-1)
     psi_bar = np.asarray(psi_bar, dtype=float).reshape(-1)
     _check_finite(y, "y")
     _check_finite(psi_bar, "psi_bar")
-    q = as_price(p).normalized()
+    q = _unit_price(p)
     if y.shape[0] != econ.l or psi_bar.shape[0] != econ.n or q.shape[0] != econ.n:
         raise DimensionMismatch(
             f"certificate dimensions (y: {y.shape[0]}, psi_bar: {psi_bar.shape[0]}, "
@@ -370,7 +405,9 @@ def verify_certificate(
     diag: dict = {}
 
     pairs = (("y", y), ("psi_bar", psi_bar))
-    zero = [name for name, v in pairs if (v < 0).any() or not (v > 0).any()]
+    zero = [
+        name for name, v in pairs if not (v.min(initial=0.0) >= 0.0 and v.max(initial=0.0) > 0.0)
+    ]
     if zero:
         failed.append("nonzero")
         diag["nonzero"] = "; ".join(f"{name} must be nonnegative and nonzero" for name in zero)
@@ -378,37 +415,38 @@ def verify_certificate(
     scale = np.maximum(1.0, np.abs(psi_bar))
     cone_gap = np.abs(econ.C @ y - psi_bar)
     diag["cone"] = float((cone_gap / scale).max()) if cone_gap.size else 0.0
-    if diag["cone"] > tol:
+    if not diag["cone"] <= tol:
         failed.append("cone")
 
     excess = psi_bar - psi
     diag["bounded"] = float(np.maximum(excess / np.maximum(1.0, psi), 0.0).max())
-    if diag["bounded"] > tol:
+    if not diag["bounded"] <= tol:
         failed.append("bounded")
 
     demand_value = econ.C.T @ q
     diag["demand-value"] = float(demand_value.min())
-    if (demand_value <= DEFAULT_TOL_POS).any():
+    if not diag["demand-value"] > DEFAULT_TOL_POS:
         failed.append("demand-value")
         # The transfer clause below would divide by these values.
         return CertificateReport(False, tuple(failed), diag)
 
     psi_bar_value = float(psi_bar @ q)
-    if psi_bar_value <= DEFAULT_TOL_POS:
+    if not psi_bar_value > DEFAULT_TOL_POS:
         failed.append("transfers")
         diag["transfers"] = "psi_bar has zero value at p"
         return CertificateReport(False, tuple(failed), diag)
 
     D = econ.B - _proportional(psi_bar, y, demand_value, psi_bar_value)
-    value_gap = np.abs(D.T @ q) / np.maximum(1.0, np.abs(econ.B.T @ q))
-    sum_gap = np.abs(D.sum(axis=1) - (psi - psi_bar)) / scale
-    diag["transfers"] = float(max(value_gap.max(), sum_gap.max()))
-    if diag["transfers"] > tol:
+    # B and q are nonnegative, so <b_i, q> needs no abs
+    value_gap = np.abs(D.T @ q) / np.maximum(1.0, econ.B.T @ q)
+    sum_gap = np.abs(D.sum(axis=1) + excess) / scale
+    diag["transfers"] = float(np.maximum(value_gap.max(), sum_gap.max()))
+    if not diag["transfers"] <= tol:
         failed.append("transfers")
 
-    supply_value_gap = abs(float((psi - psi_bar) @ q)) / max(1.0, abs(float(psi @ q)))
+    supply_value_gap = abs(float(excess @ q)) / max(1.0, abs(float(psi @ q)))
     diag["supply-value"] = supply_value_gap
-    if supply_value_gap > tol:
+    if not supply_value_gap <= tol:
         failed.append("supply-value")
 
     return CertificateReport(not failed, tuple(failed), diag)

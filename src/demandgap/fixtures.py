@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exchange import ExchangeEconomy, _proportional, as_price
+from .exchange import ExchangeEconomy, _proportional, _unit_price
 from .leontief import IOAccounts
 from .structure import RepresentationParts, clearing_basis, synthesize_property
 
@@ -92,7 +92,7 @@ def random_equilibrium(
     p = np.zeros(n)
     p[list(I)] = rng.uniform(0.5, 1.5, support)
     y = rng.uniform(0.5, 1.5, l)
-    q = as_price(p).normalized()
+    q = _unit_price(p)
 
     G = clearing_basis(p, I).G
     delta = rng.normal(0.0, 1.0, (support, l))

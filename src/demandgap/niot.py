@@ -15,9 +15,10 @@ file that cannot be opened, decoded or split into cells is a
 
 The ``m + 5`` numeric cells of the body rows form one ``(m, m + 5)``
 block: ``X`` followed by the five fixed columns, which fill the table
-fields ``fc, gcf, E, Imp, Xout``.  The parser reads each row of the block
-in one pass and names a faulty cell by its header column; the serializer
-writes one row of the same block per industry.
+fields ``fc, gcf, E, Imp, Xout``.  The parser converts each row of the
+block with one numpy call, and parses a row that fails it cell by cell,
+naming the faulty cell by its header column; the serializer writes one
+row of the same block per industry.
 
 Upstream spreadsheets vary by vintage, so this module parses only the
 normalized layout; converting a published workbook into it is a documented,
@@ -160,8 +161,17 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
             )
         first_row[index] = k
         names.append(row[1].strip())
-        # map adds no frame, so the clamping warning still names parse_niot's caller
-        block[k - 1] = list(map(_parse_cell, row[2:], repeat(k), columns, repeat(clamp_negative)))
+        # One numpy conversion per row; a row that fails it or holds a
+        # negative or non-finite value is parsed again cell by cell, which
+        # names the faulty cell.  map adds no frame, so the clamping
+        # warning still names parse_niot's caller.
+        try:
+            values = np.array(row[2:], dtype=float)
+        except ValueError:
+            values = None
+        if values is None or not (values.min() >= 0.0 and values.max() < np.inf):
+            values = list(map(_parse_cell, row[2:], repeat(k), columns, repeat(clamp_negative)))
+        block[k - 1] = values
 
     country, year, currency = "XXX", 0, "value units"
     meta_path = path.parent / "meta.csv"

@@ -126,12 +126,19 @@ def rank_industries(report: RecessionReport, k: int, mode: str) -> list[RankedIn
     by absolute shortfall.  Industries without a registry name are labelled
     by their numeric index.  ``k`` must be nonnegative.
     """
+    position = {index: pos for pos, index in enumerate(report.indices)}
+    return _ranked(report, [position[i] for i in report.recession_set], k, mode)
+
+
+def _ranked(
+    report: RecessionReport, positions: list[int], k: int, mode: str
+) -> list[RankedIndustry]:
+    """:func:`rank_industries` given the table positions of the recession
+    set, in its order."""
     if mode not in ("sensitive", "contributing"):
         raise ValueError(f"mode must be 'sensitive' or 'contributing', got {mode!r}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    position = {index: pos for pos, index in enumerate(report.indices)}
-    positions = [position[i] for i in report.recession_set]
     reduction = -report.deficit[positions]
     if mode == "contributing":
         key = reduction
@@ -184,7 +191,7 @@ def analyze_accounts(
         if len(set(indices)) != acc.m:
             raise ValueError("indices must be distinct")
     if names is None:
-        names = tuple(str(i) for i in indices)
+        names = tuple(map(str, indices))
     else:
         names = tuple(str(nm) for nm in names)
         if len(names) != acc.m:
@@ -205,9 +212,10 @@ def analyze_accounts(
         imports=acc.Imp,
         exports=acc.E,
     )
+    positions = list(positions)
     rankings = {
-        "sensitive": rank_industries(report, top, "sensitive"),
-        "contributing": rank_industries(report, top, "contributing"),
+        "sensitive": _ranked(report, positions, top, "sensitive"),
+        "contributing": _ranked(report, positions, top, "contributing"),
     }
     object.__setattr__(report, "rankings", rankings)
     return report

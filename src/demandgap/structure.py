@@ -39,7 +39,7 @@ from .exchange import (
     _clearing,
     _normalized_price,
     _proportional,
-    as_price,
+    _unit_price,
 )
 
 DEFAULT_RANK_TOL = 1e-8
@@ -59,7 +59,7 @@ __all__ = [
 
 
 def _index_set(I, n: int) -> tuple[int, ...]:
-    idx = tuple(sorted(int(k) for k in I))
+    idx = tuple(sorted(map(int, I)))
     if len(set(idx)) != len(idx):
         raise ValueError(f"index set has duplicates: {I}")
     if idx and (idx[0] < 0 or idx[-1] >= n):
@@ -73,7 +73,7 @@ def _positive_support(q: np.ndarray, I, tol_pos: float = 0.0) -> tuple[int, ...]
     idx = _index_set(I, q.shape[0])
     if not idx:
         raise EmptySupport("the price support I is empty")
-    if (q[list(idx)] <= tol_pos).any():
+    if q[list(idx)].min() <= tol_pos:
         raise SupportMismatch(f"prices must exceed {tol_pos} on I = {idx}")
     return idx
 
@@ -82,8 +82,9 @@ def _exact_support(q: np.ndarray, I) -> tuple[tuple[int, ...], np.ndarray]:
     """The support ``I`` and a boolean mask of its complement; raises unless
     ``I`` is exactly where ``q`` exceeds ``DEFAULT_TOL_POS``."""
     idx = _positive_support(q, I, DEFAULT_TOL_POS)
-    off = np.bincount(idx, minlength=q.shape[0]) == 0
-    if (q[off] > DEFAULT_TOL_POS).any():
+    # q exceeds the threshold on all of I, so I is exact iff it does nowhere else
+    off = q <= DEFAULT_TOL_POS
+    if np.count_nonzero(off) + len(idx) != q.shape[0]:
         raise SupportMismatch(
             f"price support must be exactly I = {idx} (tol_pos = {DEFAULT_TOL_POS})"
         )
@@ -113,9 +114,10 @@ def _cleared_support(
         raise NotAnEquilibrium(
             f"strict deficits on goods {report.strict_set}; use the partial case"
         )
-    on_support = sorted(set(report.strict_set) & set(idx))
-    if on_support:
-        raise NotAnEquilibrium(f"deficits on the price support {on_support}")
+    if report.strict_set:
+        on_support = sorted(set(report.strict_set) & set(idx))
+        if on_support:
+            raise NotAnEquilibrium(f"deficits on the price support {on_support}")
     return q, idx, off, y, report.demand, demand_value
 
 
@@ -162,14 +164,14 @@ class RepresentationParts:
         col_sums = self.a.sum(axis=1)
         if np.abs(col_sums - 1.0).max(initial=0.0) > 1e-12:
             raise ValueError("each clearing-basis coefficient row must sum to 1")
-        if self.I and np.abs(self.d0[list(self.I), :]).max(initial=0.0) > 0:
+        if self.I and self.d0[list(self.I)].any():
             raise ValueError("d0 must vanish on the support rows")
         row_sums = self.d0.sum(axis=1)
-        scale = np.maximum(1.0, np.abs(self.d0).max(initial=0.0))
+        scale = max(1.0, float(np.abs(self.d0).max(initial=0.0)))
         if self.case == "exact":
             if np.abs(row_sums).max(initial=0.0) > tol * scale:
                 raise ValueError("d0 columns must sum to zero in the exact case")
-        elif (row_sums < -tol * scale).any():
+        elif row_sums.min(initial=0.0) < -tol * scale:
             raise ValueError("d0 column sums must be nonnegative in the partial case")
 
 
@@ -197,7 +199,7 @@ class ClearingBasis:
 def clearing_basis(p, I) -> ClearingBasis:
     """Build the clearing basis (rank ``|I| - 1``, see :class:`ClearingBasis`)
     for price vector ``p`` on support ``I``."""
-    q = as_price(p).normalized()
+    q = _unit_price(p)
     idx = _positive_support(q, I)
     return ClearingBasis(G=_clearing_matrix(q, idx)[0], I=idx)
 
@@ -205,10 +207,11 @@ def clearing_basis(p, I) -> ClearingBasis:
 def _clearing_matrix(q: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
     """``G`` and ``u`` of :class:`ClearingBasis` on a checked support."""
     rows = list(idx)
-    u = q[rows] / q[rows].sum()
+    q_I = q[rows]
+    u = q_I / q_I.sum()
     G = np.zeros((q.shape[0], len(rows)))
-    G[rows, :] = -u
-    G[rows, range(len(rows))] += 1.0
+    G[rows] = -u
+    G[rows, range(len(rows))] = 1.0 - u
     return G, u
 
 
@@ -239,7 +242,7 @@ def synthesize_property(
     psi_bar = C @ parts.y
     _check_supplied(psi_bar, parts.I)
     demand_value = C.T @ q
-    if (demand_value <= DEFAULT_TOL_POS).any():
+    if not demand_value.min(initial=np.inf) > DEFAULT_TOL_POS:
         raise ValueError("every consumer must demand something on the support")
     P = _proportional(psi_bar, parts.y, demand_value, float(psi_bar @ q))
     return _assemble(P, _clearing_matrix(q, parts.I)[0], parts)
@@ -257,11 +260,12 @@ def _assemble(P: np.ndarray, G: np.ndarray, parts: RepresentationParts) -> np.nd
     ``P`` of :func:`exchange._proportional` and the clearing basis ``G``;
     magnitudes below the negativity tolerance are snapped to zero."""
     B = P + G @ parts.a + parts.d0
-    neg_tol = 1e-12 * max(1.0, float(np.abs(B).max()))
+    size = np.abs(B)
+    neg_tol = 1e-12 * max(1.0, float(size.max()))
     if B.min() < -neg_tol:
         k, i = np.unravel_index(np.argmin(B), B.shape)
         raise NegativeEndowment(int(k), int(i), float(B[k, i]))
-    B[np.abs(B) < neg_tol] = 0.0
+    B[size < neg_tol] = 0.0
     return B
 
 
@@ -298,14 +302,12 @@ def decompose_property(
     # h = pinv(G_I) d1 for G_I = E - 1 u^T (kernel span(1), range u-perp):
     # pinv(G_I) d1 = b - mean(b) with b = d1 - u (u^T d1) / (u^T u); 0 if |I| = 1.
     G, u = _clearing_matrix(q, idx)
-    b = d1 - np.outer(u, u @ d1) / (u @ u)
-    a = b - b.mean(axis=0) + 1.0 / econ.l
+    b = d1 - u[:, None] * (u @ d1) / (u @ u)
+    a = b - b.sum(axis=0) / len(idx) + 1.0 / econ.l
 
     parts = RepresentationParts(y=y, a=a, d0=d0, I=idx, case=case)
     B_rt = _assemble(P, G, parts)
-    residual = float(
-        np.abs(B_rt - econ.B).max() / max(1.0, float(np.abs(econ.B).max()))
-    )
+    residual = float(np.abs(B_rt - econ.B).max() / max(1.0, float(econ.B.max())))
     return parts, residual
 
 
@@ -411,22 +413,21 @@ def degeneracy_multiplicity(B_bar, C, y, I=None) -> int:
 def real_money_value(p, psi) -> float:
     """Value of the non-money supply per unit of money supply.
 
-    ``p`` passes the check of :class:`PriceVector` and is normalised to
-    money price 1; ``psi`` must be finite and nonnegative, or
+    ``p`` passes the one price check of :class:`PriceVector` and is
+    normalised to money price 1; ``psi`` must be finite and nonnegative, or
     :class:`ValueError` is raised.  Under a degenerate equilibrium family
     this is set-valued: sample the off-support prices to trace the range.
     (The display defining the indicator is ambiguous about taking a
     reciprocal; this returns the ratio as shown, and callers can invert
     it.)
     """
-    p = as_price(p).p
+    q = _unit_price(p)
     psi = np.asarray(psi, dtype=float).reshape(-1)
     _check_entries(psi, "psi")
-    if p.shape != psi.shape:
-        raise DimensionMismatch(f"p has {p.shape[0]} entries, psi {psi.shape[0]}")
+    if q.shape != psi.shape:
+        raise DimensionMismatch(f"p has {q.shape[0]} entries, psi {psi.shape[0]}")
     if psi[0] <= 0:
         raise NoMoneySupply(f"money supply {psi[0]!r} must be positive")
-    if p[0] <= 0:
+    if q[0] <= 0:
         raise ValueError("money price must be positive to normalise")
-    q = p / p[0]
     return float(q[1:] @ psi[1:] / psi[0])

@@ -72,6 +72,29 @@ class TestBandProperties:
         assert sets == _split(econ.C @ y - psi, psi, tol)
         assert report.is_equilibrium == (not report.violated_set)
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        l=st.integers(1, 10),
+        k=st.integers(-320, 308),
+        tol=TOLS,
+    )
+    def test_clearing_sets_partition_at_any_price_scale(self, seed, n, l, k, tol):
+        """Non-money prices (at most 1) scaled by 10^k: the verdict
+        partitions the goods, or the call refuses the price with ValueError
+        (clearing arithmetic that overflows to NaN).  numpy's own overflow
+        warnings are not the verdict under test, so they are silenced."""
+        econ, p = _economy(seed, n, l, "random")
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = np.concatenate([p[:1], p[1:] / max(1.0, p[1:].max()) * 10.0**k])
+            try:
+                report = check_equilibrium(econ, p, tol=tol)
+            except ValueError:
+                return
+        sets = (report.equality_set, report.strict_set, report.violated_set)
+        assert sorted(k for s in sets for k in s) == list(range(econ.n))
+
     @settings(max_examples=100, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), tol=TOLS)
     def test_value_violations_match_numpy(self, seed, m, tol):

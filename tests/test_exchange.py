@@ -3,6 +3,8 @@ certificates."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandgap import (
     DimensionMismatch,
@@ -10,11 +12,13 @@ from demandgap import (
     PriceVector,
     ZeroDemandValue,
     check_equilibrium,
+    degenerate_transform,
     demand_scales,
     excess_demand,
     total_supply,
     verify_certificate,
 )
+from demandgap.exchange import _unit_price
 from demandgap.fixtures import economy_e1, economy_e2, random_equilibrium
 
 
@@ -237,3 +241,122 @@ class TestNonFiniteInput:
     def test_negative_named_before_non_finite(self):
         with pytest.raises(ValueError, match="prices must be nonnegative"):
             PriceVector(np.array([np.nan, -1.0]))
+
+
+class TestOverflowingPrice:
+    """A price whose normalisation overflows, or whose clearing arithmetic
+    does, is refused.  Unchecked, each case below reads as an equilibrium
+    with all three sets empty, or as a passing certificate, made of NaN."""
+
+    README_ECONOMY = (
+        np.array([[1.0, 1.0], [1.0, 0.0]]),
+        np.array([[4 / 3, 2 / 3], [2 / 3, 1 / 3]]),
+    )
+    CALLS = {
+        "PriceVector": lambda econ, p: PriceVector(p),
+        "check_equilibrium": lambda econ, p: check_equilibrium(econ, p),
+        "degenerate_transform": lambda econ, p: degenerate_transform(econ, p, I=(0, 1)),
+        "verify_certificate": lambda econ, p: verify_certificate(econ, p, (1, 1), (2, 1)),
+    }
+
+    @pytest.mark.parametrize("p", [(1e-310, 1.0), (1e-300, 1e10), (5e-324, 1.0)])
+    @pytest.mark.parametrize(
+        "call", ["PriceVector", "check_equilibrium", "degenerate_transform", "verify_certificate"]
+    )
+    def test_normalisation_overflow_raises(self, call, p):
+        econ = ExchangeEconomy(*self.README_ECONOMY)
+        with pytest.raises(ValueError, match="prices overflow at unit money price"):
+            self.CALLS[call](econ, p)
+
+    def test_overflowing_demand_value_raises(self):
+        # C^T q overflows in consumer 0, so y and the residuals are NaN
+        C = np.array([[1.0, 1.0], [10.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="clearing check overflows .* goods \\[0, 1\\]"):
+                check_equilibrium(ExchangeEconomy(C, C), (1.0, 1e308))
+
+    def test_nan_measure_fails_its_clause(self):
+        C = np.array([[1.0, 1.0], [10.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = verify_certificate(ExchangeEconomy(C, C), (1.0, 1e308), (1, 1), (2, 11))
+        assert np.isnan(result.diagnostics["transfers"])
+        assert not result.ok
+        assert result.failed == ("transfers",)
+
+
+def _outcome(call):
+    """The result of ``call()``, or the type and message of what it raised."""
+    try:
+        return "ok", call()
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome compared
+        return "raised", type(e), str(e)
+
+
+def _same_array(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+ENTRIES = st.one_of(
+    st.floats(width=64),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, 1e308]),
+)
+
+
+@st.composite
+def raw_prices(draw):
+    """A raw price argument: a list, an int list, a 1-d or 2-d array, empty
+    or all zero, with negative, NaN and infinite entries among the draws."""
+    values = draw(st.lists(ENTRIES, max_size=6))
+    form = draw(st.sampled_from(["list", "ints", "array", "row", "column", "zeros"]))
+    if form == "ints":
+        return [int(v) if np.isfinite(v) else 0 for v in values]
+    if form == "zeros":
+        return [0.0] * len(values)
+    if form == "list":
+        return values
+    arr = np.array(values, dtype=float)
+    return {"array": arr, "row": arr.reshape(1, -1), "column": arr.reshape(-1, 1)}[form]
+
+
+class TestPricePath:
+    """One helper checks and normalises every price; a raw array and a
+    :class:`PriceVector` of it take the same path."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(p=raw_prices())
+    def test_helper_matches_price_vector(self, p):
+        raw = _outcome(lambda: _unit_price(p))
+        held = _outcome(lambda: PriceVector(p).normalized())
+        assert raw[0] == held[0]
+        if raw[0] == "ok":
+            assert _same_array(raw[1], held[1])
+        else:
+            assert raw[1:] == held[1:]
+            assert raw[1] is ValueError
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(p=raw_prices(), seed=st.integers(0, 2**32 - 1))
+    def test_raw_and_held_price_give_equal_reports(self, p, seed):
+        n = max(1, np.asarray(p).size)
+        rng = np.random.default_rng(seed)
+        econ = ExchangeEconomy(rng.uniform(0.1, 2.0, (n, 3)), rng.uniform(0.1, 2.0, (n, 3)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = _outcome(lambda: check_equilibrium(econ, p))
+            held = _outcome(lambda: check_equilibrium(econ, PriceVector(p)))
+        assert raw[0] == held[0]
+        if raw[0] == "raised":
+            assert raw[1:] == held[1:]
+            return
+        a, b = raw[1], held[1]
+        assert _same_array(a.demand, b.demand) and _same_array(a.residual, b.residual)
+        assert (a.equality_set, a.strict_set, a.violated_set) == (
+            b.equality_set,
+            b.strict_set,
+            b.violated_set,
+        )
+        assert (a.is_equilibrium, a.zero_price_on_deficit, a.tol) == (
+            b.is_equilibrium,
+            b.zero_price_on_deficit,
+            b.tol,
+        )

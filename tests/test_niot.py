@@ -164,6 +164,28 @@ class TestCellLabels:
         assert (err.value.row, err.value.col, err.value.value) == (1, "X_2", -20.0)
 
 
+class TestRowConversion:
+    """parse_niot converts each row with one numpy call and parses a row
+    that fails it with float() cell by cell, so the two must agree: on
+    every string numpy accepts, it must give float()'s value bit for bit."""
+
+    CORPUS = [
+        "1_000", " 2 ", "\uff17", "\u0663", "infinity", "-0", "", "0x1p3", "1d3",
+        "1e400", "1,5", "nan", "-inf", "1__0", "\t4\n", "1.", ".5", "+7", "1 2",
+    ]
+
+    def test_numpy_agrees_with_float(self):
+        rng = np.random.default_rng(0)
+        values = (rng.standard_normal(300) * 10.0 ** rng.integers(-320, 300, 300)).tolist()
+        corpus = self.CORPUS + [repr(v) for v in values] + ["%g" % v for v in values]
+        for text in corpus:
+            try:
+                got = np.array([text], dtype=float)
+            except ValueError:
+                continue
+            assert got.tobytes() == np.array([float(text)]).tobytes(), text
+
+
 class TestRoundTrip:
     def test_lossless_values(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -27,7 +27,9 @@ from demandgap import (
     is_equivalent,
     real_money_value,
     synthesize_property,
+    verify_certificate,
 )
+from demandgap import exchange, structure
 from demandgap.exchange import as_price
 from demandgap.fixtures import economy_e1, economy_e2, random_equilibrium
 
@@ -543,6 +545,13 @@ class TestPriceEntryPoints:
         ),
     }
 
+    NORMALISING = {
+        **CALLS,
+        "verify_certificate": lambda econ, p, parts: verify_certificate(
+            econ, p, parts.y, econ.C @ parts.y
+        ),
+    }
+
     @pytest.mark.parametrize(
         "name",
         [
@@ -551,19 +560,21 @@ class TestPriceEntryPoints:
             "synthesize_property",
             "decompose_property",
             "degenerate_transform",
+            "verify_certificate",
         ],
     )
     def test_one_normalisation_per_call(self, name, monkeypatch):
         econ, p, parts = random_equilibrium(4, n=6, l=4, support=3)
         calls = []
-        normalized = PriceVector.normalized
+        unit_price = exchange._unit_price
 
-        def counted(self):
+        def counted(p):
             calls.append(1)
-            return normalized(self)
+            return unit_price(p)
 
-        monkeypatch.setattr(PriceVector, "normalized", counted)
-        self.CALLS[name](econ, p, parts)
+        for module in (exchange, structure):
+            monkeypatch.setattr(module, "_unit_price", counted)
+        self.NORMALISING[name](econ, p, parts)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", sorted(CALLS))
