@@ -169,14 +169,16 @@ class PriceVector:
     ``support`` is the set of strictly positive components, decided at
     ``DEFAULT_TOL_POS`` after normalising to unit money price when possible
     (unit max-norm otherwise).  ``p`` is a read-only view of the array
-    passed in, not a copy, as in :class:`ExchangeEconomy`.
+    passed in, not a copy, as in :class:`ExchangeEconomy`.  A negative,
+    non-finite or all-zero price, or one whose normalisation would
+    overflow, raises ValueError.
     """
 
     p: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float).reshape(-1)
-        _unit_price(p)
+        _unit_price(p)  # the one price check; the scaled copy is not kept
         _hold_read_only(self, p=p)
 
     def normalized(self) -> np.ndarray:

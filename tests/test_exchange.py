@@ -260,9 +260,7 @@ class TestOverflowingPrice:
     }
 
     @pytest.mark.parametrize("p", [(1e-310, 1.0), (1e-300, 1e10), (5e-324, 1.0)])
-    @pytest.mark.parametrize(
-        "call", ["PriceVector", "check_equilibrium", "degenerate_transform", "verify_certificate"]
-    )
+    @pytest.mark.parametrize("call", sorted(CALLS))
     def test_normalisation_overflow_raises(self, call, p):
         econ = ExchangeEconomy(*self.README_ECONOMY)
         with pytest.raises(ValueError, match="prices overflow at unit money price"):
