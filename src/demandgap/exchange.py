@@ -426,7 +426,7 @@ def verify_certificate(
         failed.append("bounded")
 
     demand_value = econ.C.T @ q
-    diag["demand-value"] = float(demand_value.min())
+    diag["demand-value"] = float(demand_value.min(initial=np.inf))
     if not diag["demand-value"] > DEFAULT_TOL_POS:
         failed.append("demand-value")
         # The transfer clause below would divide by these values.
@@ -442,7 +442,7 @@ def verify_certificate(
     # B and q are nonnegative, so <b_i, q> needs no abs
     value_gap = np.abs(D.T @ q) / np.maximum(1.0, econ.B.T @ q)
     sum_gap = np.abs(D.sum(axis=1) + excess) / scale
-    diag["transfers"] = float(np.maximum(value_gap.max(), sum_gap.max()))
+    diag["transfers"] = float(np.maximum(value_gap.max(initial=0.0), sum_gap.max()))
     if not diag["transfers"] <= tol:
         failed.append("transfers")
 

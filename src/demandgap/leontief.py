@@ -218,8 +218,11 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
     col = acc.input_value()
     live = col > 0
     pi = _effective_pi(acc, live)
-    share = np.zeros(acc.m)
-    share[live] = pi[live] * acc.Xout[live] / col[live]
+    if live.all():
+        share = pi * acc.Xout / col
+    else:
+        share = np.zeros(acc.m)
+        share[live] = pi[live] * acc.Xout[live] / col[live]
     production = acc.X @ share
 
     cf_total, e_total, imp_total = _final_totals(acc)
@@ -462,19 +465,28 @@ def solve_national_equilibrium(
 ) -> NationalEquilibrium:
     """Run the constructive equilibrium procedure on value accounts.
 
-    Steps: (a) find nonnegative scales ``y`` reproducing supply from the
-    demand columns ``[X | Cf | E]`` — the guaranteed seed ``(1 + pi, 1, 1)``
-    is used whenever it fits within ``CONE_TOL``, and nonnegative least
-    squares runs only when it does not; (b) form the scaled production
-    matrix ``A(y)[i, j] = a_ij y_j / pi_i``, test its graph once for
-    irreducibility and period, and compute its spectral radius and left
-    Perron vector in one call to the verified eigen kernel, which runs no
-    power step when ``A(y)`` is periodic (the spectral radius of a
-    reducible ``A(y)`` comes from its full spectrum); (c) read the
-    candidate prices ``p ∝ left / pi`` of the value system off that
-    vector; (d) check the closure identities for the household
-    and trade scales and the positivity side conditions.  The diagnostics
-    name the kernel's path in ``perron_method``.
+    Steps:
+
+    (a) find nonnegative scales ``y`` with ``[X | Cf | E] y`` reproducing
+        supply plus taxed use.  The guaranteed seed ``(1 + pi, 1, 1)`` is
+        used whenever it fits within ``CONE_TOL``; its residual is minus
+        :meth:`IOAccounts.balance_residual`, since the seed's ``X pi``
+        cancels the target's.  Only when it does not fit is ``[X | Cf | E]``
+        built, for a nonnegative least-squares fit.
+    (b) form the scaled production matrix ``A(y)[i, j] = a_ij y_j / pi_i``
+        in place in the coefficient matrix ``A``, the solve's only m x m
+        float buffer; test its graph once for irreducibility and period;
+        and compute its spectral radius and left Perron vector in one call
+        to the verified eigen kernel, which runs no power step when
+        ``A(y)`` is periodic (the spectral radius of a reducible ``A(y)``
+        comes from its full spectrum).
+    (c) read the candidate prices ``p ∝ left / pi`` of the value system
+        ``diag(y/pi) A^T p = p`` off that vector, and check it with
+        ``A^T p = (X^T p) / Xout`` from one product with ``X``.
+    (d) check the closure identities for the household and trade scales
+        and the positivity side conditions.
+
+    The diagnostics name the kernel's path in ``perron_method``.
 
     Every share must be positive, after the override of
     :func:`demand_vector` that gives an industry buying no inputs an
@@ -503,24 +515,22 @@ def solve_national_equilibrium(
             "(taxation shares must be positive here)"
         )
 
-    A = acc.coefficients()
-    C_big = np.column_stack([acc.X, acc.Cf, acc.E])
     taxed_use = acc.X @ acc.pi
     target = acc.Xout + acc.Imp + taxed_use
 
-    seed = np.concatenate([1.0 + acc.pi, [1.0, 1.0]])
-    residual = C_big @ seed - target
+    # [X | Cf | E] (1 + pi, 1, 1) = X 1 + X pi + Cf + E, whose X pi is the
+    # target's, so the guaranteed seed leaves the balance gap as residual.
+    residual = -acc.balance_residual()
     seed_residual = float(np.linalg.norm(residual))
     seed_used = seed_residual <= CONE_TOL * float(np.linalg.norm(target))
     if not seed_used:
+        C_big = np.column_stack([acc.X, acc.Cf, acc.E])
         sol = _solve_nonneg(C_big, target)
         seed_used = seed_residual <= sol.residual * (1.0 + 1e-9)
         if not seed_used:
             residual = C_big @ sol.y - target
-    y = seed if seed_used else sol.y
-    # Each fresh m x m buffer costs about as much as the arithmetic that
-    # fills it, so every large array is freed before the next is made.
-    del C_big
+        del C_big
+    y = np.concatenate([1.0 + acc.pi, [1.0, 1.0]]) if seed_used else sol.y
 
     fit_tol = max(tol, CONE_TOL)
     inside, below, over = _classify(residual, target, fit_tol)
@@ -531,23 +541,25 @@ def solve_national_equilibrium(
     I, J = _positions(inside), _positions(below)
 
     # Row i of A(y), y_i and the Perron entry left_i <= 1 are divided by
-    # pi_i, and M scales column i of A by y_i / pi_i.  None of these
-    # quotients exceeds max(1, y) max(1, A) / pi_i, so a share that puts
-    # twice that bound out of the float range is refused, as a zero share is.
-    bound = 2.0 * max(1.0, float(y[:m].max())) * max(1.0, float(A.max()))
+    # pi_i, and the price system scales (A^T p)_i by y_i / pi_i.  None of
+    # these quotients exceeds max(1, y) max(1, A) / pi_i, so a share that
+    # puts twice that bound out of the float range is refused, as a zero
+    # share is.  A(y) is then scaled in place in A's buffer.
+    A_y = acc.coefficients()
+    bound = 2.0 * max(1.0, float(y[:m].max())) * max(1.0, float(A_y.max()))
     tiny = acc.pi * sys.float_info.max < bound
     if tiny.any():
         raise ZeroDenominator(
             f"pi at positions {np.flatnonzero(tiny).tolist()} "
             "(taxation shares too small: dividing by them can overflow)"
         )
+    A_y *= y[:m]
+    A_y /= acc.pi[:, None]
 
     # One eigen call on A(y)^T serves the spectral radius and the prices:
     # the price system diag(y/pi) A^T p = p has the matrix
     # M = D A(y)^T D^-1 with D = diag(1/pi), so its Perron vector is
     # left(A(y)) / pi.
-    A_y = A * y[None, :m]
-    A_y /= acc.pi[:, None]
     period = _period(A_y)
     reducible = not period
     rho_m, left, _, _, method = _dominant(A_y.T, period)
@@ -557,10 +569,10 @@ def solve_national_equilibrium(
         rho = rho_m
     p = left / acc.pi
     p = p / p.max()
-    # M = diag(y/pi) A^T, written over A(y), which is no longer needed; as
-    # the transpose of a C-ordered buffer it keeps the Fortran layout.
-    M = np.multiply((y[:m] / acc.pi)[:, None], A.T, out=A_y.T)
-    Mp = M @ p
+    # A^T p = (X^T p) / Xout, 0 on the columns of zero output, takes one
+    # product with X, and M p follows from it without forming M.
+    input_value_at_p = np.divide(p @ acc.X, acc.Xout, out=np.zeros(m), where=acc.Xout > 0)
+    Mp = (y[:m] / acc.pi) * input_value_at_p
 
     diag: dict = {
         "rho_gap": abs(rho - 1.0),
@@ -571,13 +583,12 @@ def solve_national_equilibrium(
         "seed_used": seed_used,
         "scales_residual": float(np.abs(residual).max()),
         "reducible": reducible,
+        "input_value_min": float(input_value_at_p.min(initial=np.inf)),
     }
 
     cf_value = float(acc.Cf @ p)
     e_value = float(acc.E @ p)
     imp_value = float(acc.Imp @ p)
-    input_value_at_p = A.T @ p
-    diag["input_value_min"] = float(input_value_at_p.min(initial=np.inf))
 
     closure_tol = max(RHO_TOL, tol)
     if cf_value > DEFAULT_TOL_POS:

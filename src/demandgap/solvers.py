@@ -159,7 +159,10 @@ def _sweep(adj: np.ndarray, period: int) -> int:
     ``k + 1 - level(j)``, is its term of the gcd: the gcd takes one
     vectorised step per level, and no edge list is built.  With
     ``period = 1`` this is the plain reachability test, which stops as soon
-    as every vertex is reached."""
+    as every vertex is reached: when vertex 0 has an edge to every other
+    vertex, after its first level, read off row 0 alone."""
+    if period == 1 and adj[0, 1:].all():
+        return 1
     seen = np.zeros(adj.shape[0], dtype=bool)
     seen[0] = True
     frontier = seen.copy()
@@ -252,13 +255,16 @@ def _dominant(
     v = np.ones(n)
     mv = M @ v
     bound = PF_TOL * min(1.0, float(mv.max()))  # M @ 1 is the row sums: |M|_inf
-    rho, residual = _rayleigh(v, mv)
+    work = np.empty(n)
+    rho, residual = _rayleigh(v, mv, work)
     it = 0
     while residual > bound and it < budget:
-        w = mv + shift * v  # (M + eps I) v from the M v in hand: one product per step
-        v = w / w.max()
+        # (M + eps I) v from the M v in hand: one product per step
+        np.multiply(v, shift, out=work)
+        work += mv
+        np.divide(work, work.max(), out=v)
         mv = M @ v
-        rho, residual = _rayleigh(v, mv)
+        rho, residual = _rayleigh(v, mv, work)
         it += 1
     if residual <= bound:
         return rho, v, it, residual, "power"
@@ -266,16 +272,20 @@ def _dominant(
     v = np.abs(vecs[:, int(np.argmax(vals.real))])
     v = v / v.max()
     mv = M @ v
-    rho, residual = _rayleigh(v, mv)
+    rho, residual = _rayleigh(v, mv, work)
     if not residual <= bound:
         raise NoConvergence(budget, residual)
     return rho, v, budget, residual, "dense"
 
 
-def _rayleigh(v: np.ndarray, mv: np.ndarray) -> tuple[float, float]:
-    """Rayleigh quotient of ``v`` and the eigen-residual it leaves."""
+def _rayleigh(v: np.ndarray, mv: np.ndarray, work: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotient of ``v`` and the eigen-residual it leaves;
+    ``work``, a vector of ``v``'s length, holds ``mv - rho v`` (so the
+    power step's scratch serves here too, and no vector is allocated)."""
     rho = float(v @ mv) / float(v @ v)
-    return rho, float(np.abs(mv - rho * v).max())
+    np.multiply(v, rho, out=work)
+    np.subtract(mv, work, out=work)
+    return rho, float(np.abs(work, out=work).max())
 
 
 def perron_eigen(M) -> PerronResult:

@@ -202,6 +202,16 @@ class TestVerifyCertificate:
         assert result.diagnostics["demand-value"] == 0.0
         assert "transfers" not in result.diagnostics  # it would divide by that value
 
+    def test_economy_without_consumers_is_refused_not_raised(self):
+        # C and B of shape (n, 0): the demand values and the per-consumer
+        # transfer gaps are empty, and their reductions start from identities
+        econ = ExchangeEconomy(np.zeros((2, 0)), np.zeros((2, 0)))
+        result = verify_certificate(econ, [1.0, 1.0], y=[], psi_bar=[1.0, 1.0])
+        assert not result.ok
+        assert "nonzero" in result.failed
+        assert result.diagnostics["demand-value"] == np.inf
+        assert result.diagnostics["transfers"] == 1.0  # the supply-sum gap alone
+
 
 class TestEconomyValidation:
     def test_negative_entries_rejected(self):

@@ -31,7 +31,9 @@ from demandgap import (
     supply_vector,
     synthesize_property,
 )
-from demandgap.solvers import PF_MAX_ITER, _dominant
+from demandgap.exchange import DEFAULT_TOL_POS, _classify
+from demandgap.leontief import RHO_TOL
+from demandgap.solvers import CONE_TOL, PF_MAX_ITER, _dominant, _period
 from demandgap.structure import RepresentationParts
 from demandgap.fixtures import (
     random_consistent_accounts,
@@ -79,6 +81,81 @@ def cyclic_accounts(seed: int, m: int, spread: float = 1.3):
     Imp *= E.sum() / Imp.sum()
     Cf = Xout + Imp - X.sum(axis=1) - E
     return IOAccounts(X=X, Xout=Xout, Cf=Cf, E=E, Imp=Imp, pi=pi)
+
+
+def balanced_accounts(kind: str, seed: int, m: int, shrink: float = 1.0) -> IOAccounts:
+    """Balanced table (``X 1 + Cf + E = Xout + Imp`` row by row, so the
+    guaranteed seed fits) with shares ``shrink * pi``.  Kinds:
+    ``engineered`` (column inputs ``Xout pi / (1 + pi)`` and balanced
+    trade, so it certifies at ``shrink = 1``), ``random`` (inputs 10-30 %
+    of output), ``cyclic`` (:func:`cyclic_accounts`) and ``dead`` (an
+    engineered table in which one industry has no output and buys no
+    inputs: a zero input column, its use imported)."""
+    if kind == "cyclic":
+        acc = cyclic_accounts(seed, m)
+        return IOAccounts(X=acc.X, Xout=acc.Xout, Cf=acc.Cf, E=acc.E, Imp=acc.Imp, pi=shrink * acc.pi)
+    rng = np.random.default_rng(seed)
+    Xout = rng.uniform(100.0, 150.0, m)
+    if kind == "random":
+        pi = rng.uniform(0.5, 1.0, m)
+        inputs = Xout * rng.uniform(0.1, 0.3, m)
+    else:
+        pi = rng.uniform(0.4, 1.0, m)
+        inputs = Xout * pi / (1.0 + pi)
+    w = rng.uniform(0.5, 1.5, (m, m))
+    X = w / w.sum(axis=0) * inputs
+    if kind == "dead":
+        j = int(rng.integers(m))
+        X[:, j] = 0.0
+        Xout[j] = 0.0
+    E = Xout * rng.uniform(0.05, 0.2, m)
+    Imp = rng.uniform(0.5, 1.5, m)
+    Imp *= E.sum() / Imp.sum()
+    if kind == "dead":
+        Imp[j] += X[j].sum()
+    Cf = Xout + Imp - X.sum(axis=1) - E
+    return IOAccounts(X=X, Xout=Xout, Cf=Cf, E=E, Imp=Imp, pi=shrink * pi)
+
+
+def reference_solve(acc: IOAccounts, tol: float = 1e-9) -> dict:
+    """The seed-path national solve with every matrix formed in full: the
+    stacked demand columns ``[X | Cf | E]``, the coefficients ``A``, ``A(y)``
+    as a second buffer and ``M = diag(y/pi) A^T``."""
+    m = acc.m
+    A = acc.coefficients()
+    C_big = np.column_stack([acc.X, acc.Cf, acc.E])
+    taxed_use = acc.X @ acc.pi
+    target = acc.Xout + acc.Imp + taxed_use
+    y = np.concatenate([1.0 + acc.pi, [1.0, 1.0]])
+    residual = C_big @ y - target
+    inside, below, _ = _classify(residual, target, max(tol, CONE_TOL))
+    A_y = A * y[None, :m]
+    A_y /= acc.pi[:, None]
+    period = _period(A_y)
+    rho_m, left, _, _, _ = _dominant(A_y.T, period)
+    rho = rho_m if period else float(np.abs(np.linalg.eigvals(A_y)).max())
+    p = left / acc.pi
+    p = p / p.max()
+    M = (y[:m] / acc.pi)[:, None] * A.T
+    Mp = M @ p
+    cf_value, e_value = float(acc.Cf @ p), float(acc.E @ p)
+    household = (((1.0 - acc.pi) * acc.Xout) @ p + p @ taxed_use) / cf_value
+    trade = float(acc.Imp @ p) / e_value
+    J = tuple(np.flatnonzero(below).tolist())
+    certified = (
+        abs(rho - 1.0) <= RHO_TOL
+        and np.abs(Mp - p).max() <= RHO_TOL
+        and abs(household - y[m]) / max(1.0, y[m]) <= max(RHO_TOL, tol)
+        and abs(trade - y[m + 1]) / max(1.0, y[m + 1]) <= max(RHO_TOL, tol)
+        and cf_value > DEFAULT_TOL_POS
+        and e_value > DEFAULT_TOL_POS
+        and bool((p[list(J)] <= DEFAULT_TOL_POS).all())
+    )
+    return dict(
+        y=y, p=p, rho=rho, I=tuple(np.flatnonzero(inside).tolist()), J=J,
+        certified=certified, target=target, residual=residual, rho_m=rho_m,
+        Mp=Mp, input_value=A.T @ p,
+    )
 
 
 class TestIOAccounts:
@@ -433,8 +510,8 @@ class TestNationalEquilibrium:
             solve_national_equilibrium(acc, strict=False)
 
     def test_m300_solve_keeps_few_full_size_buffers(self):
-        # A, the stacked demand columns [X | Cf | E] and A(y), each freed
-        # or overwritten before the next, peak at about 2.3 m x m doubles
+        # A(y), written in place over A, is the one m x m float buffer; the
+        # graph test's boolean adjacency adds m x m / 8 doubles
         m = 300
         acc = certified_accounts(3, m)
         solve_national_equilibrium(acc, strict=False)  # first-call set-up
@@ -445,7 +522,33 @@ class TestNationalEquilibrium:
         finally:
             tracemalloc.stop()
         assert sol.diagnostics["seed_used"] and sol.certified
-        assert peak < 3 * 8 * m * m
+        assert peak < 1.5 * 8 * m * m
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["engineered", "random", "cyclic", "dead"]),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 40),
+        shrink=st.sampled_from([1.0, 0.7, 0.5]),
+    )
+    def test_matches_the_solve_with_every_matrix_formed(self, kind, seed, m, shrink):
+        acc = balanced_accounts(kind, seed, m, shrink)
+        ref = reference_solve(acc)
+        sol = solve_national_equilibrium(acc, strict=False)
+        assert sol.diagnostics["seed_used"]
+        assert np.array_equal(sol.y, ref["y"]) and np.array_equal(sol.p, ref["p"])
+        assert sol.rho == ref["rho"]
+        assert (sol.I, sol.J, sol.certified) == (ref["I"], ref["J"], ref["certified"])
+        # the residuals come from A^T p = (X^T p) / Xout and from the
+        # balance gap, so they agree with the full matrices to rounding
+        diag, eps = sol.diagnostics, np.finfo(float).eps
+        scale = max(1.0, float(ref["Mp"].max()))
+        assert abs(diag["price_eigen_residual"] - np.abs(ref["Mp"] - ref["rho_m"] * ref["p"]).max()) <= 8 * eps * scale
+        assert abs(diag["value_equation_residual"] - np.abs(ref["Mp"] - ref["p"]).max()) <= 8 * eps * scale
+        scale = max(1.0, float(ref["input_value"].max()))
+        assert abs(diag["input_value_min"] - ref["input_value"].min()) <= 8 * eps * scale
+        bound = 1e-12 * max(1.0, float(ref["target"].max()))
+        assert abs(diag["scales_residual"] - np.abs(ref["residual"]).max()) <= bound
 
     def test_zero_pi_rejected(self):
         acc = toy_accounts(pi=(0.0, 1.0))
