@@ -31,7 +31,7 @@ from demandgap import (
     supply_vector,
     synthesize_property,
 )
-from demandgap.exchange import DEFAULT_TOL_POS, _classify
+from demandgap.exchange import DEFAULT_TOL, DEFAULT_TOL_POS, _classify
 from demandgap.leontief import RHO_TOL
 from demandgap.solvers import CONE_TOL, PF_MAX_ITER, _dominant, _period
 from demandgap.structure import RepresentationParts
@@ -117,10 +117,11 @@ def balanced_accounts(kind: str, seed: int, m: int, shrink: float = 1.0) -> IOAc
     return IOAccounts(X=X, Xout=Xout, Cf=Cf, E=E, Imp=Imp, pi=shrink * pi)
 
 
-def reference_solve(acc: IOAccounts, tol: float = 1e-9) -> dict:
-    """The seed-path national solve with every matrix formed in full: the
-    stacked demand columns ``[X | Cf | E]``, the coefficients ``A``, ``A(y)``
-    as a second buffer and ``M = diag(y/pi) A^T``."""
+def reference_solve(acc: IOAccounts) -> dict:
+    """The seed-path national solve at the default ``tol`` with every
+    matrix formed in full: the stacked demand columns ``[X | Cf | E]``, the
+    coefficients ``A``, ``A(y)`` as a second buffer and
+    ``M = diag(y/pi) A^T``."""
     m = acc.m
     A = acc.coefficients()
     C_big = np.column_stack([acc.X, acc.Cf, acc.E])
@@ -128,7 +129,7 @@ def reference_solve(acc: IOAccounts, tol: float = 1e-9) -> dict:
     target = acc.Xout + acc.Imp + taxed_use
     y = np.concatenate([1.0 + acc.pi, [1.0, 1.0]])
     residual = C_big @ y - target
-    inside, below, _ = _classify(residual, target, max(tol, CONE_TOL))
+    inside, below, _ = _classify(residual, target, max(DEFAULT_TOL, CONE_TOL))
     A_y = A * y[None, :m]
     A_y /= acc.pi[:, None]
     period = _period(A_y)
@@ -145,8 +146,8 @@ def reference_solve(acc: IOAccounts, tol: float = 1e-9) -> dict:
     certified = (
         abs(rho - 1.0) <= RHO_TOL
         and np.abs(Mp - p).max() <= RHO_TOL
-        and abs(household - y[m]) / max(1.0, y[m]) <= max(RHO_TOL, tol)
-        and abs(trade - y[m + 1]) / max(1.0, y[m + 1]) <= max(RHO_TOL, tol)
+        and abs(household - y[m]) / max(1.0, y[m]) <= max(RHO_TOL, DEFAULT_TOL)
+        and abs(trade - y[m + 1]) / max(1.0, y[m + 1]) <= max(RHO_TOL, DEFAULT_TOL)
         and cf_value > DEFAULT_TOL_POS
         and e_value > DEFAULT_TOL_POS
         and bool((p[list(J)] <= DEFAULT_TOL_POS).all())
