@@ -218,11 +218,7 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
     col = acc.input_value()
     live = col > 0
     pi = _effective_pi(acc, live)
-    if live.all():
-        share = pi * acc.Xout / col
-    else:
-        share = np.zeros(acc.m)
-        share[live] = pi[live] * acc.Xout[live] / col[live]
+    share = np.divide(pi * acc.Xout, col, out=np.zeros(acc.m), where=live)
     production = acc.X @ share
 
     cf_total, e_total, imp_total = _final_totals(acc)

@@ -51,24 +51,11 @@ def recession_industries(D, S, tol: float = 0.0) -> tuple[tuple[int, ...], np.nd
     S = np.asarray(S, dtype=float).reshape(-1)
     if D.shape != S.shape:
         raise ValueError(f"D and S lengths differ: {D.shape[0]} vs {S.shape[0]}")
-    # raw arrays: test each before subtracting, so inf - inf never warns
     _check_finite(D, "D")
     _check_finite(S, "S")
-    gap, strict = _shortfall(D, S, tol)
-    return _positions(strict), np.abs(gap[strict])
-
-
-def _shortfall(D: np.ndarray, S: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The deficit ``D - S`` and the mask of its strict shortfalls at
-    ``tol``.  The deficit is tested for finiteness once; only when that
-    fails are ``D`` and ``S`` tested, so the ValueError names the one at
-    fault (a deficit that overflows from finite ``D`` and ``S`` stands,
-    as in :func:`recession_industries`)."""
     gap = D - S
-    if not np.isfinite(gap).all():
-        _check_finite(D, "D")
-        _check_finite(S, "S")
-    return gap, _classify(gap, S, tol)[1]
+    strict = _classify(gap, S, tol)[1]
+    return _positions(strict), np.abs(gap[strict])
 
 
 def recession_ratio(acc: IOAccounts, tol: float = 0.0) -> float:
@@ -140,15 +127,14 @@ def rank_industries(report: RecessionReport, k: int, mode: str) -> list[RankedIn
     by their numeric index.  ``k`` must be nonnegative.
     """
     position = {index: pos for pos, index in enumerate(report.indices)}
-    positions = np.array([position[i] for i in report.recession_set], dtype=np.intp)
-    return _ranked(report, positions, k, mode)
+    return _ranked(report, [position[i] for i in report.recession_set], k, mode)
 
 
 def _ranked(
-    report: RecessionReport, positions: np.ndarray, k: int, mode: str
+    report: RecessionReport, positions: list[int], k: int, mode: str
 ) -> list[RankedIndustry]:
     """:func:`rank_industries` given the table positions of the recession
-    set, in its order, as an integer array."""
+    set, in its order."""
     if mode not in ("sensitive", "contributing"):
         raise ValueError(f"mode must be 'sensitive' or 'contributing', got {mode!r}")
     if k < 0:
@@ -159,26 +145,22 @@ def _ranked(
     else:
         gross = report.gross_output[positions]
         key = np.divide(reduction, gross, out=np.full(len(positions), np.inf), where=gross > 0)
-    # a stable sort of -key: ties keep the order of the recession set
-    order = np.argsort(-key, kind="stable")[:k]
-    top = positions[order]
-    return [
-        RankedIndustry(
-            index=report.indices[pos],
-            name=report.names[pos] or str(report.indices[pos]),
-            demand_reduction=demand_reduction,
-            gross_output=gross_output,
-            imports=imports,
-            exports=exports,
+    # sorted() is stable, so ties keep the order of the recession set
+    order = sorted(range(len(positions)), key=key.tolist().__getitem__, reverse=True)
+    rows = []
+    for j in order[:k]:
+        pos = positions[j]
+        rows.append(
+            RankedIndustry(
+                index=report.indices[pos],
+                name=report.names[pos] or str(report.indices[pos]),
+                demand_reduction=float(reduction[j]),
+                gross_output=float(report.gross_output[pos]),
+                imports=float(report.imports[pos]),
+                exports=float(report.exports[pos]),
+            )
         )
-        for pos, demand_reduction, gross_output, imports, exports in zip(
-            top.tolist(),
-            reduction[order].tolist(),
-            report.gross_output[top].tolist(),
-            report.imports[top].tolist(),
-            report.exports[top].tolist(),
-        )
-    ]
+    return rows
 
 
 def analyze_accounts(
@@ -196,10 +178,10 @@ def analyze_accounts(
     """
     D = demand_vector(acc)
     S = supply_vector(acc)
-    deficit, strict = _shortfall(D, S, tol)
-    positions = strict.nonzero()[0]
+    deficit = D - S
+    positions, shortfall = recession_industries(D, S, tol=tol)
     gdp = acc.gross_value_added()
-    r = _ratio(np.abs(deficit[strict]), gdp)
+    r = _ratio(shortfall, gdp)
     if indices is None:
         indices = tuple(range(1, acc.m + 1))
     else:
@@ -219,7 +201,7 @@ def analyze_accounts(
         D=D,
         S=S,
         deficit=deficit,
-        recession_set=tuple(indices[pos] for pos in positions.tolist()),
+        recession_set=tuple(indices[pos] for pos in positions),
         r=r,
         gdp=gdp,
         rankings={},
@@ -230,6 +212,7 @@ def analyze_accounts(
         imports=acc.Imp,
         exports=acc.E,
     )
+    positions = list(positions)
     rankings = {
         "sensitive": _ranked(report, positions, top, "sensitive"),
         "contributing": _ranked(report, positions, top, "contributing"),

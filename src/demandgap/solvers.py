@@ -159,10 +159,7 @@ def _sweep(adj: np.ndarray, period: int) -> int:
     ``k + 1 - level(j)``, is its term of the gcd: the gcd takes one
     vectorised step per level, and no edge list is built.  With
     ``period = 1`` this is the plain reachability test, which stops as soon
-    as every vertex is reached: when vertex 0 has an edge to every other
-    vertex, after its first level, read off row 0 alone."""
-    if period == 1 and adj[0, 1:].all():
-        return 1
+    as every vertex is reached."""
     seen = np.zeros(adj.shape[0], dtype=bool)
     seen[0] = True
     frontier = seen.copy()
