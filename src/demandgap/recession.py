@@ -51,11 +51,18 @@ def recession_industries(D, S, tol: float = 0.0) -> tuple[tuple[int, ...], np.nd
     S = np.asarray(S, dtype=float).reshape(-1)
     if D.shape != S.shape:
         raise ValueError(f"D and S lengths differ: {D.shape[0]} vs {S.shape[0]}")
+    gap, strict = _shortfall(D, S, tol)
+    return _positions(strict), np.abs(gap[strict])
+
+
+def _shortfall(D: np.ndarray, S: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The deficit ``D - S`` and the mask of its strict shortfalls at
+    ``tol``.  A non-finite entry of ``D`` or ``S`` raises ValueError naming
+    it; both are tested before subtracting, so ``inf - inf`` never warns."""
     _check_finite(D, "D")
     _check_finite(S, "S")
     gap = D - S
-    strict = _classify(gap, S, tol)[1]
-    return _positions(strict), np.abs(gap[strict])
+    return gap, _classify(gap, S, tol)[1]
 
 
 def recession_ratio(acc: IOAccounts, tol: float = 0.0) -> float:
@@ -178,10 +185,10 @@ def analyze_accounts(
     """
     D = demand_vector(acc)
     S = supply_vector(acc)
-    deficit = D - S
-    positions, shortfall = recession_industries(D, S, tol=tol)
+    deficit, strict = _shortfall(D, S, tol)
+    positions = strict.nonzero()[0].tolist()
     gdp = acc.gross_value_added()
-    r = _ratio(shortfall, gdp)
+    r = _ratio(np.abs(deficit[strict]), gdp)
     if indices is None:
         indices = tuple(range(1, acc.m + 1))
     else:
@@ -212,7 +219,6 @@ def analyze_accounts(
         imports=acc.Imp,
         exports=acc.E,
     )
-    positions = list(positions)
     rankings = {
         "sensitive": _ranked(report, positions, top, "sensitive"),
         "contributing": _ranked(report, positions, top, "contributing"),
