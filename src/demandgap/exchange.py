@@ -18,7 +18,8 @@ normalises it to unit money price, or unit max-norm when money is free,
 once per call, whether it arrives as an array or a :class:`PriceVector`.
 It refuses, before dividing, a price whose normalisation would overflow
 (``max(p) / p[0]`` beyond the float range), and the clearing check refuses
-arithmetic that overflows to NaN instead of leaving a good unclassified.
+a bundle value ``<C_i, p>`` or arithmetic that overflows instead of leaving
+a good unclassified.  One private helper issues every warning, at the caller's line.
 
 Everything here is a pure function over immutable value objects; it is safe
 to evaluate in parallel over prices or economies.
@@ -26,6 +27,8 @@ to evaluate in parallel over prices or economies.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -73,6 +76,15 @@ def _check_finite(a: np.ndarray, what: str) -> None:
     """Raise ValueError unless every entry of ``a`` is finite (of any sign)."""
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
+
+
+def _warn(message: str) -> None:
+    """Issue a RuntimeWarning at the first frame outside this package: the caller's line."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def _check_tol(tol: float) -> None:
@@ -259,7 +271,15 @@ def _scales(econ: ExchangeEconomy, q: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if demand_value.min(initial=np.inf) <= DEFAULT_TOL_POS:
         bad = np.flatnonzero(demand_value <= DEFAULT_TOL_POS)[0]
         raise ZeroDemandValue(int(bad), float(demand_value[bad]))
+    _check_demand_value(econ.C, demand_value)
     return (econ.B.T @ q) / demand_value, demand_value
+
+
+def _check_demand_value(C: np.ndarray, demand_value: np.ndarray) -> None:
+    """Raise ValueError naming the goods of every bundle value ``C^T q`` that overflows."""
+    if demand_value.max(initial=0.0) == np.inf:
+        goods = np.flatnonzero(C[:, demand_value == np.inf].any(axis=1))
+        raise ValueError(f"the clearing check overflows at this price on goods {goods.tolist()}")
 
 
 def _proportional(psi_bar, y, demand_value, psi_bar_value: float) -> np.ndarray:
@@ -291,7 +311,7 @@ def _clearing(
     """The clearing verdict of :func:`check_equilibrium` at the normalized
     price ``q``, and the demand scales and values it was computed from.
     Raises ValueError when the three sets miss a good, which happens only
-    when an overflow in ``C^T q``, ``C y`` or ``psi`` leaves a NaN
+    when an overflow in ``B^T q``, ``C y`` or ``psi`` leaves a NaN
     residual or band."""
     y, demand_value = _scales(econ, q)
     psi = econ.total_supply()
@@ -299,11 +319,7 @@ def _clearing(
     residual = demand - psi
 
     if not psi.all():
-        warnings.warn(
-            f"goods with zero total supply: {np.flatnonzero(psi == 0).tolist()}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        _warn(f"goods with zero total supply: {np.flatnonzero(psi == 0).tolist()}")
 
     equal, strict, violated = _classify(residual, psi, tol)
     equality_set, strict_set = _positions(equal), _positions(strict)

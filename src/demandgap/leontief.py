@@ -22,7 +22,6 @@ ingestion at declared prices.
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,7 @@ from .exchange import (
     DEFAULT_TOL,
     DEFAULT_TOL_POS,
     ExchangeEconomy,
+    _check_entries,
     _check_finite,
     _check_tol,
     _classify,
@@ -47,6 +47,7 @@ from .exchange import (
     _normalized_price,
     _positions,
     _vector,
+    _warn,
     check_equilibrium,
 )
 from .solvers import CONE_TOL, _dominant, _period, _solve_nonneg
@@ -183,19 +184,16 @@ def _final_totals(acc: IOAccounts) -> tuple[float, float, float]:
 def _effective_pi(acc: IOAccounts, live: np.ndarray) -> np.ndarray:
     """The taxation shares with 0 for every industry that buys no inputs
     (``live`` is false: zero input column) but has taxed output
-    ``pi_i * Xout_i > 0``; a ``RuntimeWarning`` addressed to the caller's
-    caller names their 0-based positions."""
+    ``pi_i * Xout_i > 0``; a ``RuntimeWarning`` at the caller's line names
+    their 0-based positions."""
     if live.all():
         return acc.pi
     inputless = ~live & (acc.pi * acc.Xout > 0)
     if not inputless.any():
         return acc.pi
-    warnings.warn(
-        "industries at positions "
-        f"{np.flatnonzero(inputless).tolist()} buy no inputs; their taxed "
-        "value goes to households (effective pi = 0)",
-        RuntimeWarning,
-        stacklevel=3,
+    _warn(
+        f"industries at positions {np.flatnonzero(inputless).tolist()} buy no inputs; "
+        "their taxed value goes to households (effective pi = 0)"
     )
     return np.where(inputless, 0.0, acc.pi)
 
@@ -237,6 +235,15 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
 def supply_vector(acc: IOAccounts) -> np.ndarray:
     """Per-industry supply in value units: gross output plus imports."""
     return acc.Xout + acc.Imp
+
+
+def _shortfall(D: np.ndarray, S: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """The deficit ``D - S`` and its equal, strict and violated masks at ``tol``.
+    ``D`` and ``S`` are checked finite first, so ``inf - inf`` never warns."""
+    _check_finite(D, "D")
+    _check_finite(S, "S")
+    gap = D - S
+    return (gap, *_classify(gap, S, tol))
 
 
 @dataclass(frozen=True)
@@ -422,15 +429,14 @@ def check_value_equilibrium(acc: IOAccounts, tol: float = DEFAULT_TOL) -> ValueB
     The residual is the demand deficit ``D_k - S_k`` of the recession
     diagnostics: production demand + household demand + export demand
     minus taxed intermediate use, minus gross output + imports.  Verdict:
-    equilibrium iff every residual is at most ``tol * max(1, S_k)``.
+    equilibrium iff every residual is at most ``tol * max(1, S_k)``.  A
+    non-finite ``D`` or ``S`` raises ValueError, as in the recession diagnostics.
     """
-    S = supply_vector(acc)
-    residual = demand_vector(acc) - S
-    violated = _positions(_classify(residual, S, tol)[2])
+    residual, _, _, violated = _shortfall(demand_vector(acc), supply_vector(acc), tol)
     return ValueBalanceReport(
         residual=residual,
-        violated=violated,
-        is_equilibrium=not violated,
+        violated=_positions(violated),
+        is_equilibrium=not violated.any(),
         tol=tol,
     )
 
@@ -464,11 +470,12 @@ def solve_national_equilibrium(
     Steps:
 
     (a) find nonnegative scales ``y`` with ``[X | Cf | E] y`` reproducing
-        supply plus taxed use.  The guaranteed seed ``(1 + pi, 1, 1)`` is
-        used whenever it fits within ``CONE_TOL``; its residual is minus
-        :meth:`IOAccounts.balance_residual`, since the seed's ``X pi``
-        cancels the target's.  Only when it does not fit is ``[X | Cf | E]``
-        built, for a nonnegative least-squares fit.
+        supply plus taxed use.  The guaranteed seed ``(1 + pi, 1, 1)``,
+        whose residual is minus :meth:`IOAccounts.balance_residual` (its
+        ``X pi`` cancels the target's), is used whenever it fits within
+        ``CONE_TOL``; otherwise ``[X | Cf | E]`` is built for a nonnegative
+        least-squares fit.  Both run in units of the largest target entry
+        (as does a :class:`NotInCone` from the fit), free of the table's scale.
     (b) form the scaled production matrix ``A(y)[i, j] = a_ij y_j / pi_i``
         in place in the coefficient matrix ``A``, the solve's only m x m
         float buffer; test its graph once for irreducibility and period;
@@ -514,17 +521,13 @@ def solve_national_equilibrium(
     taxed_use = acc.X @ acc.pi
     target = acc.Xout + acc.Imp + taxed_use
 
-    # [X | Cf | E] (1 + pi, 1, 1) = X 1 + X pi + Cf + E, whose X pi is the
-    # target's, so the guaranteed seed leaves the balance gap as residual.
     residual = -acc.balance_residual()
-    seed_residual = float(np.linalg.norm(residual))
-    seed_used = seed_residual <= CONE_TOL * float(np.linalg.norm(target))
+    unit = _check_entries(target, "supply plus taxed use") or 1.0
+    seed_used = bool(np.linalg.norm(residual / unit) <= CONE_TOL * np.linalg.norm(target / unit))
     if not seed_used:
         C_big = np.column_stack([acc.X, acc.Cf, acc.E])
-        sol = _solve_nonneg(C_big, target)
-        seed_used = seed_residual <= sol.residual * (1.0 + 1e-9)
-        if not seed_used:
-            residual = C_big @ sol.y - target
+        sol = _solve_nonneg(C_big / unit, target / unit)
+        residual = C_big @ sol.y - target
         del C_big
     y = np.concatenate([1.0 + acc.pi, [1.0, 1.0]]) if seed_used else sol.y
 

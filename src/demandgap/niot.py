@@ -32,15 +32,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NegativeValue, SchemaError
-from .exchange import _nonneg_square, _vector
+from .exchange import _nonneg_square, _vector, _warn
 from .leontief import IOAccounts
 
 __all__ = ["NiotTable", "parse_niot", "serialize_niot"]
@@ -120,11 +118,7 @@ def _parse_cell(text: str, row: int, col: str, clamp_negative: bool) -> float:
     if value < 0:
         if not clamp_negative:
             raise NegativeValue(row, col, value)
-        warnings.warn(
-            f"clamping negative cell at row {row}, column {col}: {value!r}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        _warn(f"clamping negative cell at row {row}, column {col}: {value!r}")
         value = 0.0
     return value
 
@@ -163,24 +157,19 @@ def parse_niot(path, clamp_negative: bool = False) -> NiotTable:
         names.append(row[1].strip())
         # One numpy conversion per row; a row that fails it or holds a
         # negative or non-finite value is parsed again cell by cell, which
-        # names the faulty cell.  map adds no frame, so the clamping
-        # warning still names parse_niot's caller.
+        # names the faulty cell.
         try:
             values = np.array(row[2:], dtype=float)
         except ValueError:
             values = None
         if values is None or not (values.min() >= 0.0 and values.max() < np.inf):
-            values = list(map(_parse_cell, row[2:], repeat(k), columns, repeat(clamp_negative)))
+            values = [_parse_cell(v, k, col, clamp_negative) for v, col in zip(row[2:], columns)]
         block[k - 1] = values
 
     country, year, currency = "XXX", 0, "value units"
     meta_path = path.parent / "meta.csv"
     if not meta_path.exists():
-        warnings.warn(
-            f"no meta.csv beside {path}: country XXX and year 0, so reports are named XXX_0_*",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _warn(f"no meta.csv beside {path}: country XXX and year 0, so reports are named XXX_0_*")
     else:
         meta_rows = _read_rows(meta_path)
         if len(meta_rows) < 2 or [h.strip() for h in meta_rows[0]] != ["country", "year", "currency"]:

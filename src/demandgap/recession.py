@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveGDP
-from .exchange import _check_finite, _classify, _positions
-from .leontief import IOAccounts, demand_vector, supply_vector
+from .exchange import _positions
+from .leontief import IOAccounts, _shortfall, demand_vector, supply_vector
 
 __all__ = [
     "RecessionReport",
@@ -51,18 +51,8 @@ def recession_industries(D, S, tol: float = 0.0) -> tuple[tuple[int, ...], np.nd
     S = np.asarray(S, dtype=float).reshape(-1)
     if D.shape != S.shape:
         raise ValueError(f"D and S lengths differ: {D.shape[0]} vs {S.shape[0]}")
-    gap, strict = _shortfall(D, S, tol)
+    gap, _, strict, _ = _shortfall(D, S, tol)
     return _positions(strict), np.abs(gap[strict])
-
-
-def _shortfall(D: np.ndarray, S: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The deficit ``D - S`` and the mask of its strict shortfalls at
-    ``tol``.  A non-finite entry of ``D`` or ``S`` raises ValueError naming
-    it; both are tested before subtracting, so ``inf - inf`` never warns."""
-    _check_finite(D, "D")
-    _check_finite(S, "S")
-    gap = D - S
-    return gap, _classify(gap, S, tol)[1]
 
 
 def recession_ratio(acc: IOAccounts, tol: float = 0.0) -> float:
@@ -75,8 +65,8 @@ def recession_ratio(acc: IOAccounts, tol: float = 0.0) -> float:
     never an external figure.
     """
     gdp = acc.gross_value_added()
-    _, shortfall = recession_industries(demand_vector(acc), supply_vector(acc), tol=tol)
-    return _ratio(shortfall, gdp)
+    deficit, _, strict, _ = _shortfall(demand_vector(acc), supply_vector(acc), tol)
+    return _ratio(np.abs(deficit[strict]), gdp)
 
 
 def _ratio(shortfall: np.ndarray, gdp: float) -> float:
@@ -185,7 +175,7 @@ def analyze_accounts(
     """
     D = demand_vector(acc)
     S = supply_vector(acc)
-    deficit, strict = _shortfall(D, S, tol)
+    deficit, _, strict, _ = _shortfall(D, S, tol)
     positions = strict.nonzero()[0].tolist()
     gdp = acc.gross_value_added()
     r = _ratio(np.abs(deficit[strict]), gdp)

@@ -32,6 +32,7 @@ from .exchange import (
     DEFAULT_TOL,
     DEFAULT_TOL_POS,
     ExchangeEconomy,
+    _check_demand_value,
     _check_entries,
     _check_finite,
     _check_tol,
@@ -229,7 +230,7 @@ def synthesize_property(
     coefficients are infeasible; the function raises instead of projecting,
     because projection would silently destroy the clearing property.
     Magnitudes below the negativity tolerance are snapped to zero.  A
-    non-finite entry of ``C`` raises ValueError.
+    non-finite entry of ``C`` or bundle value ``<C_i, p>`` raises ValueError.
     """
     C = np.asarray(C, dtype=float)
     _check_finite(C, "C")
@@ -244,6 +245,7 @@ def synthesize_property(
     demand_value = C.T @ q
     if not demand_value.min(initial=np.inf) > DEFAULT_TOL_POS:
         raise ValueError("every consumer must demand something on the support")
+    _check_demand_value(C, demand_value)
     P = _proportional(psi_bar, parts.y, demand_value, float(psi_bar @ q))
     return _assemble(P, _clearing_matrix(q, parts.I)[0], parts)
 

@@ -248,6 +248,19 @@ class TestEquilibrium:
         assert "pi at positions [2]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "equilibrium"])
+    def test_overflowing_demand_exits_three(self, command, tmp_path, capsys):
+        # household demand Cf * income overflows, so D is not finite; the
+        # value check once wrote "value_residual": [NaN, NaN], "violated": []
+        table = tmp_path / "huge.csv"
+        table.write_text(HEADER + "\n1,A,1,1,1e308,0,1,1,1\n2,B,1,1,1e308,0,1,1,1\n")
+        (tmp_path / "meta.csv").write_text("country,year,currency\nHUG,2000,u\n")
+        with np.errstate(all="ignore"):
+            code = main([command, str(table), "--pi", "0.5", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert _one_line(capsys.readouterr().err) == "error: D must be finite"
+        assert not (tmp_path / "o").exists()
+
     def test_share_too_small_to_divide_by_exits_three(self, toy_table, tmp_path, capsys):
         pi = tmp_path / "pi.csv"
         pi.write_text("1e-310,1.0\n")

@@ -283,6 +283,15 @@ class TestOverflowingPrice:
             with pytest.raises(ValueError, match="clearing check overflows .* goods \\[0, 1\\]"):
                 check_equilibrium(ExchangeEconomy(C, C), (1.0, 1e308))
 
+    @pytest.mark.parametrize("call", [demand_scales, check_equilibrium])
+    def test_infinite_demand_value_raises(self, call):
+        # <C_0, q> = 1 + 1e309 overflows to inf while <b_0, q> = 11 stays
+        # finite: unchecked, y_0 reads 0 and the check reports equilibrium
+        C = np.array([[1.0, 1.0], [1e308, 1.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="clearing check overflows .* goods \\[0, 1\\]"):
+                call(ExchangeEconomy(C, np.ones((2, 2))), (1.0, 10.0))
+
     def test_nan_measure_fails_its_clause(self):
         C = np.array([[1.0, 1.0], [10.0, 1.0]])
         with np.errstate(over="ignore", invalid="ignore"):

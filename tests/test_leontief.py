@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from demandgap import (
     AggregationMap,
     BlockMismatch,
+    DemandGapError,
     ExchangeEconomy,
     IOAccounts,
     NotAnEquilibrium,
@@ -38,6 +39,7 @@ from demandgap.structure import RepresentationParts
 from demandgap.fixtures import (
     random_consistent_accounts,
     random_equilibrium,
+    random_value_accounts,
     toy_accounts,
 )
 
@@ -550,6 +552,62 @@ class TestNationalEquilibrium:
         assert abs(diag["input_value_min"] - ref["input_value"].min()) <= 8 * eps * scale
         bound = 1e-12 * max(1.0, float(ref["target"].max()))
         assert abs(diag["scales_residual"] - np.abs(ref["residual"]).max()) <= bound
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["toy", "engineered", "random", "consistent", "unbalanced"]),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 30),
+        k=st.integers(50, 290),
+    )
+    def test_solve_is_free_of_the_table_scale(self, kind, seed, m, k):
+        # the seed test squares no raw entry, so it neither overflows nor
+        # underflows, and the NNLS fit sees the same system at every scale
+        if kind == "toy":
+            acc = toy_accounts()
+        elif kind == "consistent":
+            acc = random_consistent_accounts(seed, m)[0]
+        elif kind == "unbalanced":
+            acc = random_value_accounts(seed, m)
+        else:
+            acc = balanced_accounts(kind, seed, m)
+
+        def solve(table):
+            try:
+                return solve_national_equilibrium(table, strict=False)
+            except DemandGapError as e:
+                return type(e)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            base, big = solve(acc), solve(acc.scaled(10.0**k))
+        if isinstance(base, type):
+            assert big is base
+            return
+        assert big.diagnostics["seed_used"] == base.diagnostics["seed_used"]
+        assert (big.I, big.J, big.certified) == (base.I, base.J, base.certified)
+        np.testing.assert_allclose(big.y, base.y, rtol=1e-9, atol=0)
+        assert big.rho == pytest.approx(base.rho, rel=1e-9, abs=0)
+
+    def test_scale_fit_on_a_huge_unbalanced_table(self):
+        # at scale 1e153 the squared entries overflowed and the seed
+        # "fitted" the unbalanced toy table with y = (2, 2, 1, 1)
+        base = solve_national_equilibrium(toy_accounts(), strict=False)
+        big = solve_national_equilibrium(toy_accounts().scaled(1e153), strict=False)
+        assert not big.diagnostics["seed_used"]
+        np.testing.assert_allclose(big.y, [3.08333333, 0.0, 2.08333333, 0.0], rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(big.y, base.y, rtol=1e-9, atol=0)
+        assert big.rho == pytest.approx(0.308333333, rel=1e-8)
+
+    def test_overflowing_target_rejected(self):
+        # Xout_0 + Imp_0 overflows; the seed once "fitted" it in norm
+        acc = IOAccounts(
+            X=[[1e307, 1.0], [1.0, 1.0]], Xout=[1.7e308, 10.0], Cf=[1.6e308, 7.0],
+            E=[1.0, 1.0], Imp=[1.7e308, 1.0], pi=0.5,
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="supply plus taxed use must be finite"):
+                solve_national_equilibrium(acc, strict=False)
 
     def test_zero_pi_rejected(self):
         acc = toy_accounts(pi=(0.0, 1.0))

@@ -1,11 +1,14 @@
 """Demand/supply vectors, recession set, ratio, rankings."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandgap import (
+    DemandGapError,
     IOAccounts,
     NonpositiveGDP,
     RecessionReport,
@@ -18,6 +21,7 @@ from demandgap import (
     supply_vector,
 )
 from demandgap.fixtures import random_value_accounts, toy_accounts
+from demandgap.leontief import _shortfall
 
 
 class TestDemandVector:
@@ -274,6 +278,52 @@ class TestInvariants:
             np.testing.assert_allclose(
                 gap, report.residual, atol=1e-12 * max(1.0, np.abs(gap).max())
             )
+
+    def test_value_check_refuses_an_overflowing_table(self):
+        # D is NaN (Cf * income overflows); unchecked, violated was empty
+        acc = IOAccounts(X=np.ones((2, 2)), Xout=[1, 1], Cf=[1e308, 1e308], E=[1, 1], Imp=[1, 1], pi=0.5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="D must be finite"):
+                check_value_equilibrium(acc)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(m=st.integers(1, 4), data=st.data())
+    def test_every_value_form_verdict_agrees(self, m, data):
+        # entries of everyday size or up to 1.7e308; inputs are shares of
+        # each column's output, so most tables have positive value added
+        def draw(n, top, unit=1.0):
+            return unit * np.array(data.draw(st.lists(st.floats(0.0, top), min_size=n, max_size=n)))
+
+        def vector():
+            return draw(m, 1.7e3, data.draw(st.sampled_from([1.0, 1.0, 1e150, 1e305])))
+
+        Xout = vector()
+        acc = IOAccounts(
+            X=draw(m * m, 1.0 / m).reshape(m, m) * Xout, Xout=Xout, Cf=vector(), E=vector(),
+            Imp=vector(), pi=draw(m, 1.0),
+        )
+        calls = {
+            "check_value_equilibrium": lambda: check_value_equilibrium(acc),
+            "recession_ratio": lambda: recession_ratio(acc),
+            "analyze_accounts": lambda: analyze_accounts(acc),
+            "recession_industries": lambda: recession_industries(demand_vector(acc), supply_vector(acc)),
+        }
+        outcome = {}
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # input-less industries
+            for name, call in calls.items():
+                try:
+                    outcome[name] = call()
+                except (ValueError, DemandGapError) as e:
+                    outcome[name] = e
+        refused = {name for name, o in outcome.items() if isinstance(o, ValueError)}
+        assert refused in (set(), set(calls)), outcome
+        balance, report = outcome["check_value_equilibrium"], outcome["analyze_accounts"]
+        if isinstance(report, RecessionReport):
+            assert np.array_equal(balance.residual, report.deficit)
+            masks = _shortfall(report.D, report.S, balance.tol)[1:]
+            assert (sum(mask.astype(int) for mask in masks) == 1).all()
+            assert balance.is_equilibrium == (not masks[2].any())
 
     def test_export_monotonicity(self):
         # raising one industry's exports (imports fixed) cannot lower its demand

@@ -143,6 +143,14 @@ class TestSynthesize:
         with pytest.raises(NegativeEndowment):
             synthesize_property(C, [1.0, 1.0], parts)
 
+    def test_infinite_demand_value_raises(self):
+        # <C_0, q> overflows to inf; unchecked, column 0 of B is NaN
+        C = np.array([[1.0, 1.0], [1e308, 1.0]])
+        parts = RepresentationParts(y=[1.0, 1.0], a=np.full((2, 2), 0.5), d0=np.zeros((2, 2)), I=(0, 1))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="clearing check overflows .* goods \\[0, 1\\]"):
+                synthesize_property(C, [1.0, 10.0], parts)
+
     def test_invalid_parts_rejected(self):
         C = np.ones((2, 2))
         bad = RepresentationParts(
