@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import dense_perron_oracle, inputless_accounts, power_steps
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandgap import (
@@ -560,6 +560,9 @@ class TestNationalEquilibrium:
         m=st.integers(2, 30),
         k=st.integers(50, 290),
     )
+    # at 1e153 the squared entries overflowed and the seed "fitted" the
+    # unbalanced toy table with y = (2, 2, 1, 1) against (3.08, 0, 2.08, 0)
+    @example(kind="toy", seed=0, m=2, k=153)
     def test_solve_is_free_of_the_table_scale(self, kind, seed, m, k):
         # the seed test squares no raw entry, so it neither overflows nor
         # underflows, and the NNLS fit sees the same system at every scale
@@ -588,16 +591,6 @@ class TestNationalEquilibrium:
         assert (big.I, big.J, big.certified) == (base.I, base.J, base.certified)
         np.testing.assert_allclose(big.y, base.y, rtol=1e-9, atol=0)
         assert big.rho == pytest.approx(base.rho, rel=1e-9, abs=0)
-
-    def test_scale_fit_on_a_huge_unbalanced_table(self):
-        # at scale 1e153 the squared entries overflowed and the seed
-        # "fitted" the unbalanced toy table with y = (2, 2, 1, 1)
-        base = solve_national_equilibrium(toy_accounts(), strict=False)
-        big = solve_national_equilibrium(toy_accounts().scaled(1e153), strict=False)
-        assert not big.diagnostics["seed_used"]
-        np.testing.assert_allclose(big.y, [3.08333333, 0.0, 2.08333333, 0.0], rtol=1e-8, atol=1e-12)
-        np.testing.assert_allclose(big.y, base.y, rtol=1e-9, atol=0)
-        assert big.rho == pytest.approx(0.308333333, rel=1e-8)
 
     def test_overflowing_target_rejected(self):
         # Xout_0 + Imp_0 overflows; the seed once "fitted" it in norm
