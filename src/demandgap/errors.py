@@ -69,7 +69,8 @@ class NotIrreducible(DemandGapError):
 
 
 class NoConvergence(DemandGapError):
-    """The Perron kernel's eigenpair failed its residual check."""
+    """The Perron kernel's eigenpair failed its residual check, or the
+    cone solve reached its iteration cap (``residual`` is then its fit's)."""
 
     def __init__(self, iterations: int, residual: float):
         self.iterations = iterations

@@ -491,6 +491,9 @@ def solve_national_equilibrium(
 
     The diagnostics name the kernel's path in ``perron_method``.
 
+    A total of final consumption, exports or imports that overflows
+    raises ValueError "D must be finite", before the fit.
+
     Every share must be positive, after the override of
     :func:`demand_vector` that gives an industry buying no inputs an
     effective share of 0 (with the same warning), and at least
@@ -509,7 +512,12 @@ def solve_national_equilibrium(
     """
     _check_tol(tol)
     m = acc.m
-    _, e_total, imp_total = _final_totals(acc)
+    with np.errstate(over="ignore"):  # refused below, without a warning
+        totals = _final_totals(acc)
+    if not max(totals) < np.inf:
+        # household and trade demand divide by these totals: no finite D
+        raise ValueError("D must be finite")
+    _, e_total, imp_total = totals
     live = acc.input_value() > 0
     pi = _effective_pi(acc, live) if live.any() else acc.pi
     if (pi <= 0).any():

@@ -28,10 +28,14 @@ distance from vertex 0 (Denardo 1977): the forward sweep folds it in one
 vectorised step per level, and one positive diagonal entry settles it at 1
 without any gcd (the costs are tabled above ``PF_MAX_ITER``).  An
 irreducible matrix of period h has exactly h eigenvalues of modulus
-``rho`` (Berman and Plemmons 1994, ch. 2).  scipy is
-loaded only by the nonnegative least-squares solve (``scipy.optimize.nnls``,
-imported on its first call), so importing the package, and solving a
-balanced national table whose guaranteed scale seed fits, never load it.
+``rho`` (Berman and Plemmons 1994, ch. 2).
+
+The cone membership test is a numpy nonnegative least-squares solve, the
+active-set method of Lawson and Hanson (1995, ch. 23) that
+``scipy.optimize.nnls`` also implements, with the same rule for the column
+that enters, so it returns scipy's solution when there are many; its thin
+QR grows by one Gram-Schmidt column and shrinks by Givens rotations, never
+by refactoring.  The package imports no scipy module.
 
 The eigenpair kernel always terminates.  It first checks its uniform start
 vector, which is exact when every row sum is equal.  On a primitive matrix
@@ -53,6 +57,8 @@ answers, the answer is checked: the vector is made nonnegative at max-norm
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,7 +348,10 @@ def solve_nonneg(C, target) -> ConeSolution:
     otherwise the target lies outside the cone of the columns and
     :class:`NotInCone` is raised.  A non-finite entry of ``C``, or a
     negative or non-finite entry of ``target``, raises ValueError before
-    scipy is loaded.
+    the solve starts.  The solve is the active-set method of Lawson and
+    Hanson, which takes at most ``max(30, 10 n)`` steps on ``n`` columns
+    or raises :class:`NoConvergence`; on a problem with many solutions it
+    returns the one ``scipy.optimize.nnls`` returns.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2:
@@ -355,18 +364,197 @@ def _solve_nonneg(C: np.ndarray, target) -> ConeSolution:
     """:func:`solve_nonneg` of a finite 2-d float matrix its caller has
     already checked; only the target is checked here."""
     target = _vector(target, C.shape[0], "target")
-    norm = float(np.linalg.norm(target))
+    norm = float(np.hypot.reduce(target, initial=0.0))  # cannot overflow below the largest float
     if norm == 0.0:
         return ConeSolution(y=np.zeros(C.shape[1]), residual=0.0, interior=False)
-    from scipy.optimize import nnls  # the only scipy use; imported on the first cone solve
-
-    y, rnorm = nnls(C, target, maxiter=max(30, 10 * C.shape[1]))
+    y, rnorm = _lawson_hanson(C, target, max(30, 10 * C.shape[1]))
     threshold = CONE_TOL * norm
     if rnorm > threshold:
         raise NotInCone(float(rnorm), threshold)
     ymax = float(y.max(initial=0.0))
     interior = ymax > 0 and float(y.min()) / ymax > 1e-10
-    return ConeSolution(y=y, residual=float(rnorm), interior=interior)
+    return ConeSolution(y=y, residual=rnorm, interior=interior)
+
+
+def _lawson_hanson(A: np.ndarray, b: np.ndarray, maxiter: int) -> tuple[np.ndarray, float]:
+    """``(y, |A y - b|)`` for the ``y >= 0`` that minimises ``|A y - b|``
+    (``A`` finite, ``b`` finite and nonnegative), by the active-set method
+    of Lawson and Hanson (1995, ch. 23).
+
+    The passive columns ``P`` hold the positive coefficients.  Each outer
+    step moves into ``P`` the column with the largest entry of the dual
+    vector ``w = A^T (b - A y)``, ties going to the first in scipy's order
+    of the others, unless that column lies too close to the span of ``P``
+    (a hundredth of its distance from that span, added to the norm of its
+    projection onto it, changes nothing in floating point) or its
+    least-squares coefficient would not be positive; then its ``w`` is
+    zeroed and the next is tried.  Both tests are free of the column's
+    scale.  The loop stops when no ``w`` is positive, when ``P`` has
+    ``min(m, n)`` columns, or, raising :class:`NoConvergence`, after
+    ``maxiter`` inner steps; and once an outer step leaves the residual no
+    smaller, which in exact arithmetic none does, so that only rounding is
+    left to fit (on a rank-deficient cone two columns could otherwise
+    swap places until the cap).  An inner step fits ``P`` by least squares;
+    while a coefficient is not positive, ``y`` moves towards the fit until
+    the first coefficient reaches 0, that column leaves ``P`` (with any
+    other that reached 0) and ``P`` is fitted again.  These are the rules
+    of ``scipy.optimize.nnls``, so on a problem with many solutions both
+    return the same one, unless the cone is so ill-conditioned that
+    rounding decides between them.
+
+    ``P`` is held as a thin QR, ``A_P = QT[:k].T @ R[:k, :k]``: an entering
+    column is orthogonalised against ``QT`` twice (Gram-Schmidt with one
+    re-orthogonalisation), and a leaving one is deleted from ``R`` and the
+    triangle restored with Givens rotations, applied also to ``QT`` and
+    ``qtb = QT @ b``.  numpy has no triangular solve, so ``S``, the inverse
+    of ``R``, is kept beside it: an entering column adds one column to
+    ``S``, and after a deletion the columns of ``S`` from the first deleted
+    position on are formed again from the new ``R``, never by rotating the
+    old inverse.  The fit of ``P`` is then ``S @ qtb``, and its residual
+    ``r = b - QT.T @ qtb`` is orthogonalised against ``QT`` once more, so
+    that ``w`` holds no rounding from the span of ``P``: a column close to
+    that span has a true ``w`` far below that rounding, and a fit could
+    otherwise stop at a residual near ``CONE_TOL`` where scipy's, which
+    forms ``w`` from the transformed columns, reaches rounding level.
+
+    ``A`` and ``b`` are first scaled by the powers of two that bring their
+    largest entries into ``[0.5, 1)``: that rounds nothing, so every step
+    rounds as it would unscaled, and no square can overflow.  A column
+    below about ``1e-150`` of the largest entry of ``A`` then has a square
+    that underflows, and counts as a zero column.
+    """
+    m, n = A.shape
+    ea = math.frexp(float(np.abs(A).max(initial=0.0)))[1]
+    eb = math.frexp(float(b.max(initial=0.0)))[1]
+    A = np.ldexp(A, -ea)
+    b = np.ldexp(b, -eb)
+    kmax = min(m, n)
+    QT = np.zeros((kmax, m))
+    R = np.zeros((kmax, kmax))
+    S = np.zeros((kmax, kmax))
+    qtb = np.zeros(kmax)
+    yp = np.zeros(kmax)  # the coefficients of P, in its order
+    # P, then the other columns in scipy's order: an entering column swaps
+    # with the first of the others, and a leaving one goes in front of them
+    order = np.arange(n)
+    # two dot products of one column (norm below sqrt(m)) with r differ by
+    # at most this times |r|, however they are summed
+    slack = 2.0 * m * math.sqrt(m) * sys.float_info.epsilon
+    k = steps = 0
+    r = b
+    rr = math.inf
+    while k < kmax:
+        last, rr = rr, r.dot(r)
+        if not rr < last:
+            break
+        w = r.dot(A)
+        entering = _entering(A, QT[:k], order[k:], w, r, slack * math.sqrt(rr))
+        if entering is None:
+            break
+        pos, j, c, v, d, t = entering
+        np.divide(v, d, out=QT[k])
+        R[:k, k] = c
+        R[k, k] = d
+        S[k, k] = 1.0 / d
+        S[:k, k] = (S[:k, :k] @ c) * (-1.0 / d)
+        qtb[k] = t
+        yp[k] = 0.0
+        order[k + pos] = order[k]
+        order[k] = j
+        k += 1
+        z = S[:k, :k] @ qtb[:k]
+        while True:
+            steps += 1
+            if steps > maxiter:
+                fit = A[:, order[:k]] @ yp[:k] - b
+                raise NoConvergence(maxiter, float(np.ldexp(math.sqrt(fit.dot(fit)), eb)))
+            if z[z.argmin()] > 0:
+                break
+            yk = yp[:k]
+            low = np.flatnonzero(z <= 0)
+            step = yk[low] / (yk[low] - z[low])
+            q = int(step.argmin())
+            yk += step[q] * (z - yk)
+            leave = first = int(low[q])
+            while True:
+                k = _leave(QT, R, qtb, yp, order, k, leave)
+                zero = np.flatnonzero(yp[:k] <= 0)
+                if not zero.size:
+                    break
+                leave = int(zero[0])
+                first = min(first, leave)
+            for i in range(first, k):
+                S[i, i] = 1.0 / R[i, i]
+                S[:i, i] = (S[:i, :i] @ R[:i, i]) * -S[i, i]
+            z = S[:k, :k] @ qtb[:k]
+        yp[:k] = z
+        Q = QT[:k]
+        r = b - qtb[:k].dot(Q)
+        r -= Q.dot(r).dot(Q)
+    y = np.zeros(n)
+    y[order[:k]] = yp[:k]
+    return np.ldexp(y, eb - ea), float(np.ldexp(math.sqrt(r.dot(r)), eb))
+
+
+def _entering(A, Q, others, w, r, slack):
+    """The column that enters ``P`` (rows ``Q`` of its orthonormal basis)
+    in :func:`_lawson_hanson`: ``(pos, j, c, v, d, t)`` with ``pos`` its
+    position in ``others``, ``j`` its column, ``c`` its coordinates in
+    ``Q``, ``v`` its remainder, ``d = |v|`` and ``t = v . r / d``; None when
+    no column enters.  Zeroes ``w`` at each column it rejects.
+
+    Dual values within ``slack`` of the largest are summed again one column
+    at a time, so identical columns tie exactly and the first in ``others``
+    wins: a matrix-vector product may round equal columns differently."""
+    while True:
+        wz = w[others]
+        pos = int(wz.argmax())
+        top = wz[pos]
+        if not top > 0:
+            return None
+        floor = max(top - slack, 0.0)
+        wz[pos] = floor
+        if wz[wz.argmax()] > floor:
+            wz[pos] = top
+            near = np.flatnonzero(wz > floor)
+            pos = int(near[(A[:, others[near]] * r[:, None]).sum(axis=0).argmax()])
+        j = others[pos]
+        a = A[:, j]
+        if len(Q):
+            c = Q.dot(a)
+            v = a - c.dot(Q)
+            again = Q.dot(v)
+            v -= again.dot(Q)
+            c += again
+            unorm = math.sqrt(c.dot(c))
+        else:
+            c, v, unorm = a[:0], a, 0.0
+        d = math.sqrt(v.dot(v))
+        if (unorm + 0.01 * d) - unorm > 0:
+            t = v.dot(r) / d
+            if t > 0:
+                return pos, j, c, v, d, t
+        w[j] = 0.0
+
+
+def _leave(QT, R, qtb, yp, order, k, i):
+    """Delete position ``i`` of the ``k`` passive columns in
+    :func:`_lawson_hanson` and return ``k - 1``: the later columns of ``R``
+    shift left and Givens rotations of neighbouring rows zero the entries
+    that fall below its diagonal, in ``R``, ``QT`` and ``qtb`` alike."""
+    j = order[i]
+    order[i:k - 1] = order[i + 1:k]
+    order[k - 1] = j
+    yp[i:k - 1] = yp[i + 1:k]
+    R[:k, i:k - 1] = R[:k, i + 1:k]
+    for p in range(i, k - 1):
+        a, b = R[p, p], R[p + 1, p]
+        G = np.array([[a, b], [-b, a]]) / math.hypot(a, b)
+        R[p:p + 2, p:k - 1] = G @ R[p:p + 2, p:k - 1]
+        R[p + 1, p] = 0.0
+        QT[p:p + 2] = G @ QT[p:p + 2]
+        qtb[p:p + 2] = G @ qtb[p:p + 2]
+    return k - 1
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from conftest import dense_perron_oracle, inputless_accounts, power_steps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from demandgap import (
     AggregationMap,
@@ -499,6 +500,38 @@ class TestNationalEquilibrium:
         with pytest.warns(RuntimeWarning, match=r"positions \[2\] buy no inputs"):
             with pytest.raises(ZeroDenominator, match=r"pi at positions \[2\]"):
                 solve_national_equilibrium(acc, strict=False)
+
+    def test_overflowing_demand_refused_before_the_fit(self, monkeypatch):
+        # Cf's total overflows, so no finite D exists; the solve once fitted
+        # y = (0, 0, 3e-308, 0) after numpy's overflow warnings (any warning
+        # fails here), and the CLI exited 3 only from the value check after it
+        def no_fit(*args):
+            raise AssertionError("the cone fit ran on a table without a finite D")
+
+        monkeypatch.setattr("demandgap.leontief._solve_nonneg", no_fit)
+        acc = IOAccounts(X=np.ones((2, 2)), Xout=[1, 1], Cf=[1e308, 1e308], E=[1, 1], Imp=[1, 1], pi=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^D must be finite$"):
+                solve_national_equilibrium(acc, strict=False)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(m=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
+    def test_nnls_fallback_matches_scipy_on_near_balanced_tables(self, m, seed):
+        # Xout off balance by about 1e-6 misses the guaranteed seed, so the
+        # scales come from the cone fit of [X | Cf | E], an m x (m + 2)
+        # system with many solutions: scipy's nnls on the same system, in
+        # the same units, is the reference
+        acc = balanced_accounts("engineered", seed, m)
+        Xout = acc.Xout * (1.0 + 1e-6 * np.random.default_rng(seed).normal(size=m))
+        acc = IOAccounts(X=acc.X, Xout=Xout, Cf=acc.Cf, E=acc.E, Imp=acc.Imp, pi=acc.pi)
+        sol = solve_national_equilibrium(acc, strict=False)
+        assert not sol.diagnostics["seed_used"]
+        target = acc.Xout + acc.Imp + acc.X @ acc.pi
+        unit = target.max()
+        ref, _ = nnls(np.column_stack([acc.X, acc.Cf, acc.E]) / unit, target / unit, maxiter=10 * (m + 2))
+        np.testing.assert_array_equal(sol.y > 0, ref > 0)
+        np.testing.assert_allclose(sol.y, ref, rtol=0, atol=1e-10 * ref.max())
 
     def test_unreachable_supply_not_in_cone(self):
         acc = IOAccounts(

@@ -11,6 +11,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 from scipy.sparse.csgraph import connected_components
 
 from demandgap import (
@@ -26,7 +27,7 @@ from demandgap import (
     unit_value_equilibrium,
 )
 from demandgap import solvers
-from demandgap.solvers import PF_MAX_ITER, PF_TOL, _dominant, _period
+from demandgap.solvers import CONE_TOL, PF_MAX_ITER, PF_TOL, _dominant, _period
 
 
 class TestIrreducibility:
@@ -334,6 +335,137 @@ class TestSolveNonneg:
                     reduced @ np.linalg.lstsq(reduced, target, rcond=None)[0] - target
                 )
                 assert residual > 1e-6
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(
+        m=st.integers(1, 7),
+        shape=st.sampled_from(["square", "underdetermined", "overdetermined", "rank-deficient"]),
+        seed=st.integers(0, 2**32 - 1),
+        integer=st.booleans(),
+        duplicates=st.integers(0, 2),
+        zeros=st.integers(0, 1),
+        exponents=st.lists(st.integers(-6, 6), min_size=10, max_size=10),
+        in_cone=st.booleans(),
+    )
+    def test_agrees_with_scipy(self, m, shape, seed, integer, duplicates, zeros, exponents, in_cone):
+        # the same verdict, support and coefficients as scipy's nnls, which
+        # runs the same active-set rules: on these non-unique problems only
+        # the entering rule, ties included, picks the support.  Small
+        # integer entries make exact ties and exact rank deficiency
+        rng = np.random.default_rng(seed)
+        n = {"square": m, "underdetermined": m + 3, "overdetermined": max(1, m - 2)}.get(shape, m + 1)
+
+        def draw(*size):
+            return rng.integers(0, 4, size).astype(float) if integer else rng.uniform(0.0, 1.0, size)
+
+        base = draw(m, max(1, min(m, n) - 1)) @ draw(max(1, min(m, n) - 1), n) if shape == "rank-deficient" else draw(m, n)
+        for _ in range(duplicates):
+            base[:, rng.integers(n)] = base[:, rng.integers(n)]
+        if zeros:
+            base[:, rng.integers(n)] = 0.0
+        target = base @ (draw(n) * (rng.uniform(size=n) < 0.6)) if in_cone else draw(m)
+        scale = 10.0 ** np.array(exponents[:n])
+        C = base * scale  # the cone, and so the verdict, is that of base
+        ref, ref_residual = nnls(C, target, maxiter=max(30, 10 * n))
+        norm = np.linalg.norm(target)
+        try:
+            sol = solve_nonneg(C, target)
+        except NotInCone:
+            assert ref_residual > CONE_TOL * norm
+            return
+        assert ref_residual <= CONE_TOL * norm
+        assert np.linalg.norm(C @ sol.y - target) <= CONE_TOL * norm
+        # in base's units, where a column's scale no longer hides its share
+        got, want = sol.y * scale, ref * scale
+        top = max(got.max(initial=0.0), want.max(initial=0.0))
+        np.testing.assert_array_equal(got > 1e-9 * top, want > 1e-9 * top)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * top)
+
+    @pytest.mark.parametrize(
+        "C, target, support",
+        [
+            # column 2 enters first and swaps with column 0, so column 1,
+            # column 0's twin, comes first among the others and wins the tie
+            ([[1.0, 1.0, 2.0], [1.0, 1.0, 0.0]], [3.0, 1.0], (1, 2)),
+            # twin columns 0 and 4, 3 and 6, which a matrix-vector product
+            # can round apart
+            (
+                [
+                    [0.32261993, 0.24879409, 0.5392329, 0.59435382, 0.32261993, 0.90652507, 0.59435382],
+                    [0.85494094, 0.61986826, 0.0459774, 0.51428551, 0.85494094, 0.26737646, 0.51428551],
+                ],
+                [1.51436529, 0.77338607],
+                (4, 5),
+            ),
+        ],
+        ids=["swapped-order", "float-twins"],
+    )
+    def test_ties_go_as_in_scipy(self, C, target, support):
+        sol = solve_nonneg(C, target)
+        assert tuple(np.flatnonzero(sol.y)) == support
+        np.testing.assert_allclose(sol.y, nnls(np.array(C), np.array(target))[0], rtol=1e-12, atol=0)
+
+    def test_ill_conditioned_cones_fit_to_rounding(self):
+        # cones of condition 1e6-1e12 whose target lies inside: the fit ends
+        # at rounding level, as scipy's does; a residual holding rounding
+        # from the span of the passive columns once stopped fits at 1e-9
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            m = int(rng.integers(3, 9))
+            n = m + int(rng.integers(0, 3))
+            U = np.linalg.qr(rng.normal(size=(m, m)))[0]
+            V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            C = np.abs(U @ np.diag(np.logspace(0, -rng.uniform(6, 12), m)) @ V[:m])
+            target = C @ (rng.uniform(0.5, 2.0, n) * (rng.uniform(size=n) < 0.7))
+            if target.any():
+                assert np.linalg.norm(C @ solve_nonneg(C, target).y - target) <= 1e-13 * np.linalg.norm(target)
+
+    def test_rank_deficient_and_scaled_cones_stop(self):
+        # at a residual of rounding level two columns of a rank-deficient
+        # cone once swapped places until the iteration cap; the solve stops
+        # once a step no longer lowers the residual
+        rng = np.random.default_rng(3)
+        for trial in range(1500):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+            kind = trial % 5
+            C = rng.normal(size=(m, n)) if kind == 1 else rng.uniform(0.0, 1.0, (m, n))
+            if kind == 2 and n > 1:  # twin columns
+                C[:, rng.integers(0, n)] = C[:, rng.integers(0, n)]
+                C[:, rng.integers(0, n)] = C[:, rng.integers(0, n)]
+            if kind == 3:
+                rank = int(rng.integers(1, max(2, min(m, n))))
+                C = rng.uniform(0.0, 1.0, (m, rank)) @ rng.uniform(0.0, 1.0, (rank, n))
+            if trial % 2:
+                target = C @ np.where(rng.uniform(size=n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+            else:
+                target = rng.uniform(0.0, 1.0, m)
+            if kind == 4:
+                C = C * 10.0 ** rng.integers(-6, 7, n)[None, :]
+                if n > 1:
+                    C[:, rng.integers(0, n)] = 0.0
+            solvers._lawson_hanson(C, np.abs(target), max(30, 10 * n))
+
+    def test_iteration_cap_raises_no_convergence(self):
+        # each column that enters takes one step: the second passes a cap of 1
+        with pytest.raises(NoConvergence) as err:
+            solvers._lawson_hanson(np.eye(2), np.ones(2), 1)
+        assert (err.value.iterations, err.value.residual) == (1, 1.0)
+        assert str(err.value) == "no convergence after 1 iterations (residual 1.000e+00)"
+
+    @pytest.mark.parametrize(
+        "C, target, y",
+        [
+            ([[1e300, 0.0], [0.0, 1e160]], [2.0, 3.0], [2e-300, 3e-160]),
+            ([[1e-300, 0.0], [0.0, 1e-160]], [2.0, 3.0], [2e300, 3e160]),
+            ([[1.0, 1.0], [1.0, 2.0]], [1e300, 1.5e300], [5e299, 5e299]),
+        ],
+        ids=["huge-columns", "tiny-columns", "huge-target"],
+    )
+    def test_far_from_unit_scale(self, C, target, y):
+        # the solve runs in powers of two of the largest entries of C and
+        # of the target, so no square overflows or underflows (a
+        # RuntimeWarning fails the test)
+        np.testing.assert_allclose(solve_nonneg(C, target).y, y, rtol=1e-15)
 
 
 class TestSpectralEquilibrium:

@@ -1,13 +1,15 @@
-"""Start-up cost: scipy stays off the import path of the CLI.
+"""Start-up cost: no CLI run loads scipy.
 
 Each case runs a fresh interpreter with ``-X importtime``, which logs every
-module the process imports, and reads the module names off stderr.  Only a
-cone solve (NNLS) may load ``scipy.optimize``; a balanced table, whose
-guaranteed scale seed fits, never reaches one.
+module the process imports, and reads the module names off stderr.  The
+cone solve (NNLS) is numpy, so neither a balanced table, whose guaranteed
+scale seed fits, nor an unbalanced one, whose solve runs NNLS, loads any
+scipy module.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -49,6 +51,21 @@ def inputs(tmp_path_factory) -> dict[str, str]:
     return write_inputs(tmp_path_factory.mktemp("startup") / "in")
 
 
+def test_no_module_imports_scipy():
+    # the cone solve is numpy; scipy serves the tests as a reference only
+    offenders = []
+    for path in sorted((SRC / "demandgap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} imports {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
 def test_import_loads_no_scipy(tmp_path):
     proc, modules = run_fresh(["-c", "import demandgap, demandgap.cli"], tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -76,7 +93,7 @@ def test_cli_run_loads_no_scipy(argv, inputs, tmp_path):
         assert json.loads(proc.stdout)["diagnostics"]["seed_used"] is True
 
 
-def test_seed_miss_reaches_nnls_through_the_lazy_import(inputs, tmp_path):
+def test_seed_miss_runs_nnls_without_scipy(inputs, tmp_path):
     # the toy table is not balanced, so its guaranteed seed misses and the
     # solve runs NNLS: the report is the golden one
     case = "toy-equilibrium-json"
@@ -84,7 +101,7 @@ def test_seed_miss_reaches_nnls_through_the_lazy_import(inputs, tmp_path):
         ["-m", "demandgap.cli", "equilibrium", inputs["toy"], "--out", str(tmp_path), "--format", "json"],
         tmp_path,
     )
-    assert "scipy.optimize" in modules
+    assert scipy_modules(modules) == []
     assert json.loads(proc.stdout)["diagnostics"]["seed_used"] is False
     assert f"{proc.returncode}\n" == (GOLDEN / case / "exit_code").read_text()
     bands = value_bands(case, inputs)
