@@ -136,7 +136,9 @@ class IOAccounts:
         return self.X.sum(axis=0)
 
     def gross_value_added(self) -> float:
-        return float(self.Xout.sum() - self.X.sum())
+        """Value added summed over the industries, ``sum(Xout - X^T 1)``: it
+        overflows only when the value added does, not when gross output does."""
+        return float((self.Xout - self.input_value()).sum())
 
     def coefficients(self) -> np.ndarray:
         """Technical coefficients at unit prices: X[:, i] / Xout[i], with
@@ -168,17 +170,21 @@ class IOAccounts:
 
 
 def _final_totals(acc: IOAccounts) -> tuple[float, float, float]:
-    """Total final consumption, exports and imports; raises
-    :class:`ZeroDenominator` when household or trade demand would divide by
-    a zero total."""
-    cf_total = float(acc.Cf.sum())
+    """Total final consumption, exports and imports, the one place they are
+    formed.  Household and trade demand divide by them, so a total that
+    overflows raises ValueError "D must be finite" (without a numpy
+    warning), and :class:`ZeroDenominator` is raised when household or
+    trade demand would divide by a zero total."""
+    with np.errstate(over="ignore"):
+        totals = float(acc.Cf.sum()), float(acc.E.sum()), float(acc.Imp.sum())
+    if not max(totals) < np.inf:
+        raise ValueError("D must be finite")
+    cf_total, e_total, imp_total = totals
     if cf_total <= 0:
         raise ZeroDenominator("total final consumption")
-    e_total = float(acc.E.sum())
-    imp_total = float(acc.Imp.sum())
     if e_total <= 0 and imp_total > 0:
         raise ZeroDenominator("total exports (imports present)")
-    return cf_total, e_total, imp_total
+    return totals
 
 
 def _effective_pi(acc: IOAccounts, live: np.ndarray) -> np.ndarray:
@@ -212,14 +218,17 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
     of its new value goes to households, which keeps total demand equal to
     total supply.  A ``RuntimeWarning`` names every industry (0-based
     position) whose share this overrides.
+
+    A total of final consumption, exports or imports that overflows raises
+    ValueError "D must be finite", before that warning.
     """
+    cf_total, e_total, imp_total = _final_totals(acc)
     col = acc.input_value()
     live = col > 0
     pi = _effective_pi(acc, live)
     share = np.divide(pi * acc.Xout, col, out=np.zeros(acc.m), where=live)
     production = acc.X @ share
 
-    cf_total, e_total, imp_total = _final_totals(acc)
     taxed_use = acc.X @ pi
     household_income = float(((1.0 - pi) * acc.Xout).sum() + taxed_use.sum())
     household = acc.Cf * household_income / cf_total
@@ -368,6 +377,10 @@ def build_exchange_from_iot(acc: IOAccounts, p, x) -> ExchangeEconomy:
     produce zero demand columns; price evaluations on such economies raise
     ``ZeroDemandValue`` when they touch them.  The interindustry balance is
     reported by :meth:`IOAccounts.balance_residual`, not enforced here.
+
+    A final-demand total that overflows raises ValueError "D must be
+    finite", as in :func:`demand_vector`, and so does, with its own message,
+    a total gross output value that overflows (the household weights divide by it).
     """
     m = acc.m
     p = _vector(p, m, "p")
@@ -386,7 +399,10 @@ def build_exchange_from_iot(acc: IOAccounts, p, x) -> ExchangeEconomy:
     new_value = x * (p - A.T @ p)
     resource = A @ x
     resource_income = p * resource
-    total_value = float(resource_income.sum() + new_value.sum())
+    with np.errstate(over="ignore"):
+        total_value = float(resource_income.sum() + new_value.sum())
+    if not total_value < np.inf:
+        raise ValueError("gross output value must be finite")
     if total_value <= 0:
         raise ZeroDenominator("gross output value")
     weights = ((1.0 - acc.pi) * new_value + resource_income) / total_value
@@ -430,7 +446,9 @@ def check_value_equilibrium(acc: IOAccounts, tol: float = DEFAULT_TOL) -> ValueB
     diagnostics: production demand + household demand + export demand
     minus taxed intermediate use, minus gross output + imports.  Verdict:
     equilibrium iff every residual is at most ``tol * max(1, S_k)``.  A
-    non-finite ``D`` or ``S`` raises ValueError, as in the recession diagnostics.
+    non-finite ``D`` or ``S`` raises ValueError, as in the recession
+    diagnostics; a final-demand total that overflows is refused so by
+    :func:`demand_vector`, before ``D`` is formed.
     """
     residual, _, _, violated = _shortfall(demand_vector(acc), supply_vector(acc), tol)
     return ValueBalanceReport(
@@ -492,7 +510,8 @@ def solve_national_equilibrium(
     The diagnostics name the kernel's path in ``perron_method``.
 
     A total of final consumption, exports or imports that overflows
-    raises ValueError "D must be finite", before the fit.
+    raises ValueError "D must be finite" before the fit, as it does in every
+    value-form call.
 
     Every share must be positive, after the override of
     :func:`demand_vector` that gives an industry buying no inputs an
@@ -512,12 +531,7 @@ def solve_national_equilibrium(
     """
     _check_tol(tol)
     m = acc.m
-    with np.errstate(over="ignore"):  # refused below, without a warning
-        totals = _final_totals(acc)
-    if not max(totals) < np.inf:
-        # household and trade demand divide by these totals: no finite D
-        raise ValueError("D must be finite")
-    _, e_total, imp_total = totals
+    _, e_total, imp_total = _final_totals(acc)
     live = acc.input_value() > 0
     pi = _effective_pi(acc, live) if live.any() else acc.pi
     if (pi <= 0).any():
@@ -531,7 +545,10 @@ def solve_national_equilibrium(
 
     residual = -acc.balance_residual()
     unit = _check_entries(target, "supply plus taxed use") or 1.0
-    seed_used = bool(np.linalg.norm(residual / unit) <= CONE_TOL * np.linalg.norm(target / unit))
+    seed_used = bool(
+        np.hypot.reduce(residual / unit, initial=0.0)
+        <= CONE_TOL * np.hypot.reduce(target / unit, initial=0.0)
+    )
     if not seed_used:
         C_big = np.column_stack([acc.X, acc.Cf, acc.E])
         sol = _solve_nonneg(C_big / unit, target / unit)

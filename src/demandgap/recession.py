@@ -19,6 +19,7 @@ of 0 (its whole new value funds households) and warns with a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ def recession_ratio(acc: IOAccounts, tol: float = 0.0) -> float:
     :func:`recession_industries` returns at the same ``tol`` (the default 0
     is the strict sign test), so ``r`` and the recession set always agree;
     the denominator is the value added recomputed from the same table,
-    never an external figure.
+    never an external figure.  A table whose ``D``, gross value added or
+    ``r`` is not finite raises ValueError, never a ratio of ``inf`` or 0.
     """
     gdp = acc.gross_value_added()
     deficit, _, strict, _ = _shortfall(demand_vector(acc), supply_vector(acc), tol)
@@ -70,9 +72,17 @@ def recession_ratio(acc: IOAccounts, tol: float = 0.0) -> float:
 
 
 def _ratio(shortfall: np.ndarray, gdp: float) -> float:
+    """``r`` from the shortfalls and the gross value added; raises ValueError
+    unless both ``gdp`` and ``r`` are finite, and :class:`NonpositiveGDP`
+    unless ``gdp > 0``."""
+    if not math.isfinite(gdp):
+        raise ValueError("gross value added must be finite")
     if gdp <= 0:
         raise NonpositiveGDP(f"gross value added {gdp:.6g} is not positive")
-    return float(shortfall.sum() / gdp)
+    r = float(shortfall.sum()) / gdp  # Python floats: an overflow is inf, not a warning
+    if not math.isfinite(r):
+        raise ValueError("r must be finite")
+    return r
 
 
 @dataclass(frozen=True)
@@ -171,7 +181,9 @@ def analyze_accounts(
 
     ``indices`` (declared industry numbers, default ``1..m``) must be ``m``
     distinct integers and ``names`` (default: the indices) ``m`` labels;
-    otherwise :class:`ValueError` is raised.
+    otherwise :class:`ValueError` is raised.  So is it, as in
+    :func:`recession_ratio`, for a table whose ``D``, gross value added or
+    ``r`` is not finite: a returned report's ``r`` and ``gdp`` are finite.
     """
     D = demand_vector(acc)
     S = supply_vector(acc)

@@ -202,18 +202,18 @@ def clearing_basis(p, I) -> ClearingBasis:
     for price vector ``p`` on support ``I``."""
     q = _unit_price(p)
     idx = _positive_support(q, I)
-    return ClearingBasis(G=_clearing_matrix(q, idx)[0], I=idx)
-
-
-def _clearing_matrix(q: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
-    """``G`` and ``u`` of :class:`ClearingBasis` on a checked support."""
     rows = list(idx)
-    q_I = q[rows]
-    u = q_I / q_I.sum()
+    u = _weights(q, idx)
     G = np.zeros((q.shape[0], len(rows)))
     G[rows] = -u
     G[rows, range(len(rows))] = 1.0 - u
-    return G, u
+    return ClearingBasis(G=G, I=idx)
+
+
+def _weights(q: np.ndarray, idx) -> np.ndarray:
+    """The weights ``u = p_I / sum(p_I)`` of :class:`ClearingBasis`, on a checked support."""
+    q_I = q[list(idx)]
+    return q_I / q_I.sum()
 
 
 def synthesize_property(
@@ -247,7 +247,7 @@ def synthesize_property(
         raise ValueError("every consumer must demand something on the support")
     _check_demand_value(C, demand_value)
     P = _proportional(psi_bar, parts.y, demand_value, float(psi_bar @ q))
-    return _assemble(P, _clearing_matrix(q, parts.I)[0], parts)
+    return _assemble(P, _weights(q, parts.I), parts)
 
 
 def _check_supplied(psi_bar: np.ndarray, I) -> None:
@@ -257,11 +257,14 @@ def _check_supplied(psi_bar: np.ndarray, I) -> None:
         raise ValueError("sum_i y_i C_i must be strictly positive on the support")
 
 
-def _assemble(P: np.ndarray, G: np.ndarray, parts: RepresentationParts) -> np.ndarray:
+def _assemble(P: np.ndarray, u: np.ndarray, parts: RepresentationParts) -> np.ndarray:
     """The property matrix of validated ``parts`` with the rank-one part
-    ``P`` of :func:`exchange._proportional` and the clearing basis ``G``;
+    ``P`` of :func:`exchange._proportional` and the clearing basis of
+    weights ``u``, whose rows in ``I`` are ``G_I = E - 1 u^T`` and others 0,
+    so ``G a`` adds ``a - u^T a`` to the rows in ``I`` without forming ``G``;
     magnitudes below the negativity tolerance are snapped to zero."""
-    B = P + G @ parts.a + parts.d0
+    B = P + parts.d0
+    B[list(parts.I)] += parts.a - u @ parts.a
     size = np.abs(B)
     neg_tol = 1e-12 * max(1.0, float(size.max()))
     if B.min() < -neg_tol:
@@ -303,12 +306,12 @@ def decompose_property(
     d1, d0 = D[~off], np.where(off[:, None], D, 0.0)
     # h = pinv(G_I) d1 for G_I = E - 1 u^T (kernel span(1), range u-perp):
     # pinv(G_I) d1 = b - mean(b) with b = d1 - u (u^T d1) / (u^T u); 0 if |I| = 1.
-    G, u = _clearing_matrix(q, idx)
+    u = _weights(q, idx)
     b = d1 - u[:, None] * (u @ d1) / (u @ u)
     a = b - b.sum(axis=0) / len(idx) + 1.0 / econ.l
 
     parts = RepresentationParts(y=y, a=a, d0=d0, I=idx, case=case)
-    B_rt = _assemble(P, G, parts)
+    B_rt = _assemble(P, u, parts)
     residual = float(np.abs(B_rt - econ.B).max() / max(1.0, float(econ.B.max())))
     return parts, residual
 

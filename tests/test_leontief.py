@@ -1,8 +1,10 @@
 """National model: accounts, aggregation, agent construction, the
 constructive solve, and the value-form clearing test."""
 
+import ast
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
+import demandgap
 from demandgap import (
     AggregationMap,
     BlockMismatch,
@@ -515,6 +518,15 @@ class TestNationalEquilibrium:
             with pytest.raises(ValueError, match="^D must be finite$"):
                 solve_national_equilibrium(acc, strict=False)
 
+    def test_seed_test_does_not_overflow(self):
+        # Cf far above the target: the seed test's squared norm once overflowed
+        # ("overflow encountered in dot", any warning fails here) before the fit refused
+        acc = IOAccounts(X=np.ones((2, 2)), Xout=[1, 1], Cf=[1e200, 1], E=[1, 1], Imp=[1, 1], pi=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotInCone):
+                solve_national_equilibrium(acc, strict=False)
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(m=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
     def test_nnls_fallback_matches_scipy_on_near_balanced_tables(self, m, seed):
@@ -665,3 +677,24 @@ class TestNationalEquilibrium:
         sol = solve_national_equilibrium(toy_accounts(pi=(1e-300, 1.0)), strict=False)
         assert not sol.certified
         assert np.isfinite(sol.p).all() and np.isfinite(sol.diagnostics["value_equation_residual"])
+
+
+def test_final_demand_totals_are_formed_in_one_place():
+    # household and trade demand divide by the totals of Cf, E and Imp, and
+    # _final_totals refuses one that overflows; a sum taken anywhere else
+    # would go round that refusal
+    offenders = []
+    for path in sorted(Path(demandgap.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef) or func.name == "_final_totals":
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sum"
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr in ("Cf", "E", "Imp")
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} in {func.name}")
+    assert offenders == []

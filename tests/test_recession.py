@@ -1,10 +1,11 @@
 """Demand/supply vectors, recession set, ratio, rankings."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandgap import (
@@ -13,15 +14,69 @@ from demandgap import (
     NonpositiveGDP,
     RecessionReport,
     analyze_accounts,
+    build_exchange_from_iot,
     check_value_equilibrium,
     demand_vector,
     rank_industries,
     recession_industries,
     recession_ratio,
+    solve_national_equilibrium,
     supply_vector,
 )
 from demandgap.fixtures import random_value_accounts, toy_accounts
 from demandgap.leontief import _shortfall
+
+# Tables at the edge of the float range: a final-consumption total that
+# overflows (no finite D); a gross output whose sum overflows while the value
+# added does not (r = 1.61373 on it); and a shortfall of 1e308 over a value
+# added of 0.4, whose r overflows
+OVERFLOW_TABLES = {
+    "final-demand total": dict(
+        X=np.full((2, 2), 0.01), Xout=[0.1, 0.1], Cf=[1e308, 1e308], E=[1, 1], Imp=[1, 1], pi=0.5
+    ),
+    "gross output": dict(
+        X=[[4.74e307, 1.05e307], [3.39e307, 9.0e306]], Xout=[1.54e308, 3.1e307], Cf=[0.03, 0.5],
+        E=[1.2e150, 1.4e150], Imp=[1.8e149, 1.6e150], pi=[0.087, 0.78],
+    ),
+    "ratio": dict(X=np.full((2, 2), 0.4), Xout=[1, 1], Cf=[1, 1], E=[0, 1], Imp=[1e308, 0], pi=0.5),
+}
+
+VALUE_FORM_CALLS = {
+    "demand_vector": demand_vector,
+    "check_value_equilibrium": check_value_equilibrium,
+    "recession_ratio": recession_ratio,
+    "analyze_accounts": analyze_accounts,
+    "solve_national_equilibrium": lambda acc: solve_national_equilibrium(acc, strict=False),
+    "build_exchange_from_iot": lambda acc: build_exchange_from_iot(acc, np.ones(acc.m), acc.Xout),
+}
+
+# the ValueError each call raises on each table; every other call returns,
+# or the solve raises one of its typed verdicts
+REFUSALS = {
+    "final-demand total": dict.fromkeys(VALUE_FORM_CALLS, "D must be finite"),
+    "gross output": {"build_exchange_from_iot": "gross output value must be finite"},
+    "ratio": {"recession_ratio": "r must be finite", "analyze_accounts": "r must be finite"},
+}
+
+
+@st.composite
+def value_tables(draw):
+    """Value-form tables of 1-4 industries with entries of everyday size or
+    up to 1.7e308; inputs are shares of each column's output, so most
+    tables have positive value added."""
+    m = draw(st.integers(1, 4))
+
+    def entries(n, top, unit=1.0):
+        return unit * np.array(draw(st.lists(st.floats(0.0, top), min_size=n, max_size=n)))
+
+    def vector():
+        return entries(m, 1.7e3, draw(st.sampled_from([1.0, 1.0, 1e150, 1e305])))
+
+    Xout = vector()
+    return dict(
+        X=entries(m * m, 1.0 / m).reshape(m, m) * Xout, Xout=Xout, Cf=vector(), E=vector(),
+        Imp=vector(), pi=entries(m, 1.0),
+    )
 
 
 class TestDemandVector:
@@ -287,21 +342,15 @@ class TestInvariants:
                 check_value_equilibrium(acc)
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(m=st.integers(1, 4), data=st.data())
-    def test_every_value_form_verdict_agrees(self, m, data):
-        # entries of everyday size or up to 1.7e308; inputs are shares of
-        # each column's output, so most tables have positive value added
-        def draw(n, top, unit=1.0):
-            return unit * np.array(data.draw(st.lists(st.floats(0.0, top), min_size=n, max_size=n)))
-
-        def vector():
-            return draw(m, 1.7e3, data.draw(st.sampled_from([1.0, 1.0, 1e150, 1e305])))
-
-        Xout = vector()
-        acc = IOAccounts(
-            X=draw(m * m, 1.0 / m).reshape(m, m) * Xout, Xout=Xout, Cf=vector(), E=vector(),
-            Imp=vector(), pi=draw(m, 1.0),
-        )
+    @given(table=value_tables())
+    @example(table=OVERFLOW_TABLES["final-demand total"])
+    @example(table=OVERFLOW_TABLES["gross output"])
+    @example(table=OVERFLOW_TABLES["ratio"])
+    @example(  # finite D and S, value added whose sum overflows (numpy warns first)
+        table=dict(X=np.diag([1e307, 1e307]), Xout=[1.2e308, 1.2e308], Cf=[1, 1], E=[1, 1], Imp=[1, 1], pi=1.0)
+    )
+    def test_every_value_form_verdict_agrees(self, table):
+        acc = IOAccounts(**table)
         calls = {
             "check_value_equilibrium": lambda: check_value_equilibrium(acc),
             "recession_ratio": lambda: recession_ratio(acc),
@@ -317,13 +366,47 @@ class TestInvariants:
                 except (ValueError, DemandGapError) as e:
                     outcome[name] = e
         refused = {name for name, o in outcome.items() if isinstance(o, ValueError)}
-        assert refused in (set(), set(calls)), outcome
+        if refused == {"recession_ratio", "analyze_accounts"}:
+            # D and S are finite but the gross value added or r is not: only
+            # the two calls that form r refuse, with the same message
+            assert str(outcome["recession_ratio"]) == str(outcome["analyze_accounts"]) in (
+                "gross value added must be finite", "r must be finite",
+            ), outcome
+        else:
+            assert refused in (set(), set(calls)), outcome
         balance, report = outcome["check_value_equilibrium"], outcome["analyze_accounts"]
         if isinstance(report, RecessionReport):
+            assert math.isfinite(report.r) and math.isfinite(report.gdp)
             assert np.array_equal(balance.residual, report.deficit)
             masks = _shortfall(report.D, report.S, balance.tol)[1:]
             assert (sum(mask.astype(int) for mask in masks) == 1).all()
             assert balance.is_equilibrium == (not masks[2].any())
+
+    @pytest.mark.parametrize("table", sorted(OVERFLOW_TABLES))
+    def test_overflowing_tables_refused_or_finite(self, table):
+        # each value-form call refuses the table with its ValueError or
+        # returns (the solve may raise a typed verdict), with no numpy warning;
+        # a returned r is finite and sums the shortfalls of the recession set
+        acc = IOAccounts(**OVERFLOW_TABLES[table])
+        outcome = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, call in VALUE_FORM_CALLS.items():
+                try:
+                    outcome[name] = call(acc)
+                except ValueError as e:
+                    outcome[name] = str(e)
+                except DemandGapError as e:
+                    assert name == "solve_national_equilibrium", e
+        refusals = {name: o for name, o in outcome.items() if isinstance(o, str)}
+        assert refusals == REFUSALS[table]
+        report = outcome["analyze_accounts"]
+        if isinstance(report, RecessionReport):
+            assert math.isfinite(report.r) and math.isfinite(report.gdp)
+            shortfall = -report.deficit[[report.indices.index(i) for i in report.recession_set]]
+            assert report.r == outcome["recession_ratio"] == float(shortfall.sum()) / report.gdp
+            if table == "gross output":
+                assert report.r == pytest.approx(1.61373, rel=1e-5)
 
     def test_export_monotonicity(self):
         # raising one industry's exports (imports fixed) cannot lower its demand
