@@ -137,8 +137,9 @@ class IOAccounts:
 
     def gross_value_added(self) -> float:
         """Value added summed over the industries, ``sum(Xout - X^T 1)``: it
-        overflows only when the value added does, not when gross output does."""
-        return float((self.Xout - self.input_value()).sum())
+        overflows (to inf or NaN, with no numpy warning) only when value added does."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float((self.Xout - self.input_value()).sum())
 
     def coefficients(self) -> np.ndarray:
         """Technical coefficients at unit prices: X[:, i] / Xout[i], with
@@ -220,25 +221,26 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
     position) whose share this overrides.
 
     A total of final consumption, exports or imports that overflows raises
-    ValueError "D must be finite", before that warning.
+    ValueError "D must be finite", before that warning; so does a ``D`` that
+    overflows anywhere else (in household income, say), with no numpy warning.
     """
     cf_total, e_total, imp_total = _final_totals(acc)
     col = acc.input_value()
     live = col > 0
     pi = _effective_pi(acc, live)
-    share = np.divide(pi * acc.Xout, col, out=np.zeros(acc.m), where=live)
-    production = acc.X @ share
-
-    taxed_use = acc.X @ pi
-    household_income = float(((1.0 - pi) * acc.Xout).sum() + taxed_use.sum())
-    household = acc.Cf * household_income / cf_total
-
-    if e_total <= 0:
-        trade = np.zeros(acc.m)
-    else:
-        trade = acc.E * imp_total / e_total
-
-    return production + household + trade - taxed_use
+    with np.errstate(over="ignore", invalid="ignore"):
+        share = np.divide(pi * acc.Xout, col, out=np.zeros(acc.m), where=live)
+        production = acc.X @ share
+        taxed_use = acc.X @ pi
+        household_income = float(((1.0 - pi) * acc.Xout).sum() + taxed_use.sum())
+        household = acc.Cf * household_income / cf_total
+        if e_total <= 0:
+            trade = np.zeros(acc.m)
+        else:
+            trade = acc.E * imp_total / e_total
+        D = production + household + trade - taxed_use
+    _check_finite(D, "D")
+    return D
 
 
 def supply_vector(acc: IOAccounts) -> np.ndarray:
@@ -248,8 +250,8 @@ def supply_vector(acc: IOAccounts) -> np.ndarray:
 
 def _shortfall(D: np.ndarray, S: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """The deficit ``D - S`` and its equal, strict and violated masks at ``tol``.
-    ``D`` and ``S`` are checked finite first, so ``inf - inf`` never warns."""
-    _check_finite(D, "D")
+    ``S`` is checked finite first, and ``D`` where it is formed
+    (:func:`demand_vector`) or passed in, so ``inf - inf`` never warns."""
     _check_finite(S, "S")
     gap = D - S
     return (gap, *_classify(gap, S, tol))
@@ -447,8 +449,7 @@ def check_value_equilibrium(acc: IOAccounts, tol: float = DEFAULT_TOL) -> ValueB
     minus taxed intermediate use, minus gross output + imports.  Verdict:
     equilibrium iff every residual is at most ``tol * max(1, S_k)``.  A
     non-finite ``D`` or ``S`` raises ValueError, as in the recession
-    diagnostics; a final-demand total that overflows is refused so by
-    :func:`demand_vector`, before ``D`` is formed.
+    diagnostics; ``D`` is refused so by :func:`demand_vector`, which forms it.
     """
     residual, _, _, violated = _shortfall(demand_vector(acc), supply_vector(acc), tol)
     return ValueBalanceReport(
@@ -494,16 +495,16 @@ def solve_national_equilibrium(
         ``CONE_TOL``; otherwise ``[X | Cf | E]`` is built for a nonnegative
         least-squares fit.  Both run in units of the largest target entry
         (as does a :class:`NotInCone` from the fit), free of the table's scale.
-    (b) form the scaled production matrix ``A(y)[i, j] = a_ij y_j / pi_i``
-        in place in the coefficient matrix ``A``, the solve's only m x m
-        float buffer; test its graph once for irreducibility and period;
-        and compute its spectral radius and left Perron vector in one call
-        to the verified eigen kernel, which runs no power step when
-        ``A(y)`` is periodic (the spectral radius of a reducible ``A(y)``
-        comes from its full spectrum).
-    (c) read the candidate prices ``p ∝ left / pi`` of the value system
-        ``diag(y/pi) A^T p = p`` off that vector, and check it with
-        ``A^T p = (X^T p) / Xout`` from one product with ``X``.
+    (b) form the price system ``M = diag(y/pi) A^T`` of the value equations
+        ``M p = p``, as ``M^T`` in place in the coefficient matrix ``A``, the
+        solve's only m x m float buffer.  ``M`` is similar to the scaled
+        production matrix ``A(y)[i, j] = a_ij y_j / pi_i``.  Test its graph
+        once for irreducibility and period, and compute its spectral radius
+        and Perron vector ``p`` in one call to the verified eigen kernel,
+        whose start vector, the unit price, answers a certified table with
+        no power step; a periodic ``M`` runs none either (the spectral
+        radius of a reducible ``M`` comes from its full spectrum).
+    (c) check ``p`` with ``A^T p = (X^T p) / Xout`` from one product with ``X``.
     (d) check the closure identities for the household and trade scales
         and the positivity side conditions.
 
@@ -517,8 +518,8 @@ def solve_national_equilibrium(
     :func:`demand_vector` that gives an industry buying no inputs an
     effective share of 0 (with the same warning), and at least
     ``2 max(1, y) max(1, A)`` over the largest float, so that no entry of
-    ``A(y)``, of the price system or of ``p`` can overflow when divided by
-    it; otherwise :class:`ZeroDenominator` names the positions, before any
+    ``y/pi`` or of the price system can overflow when divided by it;
+    otherwise :class:`ZeroDenominator` names the positions, before any
     division by them.  A table with no
     intermediate flows at all has ``A(y) = 0`` whatever the shares, so its
     configured shares stand and the solve reports ``rho = 0``.
@@ -564,39 +565,31 @@ def solve_national_equilibrium(
         )
     I, J = _positions(inside), _positions(below)
 
-    # Row i of A(y), y_i and the Perron entry left_i <= 1 are divided by
-    # pi_i, and the price system scales (A^T p)_i by y_i / pi_i.  None of
-    # these quotients exceeds max(1, y) max(1, A) / pi_i, so a share that
-    # puts twice that bound out of the float range is refused, as a zero
-    # share is.  A(y) is then scaled in place in A's buffer.
-    A_y = acc.coefficients()
-    bound = 2.0 * max(1.0, float(y[:m].max())) * max(1.0, float(A_y.max()))
+    # No entry of y/pi or of M = diag(y/pi) A^T exceeds
+    # max(1, y) max(1, A) / pi_i, so a share that puts twice that bound out
+    # of the float range is refused, as a zero share is.  M^T = A diag(y/pi)
+    # is then scaled in place in A's buffer.
+    M_T = acc.coefficients()
+    bound = 2.0 * max(1.0, float(y[:m].max())) * max(1.0, float(M_T.max()))
     tiny = acc.pi * sys.float_info.max < bound
     if tiny.any():
         raise ZeroDenominator(
             f"pi at positions {np.flatnonzero(tiny).tolist()} "
             "(taxation shares too small: dividing by them can overflow)"
         )
-    A_y *= y[:m]
-    A_y /= acc.pi[:, None]
+    scale = y[:m] / acc.pi
+    M_T *= scale
+    M = M_T.T
 
-    # One eigen call on A(y)^T serves the spectral radius and the prices:
-    # the price system diag(y/pi) A^T p = p has the matrix
-    # M = D A(y)^T D^-1 with D = diag(1/pi), so its Perron vector is
-    # left(A(y)) / pi.
-    period = _period(A_y)
+    # One eigen call on M serves the spectral radius and the prices.
+    period = _period(M)
     reducible = not period
-    rho_m, left, _, _, method = _dominant(A_y.T, period)
-    if reducible:
-        rho = float(np.abs(np.linalg.eigvals(A_y)).max())
-    else:
-        rho = rho_m
-    p = left / acc.pi
-    p = p / p.max()
+    rho_m, p, _, _, method = _dominant(M, period)
+    rho = float(np.abs(np.linalg.eigvals(M)).max()) if reducible else rho_m
     # A^T p = (X^T p) / Xout, 0 on the columns of zero output, takes one
-    # product with X, and M p follows from it without forming M.
+    # product with X, and M p follows from it.
     input_value_at_p = np.divide(p @ acc.X, acc.Xout, out=np.zeros(m), where=acc.Xout > 0)
-    Mp = (y[:m] / acc.pi) * input_value_at_p
+    Mp = scale * input_value_at_p
 
     diag: dict = {
         "rho_gap": abs(rho - 1.0),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveGDP
-from .exchange import _positions
+from .exchange import _check_finite, _positions
 from .leontief import IOAccounts, _shortfall, demand_vector, supply_vector
 
 __all__ = [
@@ -52,6 +52,7 @@ def recession_industries(D, S, tol: float = 0.0) -> tuple[tuple[int, ...], np.nd
     S = np.asarray(S, dtype=float).reshape(-1)
     if D.shape != S.shape:
         raise ValueError(f"D and S lengths differ: {D.shape[0]} vs {S.shape[0]}")
+    _check_finite(D, "D")
     gap, _, strict, _ = _shortfall(D, S, tol)
     return _positions(strict), np.abs(gap[strict])
 
@@ -79,7 +80,8 @@ def _ratio(shortfall: np.ndarray, gdp: float) -> float:
         raise ValueError("gross value added must be finite")
     if gdp <= 0:
         raise NonpositiveGDP(f"gross value added {gdp:.6g} is not positive")
-    r = float(shortfall.sum()) / gdp  # Python floats: an overflow is inf, not a warning
+    with np.errstate(over="ignore"):  # a shortfall sum that overflows is inf, and so is r
+        r = float(shortfall.sum()) / gdp
     if not math.isfinite(r):
         raise ValueError("r must be finite")
     return r

@@ -38,7 +38,9 @@ QR grows by one Gram-Schmidt column and shrinks by Givens rotations, never
 by refactoring.  The package imports no scipy module.
 
 The eigenpair kernel always terminates.  It first checks its uniform start
-vector, which is exact when every row sum is equal.  On a primitive matrix
+vector, which is exact when every row sum is equal: in the national solve,
+whose matrix is the price system of a value-form table, that vector is the
+unit price, and it answers every table that certifies.  On a primitive matrix
 it then runs shifted power iteration for at most ``min(PF_MAX_ITER, 2 n)``
 steps on an n x n matrix, about what one dense solve costs, which is
 enough for the primitive matrices of national tables, and otherwise hands
@@ -241,10 +243,10 @@ def _dominant(
     (the start vector answers with 0 iterations) or ``"dense"``; a dense
     answer reports the whole budget as its iterations.
 
-    The callers pass checked matrices or, in the national solve, a product
-    of checked arrays divided by shares that the solve has checked for
-    overflow; the maximum taken for the shift still rejects an infinite
-    or NaN entry with ValueError.
+    The callers pass checked matrices or, in the national solve, the price
+    system ``diag(y/pi) A^T`` of checked arrays, with shares that the solve
+    has checked for overflow; the maximum taken for the shift still rejects
+    an infinite or NaN entry with ValueError.
     """
     n = M.shape[0]
     if budget is None:

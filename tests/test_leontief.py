@@ -123,11 +123,31 @@ def balanced_accounts(kind: str, seed: int, m: int, shrink: float = 1.0) -> IOAc
     return IOAccounts(X=X, Xout=Xout, Cf=Cf, E=E, Imp=Imp, pi=shrink * pi)
 
 
+def certifies(acc: IOAccounts, y: np.ndarray, p: np.ndarray, rho: float, J: tuple) -> bool:
+    """The national solve's certificate for the price ``p`` and spectral
+    radius ``rho`` at the scales ``y``, with the price system
+    ``M = diag(y/pi) A^T`` formed in full."""
+    m = acc.m
+    Mp = ((y[:m] / acc.pi)[:, None] * acc.coefficients().T) @ p
+    cf_value, e_value = float(acc.Cf @ p), float(acc.E @ p)
+    household = (((1.0 - acc.pi) * acc.Xout) @ p + p @ (acc.X @ acc.pi)) / cf_value
+    trade = float(acc.Imp @ p) / e_value
+    return bool(
+        abs(rho - 1.0) <= RHO_TOL
+        and np.abs(Mp - p).max() <= RHO_TOL
+        and abs(household - y[m]) / max(1.0, y[m]) <= max(RHO_TOL, DEFAULT_TOL)
+        and abs(trade - y[m + 1]) / max(1.0, y[m + 1]) <= max(RHO_TOL, DEFAULT_TOL)
+        and cf_value > DEFAULT_TOL_POS
+        and e_value > DEFAULT_TOL_POS
+        and (p[list(J)] <= DEFAULT_TOL_POS).all()
+    )
+
+
 def reference_solve(acc: IOAccounts) -> dict:
     """The seed-path national solve at the default ``tol`` with every
     matrix formed in full: the stacked demand columns ``[X | Cf | E]``, the
-    coefficients ``A``, ``A(y)`` as a second buffer and
-    ``M = diag(y/pi) A^T``."""
+    coefficients ``A`` and the price system ``M = diag(y/pi) A^T`` as a
+    second buffer, whose Perron vector is the price."""
     m = acc.m
     A = acc.coefficients()
     C_big = np.column_stack([acc.X, acc.Cf, acc.E])
@@ -136,32 +156,16 @@ def reference_solve(acc: IOAccounts) -> dict:
     y = np.concatenate([1.0 + acc.pi, [1.0, 1.0]])
     residual = C_big @ y - target
     inside, below, _ = _classify(residual, target, max(DEFAULT_TOL, CONE_TOL))
-    A_y = A * y[None, :m]
-    A_y /= acc.pi[:, None]
-    period = _period(A_y)
-    rho_m, left, _, _, _ = _dominant(A_y.T, period)
-    rho = rho_m if period else float(np.abs(np.linalg.eigvals(A_y)).max())
-    p = left / acc.pi
-    p = p / p.max()
     M = (y[:m] / acc.pi)[:, None] * A.T
-    Mp = M @ p
-    cf_value, e_value = float(acc.Cf @ p), float(acc.E @ p)
-    household = (((1.0 - acc.pi) * acc.Xout) @ p + p @ taxed_use) / cf_value
-    trade = float(acc.Imp @ p) / e_value
+    period = _period(M)
+    rho_m, p, _, _, _ = _dominant(M, period)
+    rho = rho_m if period else float(np.abs(np.linalg.eigvals(M)).max())
     J = tuple(np.flatnonzero(below).tolist())
-    certified = (
-        abs(rho - 1.0) <= RHO_TOL
-        and np.abs(Mp - p).max() <= RHO_TOL
-        and abs(household - y[m]) / max(1.0, y[m]) <= max(RHO_TOL, DEFAULT_TOL)
-        and abs(trade - y[m + 1]) / max(1.0, y[m + 1]) <= max(RHO_TOL, DEFAULT_TOL)
-        and cf_value > DEFAULT_TOL_POS
-        and e_value > DEFAULT_TOL_POS
-        and bool((p[list(J)] <= DEFAULT_TOL_POS).all())
-    )
+    certified = certifies(acc, y, p, rho, J)
     return dict(
         y=y, p=p, rho=rho, I=tuple(np.flatnonzero(inside).tolist()), J=J,
         certified=certified, target=target, residual=residual, rho_m=rho_m,
-        Mp=Mp, input_value=A.T @ p,
+        Mp=M @ p, input_value=A.T @ p,
     )
 
 
@@ -412,6 +416,20 @@ class TestValueEquilibrium:
             check_value_equilibrium(acc)
 
 
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """The power steps of each call the national solve makes to its eigen kernel."""
+    steps = []
+
+    def counted(*args):
+        out = _dominant(*args)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr("demandgap.leontief._dominant", counted)
+    return steps
+
+
 class TestNationalEquilibrium:
     def test_seed_identity_consistent_accounts(self):
         for seed in range(10):
@@ -451,22 +469,26 @@ class TestNationalEquilibrium:
         assert sol.diagnostics["seed_used"] and sol.certified
 
     @pytest.mark.parametrize("m", [24, 40])
-    def test_cyclic_supply_chain_certifies(self, m, monkeypatch):
-        steps = []
-
-        def counted(*args):
-            out = _dominant(*args)
-            steps.append(out[2])
-            return out
-
-        monkeypatch.setattr("demandgap.leontief._dominant", counted)
+    def test_cyclic_supply_chain_certifies(self, m, kernel_steps):
         sol = solve_national_equilibrium(cyclic_accounts(m, m), strict=False)
         assert sol.certified
         assert abs(sol.rho - 1.0) <= 1e-6
         assert (sol.p > 0).all()
+        # the kernel's uniform start vector is the unit price, which solves
+        # the price system of a certified table: it answers at once
+        assert sol.diagnostics["perron_method"] == "power"
+        assert kernel_steps == [0]
+
+    @pytest.mark.parametrize("m", [24, 40])
+    def test_uncertified_cyclic_supply_chain_goes_dense(self, m, kernel_steps):
+        acc = balanced_accounts("cyclic", m, m, shrink=0.7)
+        sol = solve_national_equilibrium(acc, strict=False)
+        assert not sol.certified
+        assert (sol.p > 0).all()
+        # at 0.7 pi the unit price misses; M is periodic, so the kernel
+        # runs no power step and answers from the dense solve
         assert sol.diagnostics["perron_method"] == "dense"
-        # A(y) is periodic, so the kernel runs no power step
-        assert steps == [0]
+        assert kernel_steps == [0]
 
     def test_price_is_left_perron_vector_over_pi(self):
         for seed, m in ((6, 5), (7, 8), (8, 12)):
@@ -480,6 +502,49 @@ class TestNationalEquilibrium:
             _, left = dense_perron_oracle(A_y.T)
             expected = left / acc.pi
             np.testing.assert_allclose(sol.p, expected / expected.max(), atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["engineered", "cyclic"])
+    def test_certified_table_runs_no_dense_eigen_solve(self, kind, kernel_steps, monkeypatch):
+        # the unit price solves the price system of a certified table, so
+        # the kernel's start vector answers: no power step, no eig, no eigvals
+        calls = []
+        for name in ("eig", "eigvals"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        for seed, m in ((0, 3), (1, 12), (2, 40)):
+            sol = solve_national_equilibrium(balanced_accounts(kind, seed, m), strict=False)
+            assert sol.certified and sol.diagnostics["perron_method"] == "power"
+        assert calls == [] and kernel_steps == [0, 0, 0]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["engineered", "random", "cyclic", "dead"]),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 40),
+        decades=st.one_of(st.none(), st.floats(0.0, 4.0)),
+    )
+    def test_price_is_the_left_perron_vector_of_a_y_over_pi(self, kind, seed, m, decades):
+        # the price the solve once took, left(A(y)) / pi, from a dense
+        # oracle: at each table's own pi (decades=None) or at shares drawn
+        # from 10 ** U(-decades, 0)
+        acc = balanced_accounts(kind, seed, m)
+        if decades is not None:
+            pi = 10.0 ** np.random.default_rng(seed).uniform(-decades, 0.0, m)
+            acc = IOAccounts(X=acc.X, Xout=acc.Xout, Cf=acc.Cf, E=acc.E, Imp=acc.Imp, pi=pi)
+        sol = solve_national_equilibrium(acc, strict=False)
+        A_y = acc.coefficients() * sol.y[None, :m] / acc.pi[:, None]
+        rho, left = dense_perron_oracle(A_y.T)
+        _, right = dense_perron_oracle(A_y)
+        old = left / acc.pi
+        old /= old.max()
+        # no computed Perron vector is closer than about eps times the
+        # condition number of rho, |u| |v| / (u . v) over the left and right
+        # vectors of M: well below 1e-8 unless the prices span some ten
+        # decades (a 40-cycle at four decades of shares reaches 4e9)
+        u = right * acc.pi
+        kappa = np.linalg.norm(old) * np.linalg.norm(u) / (old @ u)
+        np.testing.assert_allclose(sol.p, old, rtol=0, atol=1e-8 + np.finfo(float).eps * kappa)
+        assert certifies(acc, sol.y, old, rho, sol.J) == sol.certified
 
     def test_uncertified_raises_in_strict_mode(self):
         acc = toy_accounts()
@@ -558,8 +623,8 @@ class TestNationalEquilibrium:
             solve_national_equilibrium(acc, strict=False)
 
     def test_m300_solve_keeps_few_full_size_buffers(self):
-        # A(y), written in place over A, is the one m x m float buffer; the
-        # graph test's boolean adjacency adds m x m / 8 doubles
+        # M^T = A diag(y/pi), written in place over A, is the one m x m float
+        # buffer; the graph test's boolean adjacency adds m x m / 8 doubles
         m = 300
         acc = certified_accounts(3, m)
         solve_national_equilibrium(acc, strict=False)  # first-call set-up

@@ -28,8 +28,11 @@ from demandgap.leontief import _shortfall
 
 # Tables at the edge of the float range: a final-consumption total that
 # overflows (no finite D); a gross output whose sum overflows while the value
-# added does not (r = 1.61373 on it); and a shortfall of 1e308 over a value
-# added of 0.4, whose r overflows
+# added does not (r = 1.61373 on it); a shortfall of 1e308 over a value
+# added of 0.4, whose r overflows; and three sums that once overflowed with
+# numpy's "overflow encountered in reduce" before the call refused, or
+# without a refusal: household income (D infinite), value added, and the
+# shortfalls of two industries that each import 8.5e307
 OVERFLOW_TABLES = {
     "final-demand total": dict(
         X=np.full((2, 2), 0.01), Xout=[0.1, 0.1], Cf=[1e308, 1e308], E=[1, 1], Imp=[1, 1], pi=0.5
@@ -39,6 +42,14 @@ OVERFLOW_TABLES = {
         E=[1.2e150, 1.4e150], Imp=[1.8e149, 1.6e150], pi=[0.087, 0.78],
     ),
     "ratio": dict(X=np.full((2, 2), 0.4), Xout=[1, 1], Cf=[1, 1], E=[0, 1], Imp=[1e308, 0], pi=0.5),
+    "household income": dict(
+        X=np.full((2, 2), 0.01), Xout=[1.7e308, 1.7e308], Cf=[1, 1], E=[1, 1], Imp=[1, 1], pi=0.0
+    ),
+    "value added": dict(X=np.diag([1e307, 1e307]), Xout=[1.2e308, 1.2e308], Cf=[1, 1], E=[1, 1], Imp=[1, 1], pi=1.0),
+    "shortfall sum": dict(
+        X=[[0.1] * 4, [0.1] * 4, [0] * 4, [0] * 4], Xout=[1, 1, 1e307, 1e307], Cf=[1] * 4,
+        E=[1, 1, 0, 0], Imp=[0, 0, 8.5e307, 8.5e307], pi=1.0,
+    ),
 }
 
 VALUE_FORM_CALLS = {
@@ -56,6 +67,17 @@ REFUSALS = {
     "final-demand total": dict.fromkeys(VALUE_FORM_CALLS, "D must be finite"),
     "gross output": {"build_exchange_from_iot": "gross output value must be finite"},
     "ratio": {"recession_ratio": "r must be finite", "analyze_accounts": "r must be finite"},
+    "household income": {
+        **dict.fromkeys(["demand_vector", "check_value_equilibrium", "recession_ratio", "analyze_accounts"],
+                        "D must be finite"),
+        "build_exchange_from_iot": "gross output value must be finite",
+    },
+    "value added": {
+        "recession_ratio": "gross value added must be finite",
+        "analyze_accounts": "gross value added must be finite",
+        "build_exchange_from_iot": "gross output value must be finite",
+    },
+    "shortfall sum": {"recession_ratio": "r must be finite", "analyze_accounts": "r must be finite"},
 }
 
 
@@ -346,9 +368,7 @@ class TestInvariants:
     @example(table=OVERFLOW_TABLES["final-demand total"])
     @example(table=OVERFLOW_TABLES["gross output"])
     @example(table=OVERFLOW_TABLES["ratio"])
-    @example(  # finite D and S, value added whose sum overflows (numpy warns first)
-        table=dict(X=np.diag([1e307, 1e307]), Xout=[1.2e308, 1.2e308], Cf=[1, 1], E=[1, 1], Imp=[1, 1], pi=1.0)
-    )
+    @example(table=OVERFLOW_TABLES["value added"])  # finite D and S, value added whose sum overflows
     def test_every_value_form_verdict_agrees(self, table):
         acc = IOAccounts(**table)
         calls = {
