@@ -32,8 +32,8 @@ print(f"dominant eigenvalue {result.rho:.12f} after {result.iterations} iteratio
 print("right vector:", result.right, "| residual:", result.residual)
 
 # the periodic worst case: on a weighted cycle every eigenvalue has modulus
-# rho, so power iteration cannot converge; the graph test finds the period,
-# and the dense solve answers without a power step
+# rho, so power iteration cannot converge; at order 3 the kernel runs none,
+# and the dense solve answers
 cycle = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.0]])
 result = perron_eigen(cycle)
 print(f"\nweighted 3-cycle: rho = {result.rho:.12f} ({result.method}), vector = {result.right}")

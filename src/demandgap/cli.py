@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 schema error (any unreadable, undecodable or
 malformed input file), 3 computation/config error (an unwritable ``--out``
-included), 4 equilibrium not certified.
+included), 4 equilibrium not certified.  Each warning prints as one
+``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .demo import run_demo
 from .errors import DemandGapError, SchemaError
-from .exchange import DEFAULT_TOL
+from .exchange import DEFAULT_TOL, _warning_lines
 from .leontief import AggregationMap, aggregate_accounts, check_value_equilibrium, solve_national_equilibrium
 from .niot import parse_blocks, parse_niot, parse_pi
 from .recession import analyze_accounts
@@ -158,18 +159,19 @@ def _cmd_demo(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "equilibrium":
-            return _cmd_equilibrium(args)
-        return _cmd_demo(args)
-    except SchemaError as e:
-        print(f"schema error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (DemandGapError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_COMPUTE
+    with _warning_lines():
+        try:
+            if args.command == "analyze":
+                return _cmd_analyze(args)
+            if args.command == "equilibrium":
+                return _cmd_equilibrium(args)
+            return _cmd_demo(args)
+        except SchemaError as e:
+            print(f"schema error: {e}", file=sys.stderr)
+            return EXIT_SCHEMA
+        except (DemandGapError, ValueError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

@@ -17,9 +17,11 @@ One private helper checks each price (finite, nonnegative, nonzero) and
 normalises it to unit money price, or unit max-norm when money is free,
 once per call, whether it arrives as an array or a :class:`PriceVector`.
 It refuses, before dividing, a price whose normalisation would overflow
-(``max(p) / p[0]`` beyond the float range), and the clearing check refuses
-a bundle value ``<C_i, p>`` or arithmetic that overflows instead of leaving
-a good unclassified.  One private helper issues every warning, at the caller's line.
+(``max(p) / p[0]`` beyond the float range), and the clearing check refuses,
+with ValueError and no numpy warning, a bundle value ``<C_i, p>``, demand
+scale, aggregate demand or total supply that overflows.  One private helper
+issues every warning, at the caller's line, and the CLI prints each as one
+``warning:`` line.
 
 Everything here is a pure function over immutable value objects; it is safe
 to evaluate in parallel over prices or economies.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +88,19 @@ def _warn(message: str) -> None:
     while frame.f_back is not None and frame.f_code.co_filename.startswith(package):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
+@contextmanager
+def _warning_lines():
+    """Within the block, a warning that is printed reads ``warning: <message>``
+    on one line, without the file and line it names; a recorded warning
+    (``warnings.catch_warnings(record=True)``) is unchanged."""
+    saved = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    try:
+        yield
+    finally:
+        warnings.formatwarning = saved
 
 
 def _check_tol(tol: float) -> None:
@@ -266,20 +282,46 @@ def _normalized_price(p, n: int) -> np.ndarray:
 
 
 def _scales(econ: ExchangeEconomy, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Demand scales at the normalized price ``q``, and the values ``C^T q``."""
+    """Demand scales at the normalized price ``q``, and the values ``C^T q``,
+    which are checked; a scale that overflows is infinite.  The caller
+    silences numpy's overflow warning."""
     demand_value = econ.C.T @ q
     if demand_value.min(initial=np.inf) <= DEFAULT_TOL_POS:
         bad = np.flatnonzero(demand_value <= DEFAULT_TOL_POS)[0]
         raise ZeroDemandValue(int(bad), float(demand_value[bad]))
-    _check_demand_value(econ.C, demand_value)
+    _check_consumers(econ.C, demand_value)
     return (econ.B.T @ q) / demand_value, demand_value
 
 
-def _check_demand_value(C: np.ndarray, demand_value: np.ndarray) -> None:
-    """Raise ValueError naming the goods of every bundle value ``C^T q`` that overflows."""
-    if demand_value.max(initial=0.0) == np.inf:
-        goods = np.flatnonzero(C[:, demand_value == np.inf].any(axis=1))
-        raise ValueError(f"the clearing check overflows at this price on goods {goods.tolist()}")
+@np.errstate(over="ignore", invalid="ignore")
+def _market(econ: ExchangeEconomy, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The demand scales ``y`` and values ``C^T q`` of :func:`_scales` at the
+    normalized price ``q``, the aggregate demand ``C y``, the total supply
+    and the residual ``C y - psi``.  Raises ValueError naming the goods
+    whose residual is not finite, because a scale, the demand or the supply
+    overflowed; numpy warns of nothing."""
+    y, demand_value = _scales(econ, q)
+    demand = econ.C @ y
+    psi = econ.total_supply()
+    residual = demand - psi
+    if not np.isfinite(residual).all():
+        _overflow(~np.isfinite(residual))
+    return y, demand_value, demand, psi, residual
+
+
+def _check_consumers(C: np.ndarray, values: np.ndarray) -> None:
+    """Raise ValueError naming the goods in the demand columns of every
+    consumer whose entry of ``values`` (bundle values ``C^T q`` or demand
+    scales) overflows."""
+    if values.max(initial=0.0) == np.inf:
+        _overflow(C[:, values == np.inf].any(axis=1))
+
+
+def _overflow(goods: np.ndarray) -> None:
+    """Raise the clearing check's ValueError naming the goods of the mask ``goods``."""
+    raise ValueError(
+        f"the clearing check overflows at this price on goods {np.flatnonzero(goods).tolist()}"
+    )
 
 
 def _proportional(psi_bar, y, demand_value, psi_bar_value: float) -> np.ndarray:
@@ -310,13 +352,10 @@ def _clearing(
 ) -> tuple[EquilibriumReport, np.ndarray, np.ndarray]:
     """The clearing verdict of :func:`check_equilibrium` at the normalized
     price ``q``, and the demand scales and values it was computed from.
-    Raises ValueError when the three sets miss a good, which happens only
-    when an overflow in ``B^T q``, ``C y`` or ``psi`` leaves a NaN
-    residual or band."""
-    y, demand_value = _scales(econ, q)
-    psi = econ.total_supply()
-    demand = econ.C @ y
-    residual = demand - psi
+    Raises ValueError, and numpy warns of nothing, when ``C^T q``,
+    ``B^T q / C^T q``, ``C y`` or ``psi`` overflows, so the residual it
+    classifies is finite and the three sets partition the goods."""
+    y, demand_value, demand, psi, residual = _market(econ, q)
 
     if not psi.all():
         _warn(f"goods with zero total supply: {np.flatnonzero(psi == 0).tolist()}")
@@ -324,9 +363,6 @@ def _clearing(
     equal, strict, violated = _classify(residual, psi, tol)
     equality_set, strict_set = _positions(equal), _positions(strict)
     violated_set = _positions(violated)
-    if len(equality_set) + len(strict_set) + len(violated_set) != econ.n:
-        missing = set(range(econ.n)).difference(equality_set, strict_set, violated_set)
-        raise ValueError(f"the clearing check overflows at this price on goods {sorted(missing)}")
     return EquilibriumReport(
         demand=demand,
         residual=residual,
@@ -344,16 +380,19 @@ def demand_scales(econ: ExchangeEconomy, p) -> np.ndarray:
 
     Raises :class:`ZeroDemandValue` when some bundle value ``<C_i, p>`` is
     not positive, which signals a violated support precondition on the
-    demand matrix.
+    demand matrix, and ValueError when a value or a scale overflows.
     """
-    return _scales(econ, _normalized_price(p, econ.n))[0]
+    with np.errstate(over="ignore"):
+        y = _scales(econ, _normalized_price(p, econ.n))[0]
+    _check_consumers(econ.C, y)
+    return y
 
 
 def excess_demand(econ: ExchangeEconomy, p) -> np.ndarray:
     """Aggregate demand minus total supply, per good (sign of the clearing
-    violation; nonpositive everywhere at an equilibrium price)."""
-    y = demand_scales(econ, p)
-    return econ.C @ y - econ.total_supply()
+    violation; nonpositive everywhere at an equilibrium price).  Raises
+    ValueError when the arithmetic overflows."""
+    return _market(econ, _normalized_price(p, econ.n))[4]
 
 
 def check_equilibrium(econ: ExchangeEconomy, p, tol: float = DEFAULT_TOL) -> EquilibriumReport:
@@ -382,6 +421,7 @@ class CertificateReport:
     diagnostics: dict
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_certificate(
     econ: ExchangeEconomy,
     p,
@@ -404,7 +444,7 @@ def verify_certificate(
     A non-finite entry of ``y`` or ``psi_bar``, or a negative, NaN or
     infinite ``tol``, raises ValueError; a negative entry fails ``nonzero``.
     A clause passes only when its measure is at most ``tol``, so a measure
-    that overflows to NaN fails it.
+    that overflows to infinity or NaN fails it, and numpy warns of nothing.
     """
     _check_tol(tol)
     y = np.asarray(y, dtype=float).reshape(-1)

@@ -50,7 +50,7 @@ from .exchange import (
     _warn,
     check_equilibrium,
 )
-from .solvers import CONE_TOL, _dominant, _period, _solve_nonneg
+from .solvers import CONE_TOL, _dominant, _irreducible, _solve_nonneg
 
 RHO_TOL = 1e-6
 
@@ -499,11 +499,11 @@ def solve_national_equilibrium(
         ``M p = p``, as ``M^T`` in place in the coefficient matrix ``A``, the
         solve's only m x m float buffer.  ``M`` is similar to the scaled
         production matrix ``A(y)[i, j] = a_ij y_j / pi_i``.  Test its graph
-        once for irreducibility and period, and compute its spectral radius
-        and Perron vector ``p`` in one call to the verified eigen kernel,
-        whose start vector, the unit price, answers a certified table with
-        no power step; a periodic ``M`` runs none either (the spectral
-        radius of a reducible ``M`` comes from its full spectrum).
+        once for irreducibility, and compute its spectral radius and Perron
+        vector ``p`` in one call to the verified eigen kernel, whose start
+        vector, the unit price, answers a certified table with no power
+        step; otherwise the order of ``M`` sets the kernel's route (the
+        spectral radius of a reducible ``M`` comes from its full spectrum).
     (c) check ``p`` with ``A^T p = (X^T p) / Xout`` from one product with ``X``.
     (d) check the closure identities for the household and trade scales
         and the positivity side conditions.
@@ -582,9 +582,8 @@ def solve_national_equilibrium(
     M = M_T.T
 
     # One eigen call on M serves the spectral radius and the prices.
-    period = _period(M)
-    reducible = not period
-    rho_m, p, _, _, method = _dominant(M, period)
+    reducible = not _irreducible(M)
+    rho_m, p, _, _, method = _dominant(M)
     rho = float(np.abs(np.linalg.eigvals(M)).max()) if reducible else rho_m
     # A^T p = (X^T p) / Xout, 0 on the columns of zero output, takes one
     # product with X, and M p follows from it.

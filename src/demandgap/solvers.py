@@ -21,14 +21,7 @@ Irreducibility is tested in numpy with the reachability criterion of
 Tarjan (1972): a digraph is strongly connected iff every vertex is
 reachable from vertex 0 both in the graph and in its transpose.  Each of
 the two breadth-first sweeps takes one vectorised step per level, so a
-dense matrix needs a few steps and a pure n-cycle needs n.  The same pass
-gives the period of a strongly connected digraph, the gcd of
-``level(i) + 1 - level(j)`` over its edges with ``level`` the breadth-first
-distance from vertex 0 (Denardo 1977): the forward sweep folds it in one
-vectorised step per level, and one positive diagonal entry settles it at 1
-without any gcd (the costs are tabled above ``PF_MAX_ITER``).  An
-irreducible matrix of period h has exactly h eigenvalues of modulus
-``rho`` (Berman and Plemmons 1994, ch. 2).
+dense matrix needs a few steps and a pure n-cycle needs n.
 
 The cone membership test is a numpy nonnegative least-squares solve, the
 active-set method of Lawson and Hanson (1995, ch. 23) that
@@ -40,21 +33,22 @@ by refactoring.  The package imports no scipy module.
 The eigenpair kernel always terminates.  It first checks its uniform start
 vector, which is exact when every row sum is equal: in the national solve,
 whose matrix is the price system of a value-form table, that vector is the
-unit price, and it answers every table that certifies.  On a primitive matrix
-it then runs shifted power iteration for at most ``min(PF_MAX_ITER, 2 n)``
-steps on an n x n matrix, about what one dense solve costs, which is
-enough for the primitive matrices of national tables, and otherwise hands
-the matrix to dense ``np.linalg.eig``.  A periodic matrix (supply chains
-that form a cycle) has several eigenvalues on its spectral circle, so
-power iteration cannot converge on it: every caller passes the kernel the
-period from its graph test, and a periodic matrix gets a budget of 0, so it
-goes from the start vector straight to ``eig``.  A matrix and its transpose share
-their spectrum, so power iteration converges at the same rate on both:
-when the right eigenvector falls back, the left one goes straight to
-``eig``, and each spectrum falls back at most once.  Whichever path
-answers, the answer is checked: the vector is made nonnegative at max-norm
-1 and must satisfy ``max |M v - rho v| <= PF_TOL * min(1, |M|_inf)``, or
-:class:`NoConvergence` is raised; the tolerance is never loosened.
+unit price, and it answers every table that certifies.  Then the order of
+the matrix alone sets its route.  Up to order 20 (``2 n <= PF_MAX_ITER``)
+dense ``np.linalg.eig`` costs less than the power steps a random matrix
+needs, so the matrix goes there at once; above it the kernel runs shifted
+power iteration for at most ``PF_MAX_ITER`` steps, enough for the
+matrices of national tables, and hands a matrix that needs more to
+``eig``.  A periodic matrix (supply chains that form a cycle) has several
+eigenvalues on its spectral circle, so power iteration cannot converge on
+it: above order 20 it spends the whole budget before ``eig`` answers.  A
+matrix and its transpose share their spectrum, so power iteration
+converges at the same rate on both: when the right eigenvector falls back,
+the left one goes straight to ``eig``, and each spectrum falls back at most
+once.  Whichever path answers, the answer is checked: the vector is made
+nonnegative at max-norm 1 and must satisfy ``max |M v - rho v| <= PF_TOL *
+min(1, |M|_inf)``, or :class:`NoConvergence` is raised; the tolerance is
+never loosened.
 """
 
 from __future__ import annotations
@@ -84,36 +78,20 @@ from .exchange import (
 )
 
 PF_TOL = 1e-10
-# Cap on the power iterations before the dense fallback; an n x n matrix
-# gets min(PF_MAX_ITER, 2 n).  The scaled production matrices of balanced
-# 34-300 industry tables converge in 6-10 steps, the toy table in 4 and its
-# 10-block aggregate in 7; a periodic matrix needs thousands.  Measured
-# cost (best of 7 x 500 calls, 2 CPUs, numpy 2.4 with OpenBLAS):
+# Power steps of the eigen kernel on an n x n matrix before the dense
+# fallback: none when 2 n <= PF_MAX_ITER, PF_MAX_ITER above that.  The price
+# systems of balanced 34-300 industry tables converge in 6-10 steps; a
+# periodic matrix needs thousands.  Measured on random irreducible matrices
+# (median of 5 matrices per order, each the best of 7 x 300 calls, one
+# pinned core of a 2-CPU Xeon, numpy 2.4 with OpenBLAS):
 #
-#     n                          2       8      12      34
-#     one power step, us       8-11    12-13   13-15    8-10
-#     np.linalg.eig, us       12-21    36-40   45-81    300-314
-#     whole fallback, us      27-50    55-72   58-88    348-355
+#     n                               8      12      16      20      24      34
+#     power steps to PF_TOL          24      21      19      19      18      16
+#     power iteration, us           225     188     182     169     175     149
+#     start check + eig, us          51      73      94     130     182     331
 #
-# (the fallback adds taking the eigenvector and checking its residual), so
-# 2 n steps spend about what the fallback costs before falling back.  A
-# periodic matrix spends none: the graph test that every caller runs first
-# gives the period.  Its cost, against two reachability sweeps that run
-# until the frontier is empty and take no gcd (best of 7 x 200 calls, three
-# runs, random dense matrices and pure n-cycles):
-#
-#     n                                2       8       24      300
-#     period test, us
-#       positive diagonal, dense     13-14   12-14   13-22    26-29
-#       zero diagonal, dense         22-25   21-23   25-40    55-60
-#       zero diagonal, pure cycle    21-23   84-88  271-419  4000-4900
-#     two full sweeps, us
-#       dense                        24-28   25-33   27-46   101-117
-#       pure cycle                   25-26   77-87  255-377  3300-4300
-#
-# The test stops once every vertex is reached and the period is 1, so a
-# dense graph costs less than the full sweeps; a pure cycle folds one gcd
-# step into each of its n levels.
+# so up to n = 20 the dense solve is cheaper than the steps the matrix
+# needs, and above it power iteration is.
 PF_MAX_ITER = 40
 CONE_TOL = 1e-8
 
@@ -137,53 +115,31 @@ def is_irreducible(M) -> bool:
     strongly connected.  A 1x1 matrix is irreducible iff its entry is
     positive (self-loop convention).  Raises ValueError unless ``M`` is
     square and non-empty with finite nonnegative entries."""
-    return _period(_nonneg_square(M)) > 0
+    return _irreducible(_nonneg_square(M))
 
 
-def _period(M: np.ndarray) -> int:
-    """Graph test of a matrix its caller has already checked: 0 when the
-    digraph of ``M`` is not strongly connected, and otherwise its period,
-    the gcd of its cycle lengths (1 means primitive).
-
-    One positive diagonal entry is a cycle of length 1, so it settles the
-    period at 1 and neither sweep takes a gcd.  Otherwise the forward sweep
-    folds in the gcd of ``level(i) + 1 - level(j)`` over the edges
-    ``i -> j``, with ``level`` the breadth-first distance from vertex 0,
-    which is the period of a strongly connected digraph (Denardo 1977)."""
-    if M.shape[0] == 1:
-        return int(M[0, 0] > 0)
+def _irreducible(M: np.ndarray) -> bool:
+    """:func:`is_irreducible` of a matrix its caller has already checked:
+    breadth-first frontier sweeps from vertex 0, one vectorised step per
+    level, along the edges of the digraph and then of its transpose, each
+    stopping as soon as every vertex is reached or no new one is."""
+    n = M.shape[0]
+    if n == 1:
+        return bool(M[0, 0] > 0)
     adj = M > 0
-    period = _sweep(adj, int(adj.diagonal().any()))
-    return period if period and _sweep(adj.T, 1) else 0
-
-
-def _sweep(adj: np.ndarray, period: int) -> int:
-    """Breadth-first frontier sweeps from vertex 0 along the edges
-    ``i -> j`` with ``adj[i, j]``.  Returns 0 unless every vertex is
-    reached, and otherwise the gcd of ``period`` and, while that gcd is not
-    1, of ``level(i) + 1 - level(j)`` over the edges.  The edges out of
-    level k reach the set ``reach``, each vertex of which was reached at
-    most k + 1 levels deep, so the number of sweeps since it was reached,
-    ``k + 1 - level(j)``, is its term of the gcd: the gcd takes one
-    vectorised step per level, and no edge list is built.  With
-    ``period = 1`` this is the plain reachability test, which stops as soon
-    as every vertex is reached."""
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    age = np.zeros(adj.shape[0], dtype=np.intp)
-    unseen = adj.shape[0] - 1
-    while True:
-        reach = adj[frontier].any(axis=0)
-        if period != 1:
-            age += seen  # k + 1 - level(j) where reached, 0 elsewhere
-            period = int(np.gcd.reduce(age[reach], initial=period))
-        frontier = reach & ~seen
-        seen |= frontier
-        found = np.count_nonzero(frontier)
-        unseen -= found
-        if not found or not unseen and period == 1:
-            return 0 if unseen else period
+    for graph in (adj, adj.T):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        unseen = n - 1
+        while unseen:
+            frontier = graph[frontier].any(axis=0) & ~seen
+            found = np.count_nonzero(frontier)
+            if not found:
+                return False
+            seen |= frontier
+            unseen -= found
+    return True
 
 
 @dataclass(frozen=True)
@@ -197,10 +153,9 @@ class PerronResult:
     the residual tolerance).  ``method`` is ``"power"`` when the uniform
     start vector or shifted power iteration answered both sides, and
     ``"dense"`` when either side went to ``np.linalg.eig``.
-    ``iterations`` counts the power steps of both sides: 0 on a periodic
-    matrix, which runs none; otherwise at most ``min(PF_MAX_ITER, 2 n)``
-    each, and only the right side's budget when it fell back (the left side
-    then runs none).
+    ``iterations`` counts the power steps of both sides: 0 up to order 20,
+    which runs none; otherwise at most ``PF_MAX_ITER`` each, and only the
+    right side's budget when it fell back (the left side then runs none).
     """
 
     rho: float
@@ -212,27 +167,22 @@ class PerronResult:
     method: str
 
 
-def _dominant(
-    M: np.ndarray, period: int = 1, budget: int | None = None
-) -> tuple[float, np.ndarray, int, float, str]:
+def _dominant(M: np.ndarray, budget: int | None = None) -> tuple[float, np.ndarray, int, float, str]:
     """Verified dominant eigenpair of a nonnegative matrix.
 
     Starts from the uniform vector, which always overlaps the dominant
     nonnegative eigenvector and is that eigenvector exactly when every row
     sum of ``M`` is equal, so it is checked first, for every matrix.  Then
     runs at most ``budget`` steps of power iteration on ``M + eps I`` with
-    ``eps = 1e-3 * max(M)``.  ``period`` is the period of the graph of
-    ``M`` from :func:`_period`; a reducible matrix (0) is budgeted like a
-    primitive one (1).  The
-    budget defaults to ``min(PF_MAX_ITER, 2 n)`` for an n x n matrix: one
-    step costs 8-15 us below n = 40 and the whole fallback 27-88 us at
-    n = 2-12 (the table above ``PF_MAX_ITER``), so the iteration spends
-    about what the fallback costs before giving up.  The shift barely damps
-    the oscillation of a periodic matrix (period > 1), so its budget
-    defaults to 0.  When the budget runs out the matrix goes to dense
-    ``np.linalg.eig``, which takes the eigenvalue with the largest real
-    part: on a periodic matrix several eigenvalues share the modulus
-    ``rho``, but only ``rho`` itself has real part ``rho``.
+    ``eps = 1e-3 * max(M)``.  The budget defaults to 0 for an n x n matrix
+    with ``2 n <= PF_MAX_ITER`` and to ``PF_MAX_ITER`` above that: up to
+    order 20 the dense solve costs less than the steps a matrix needs (the
+    table above ``PF_MAX_ITER``).  The shift barely damps the oscillation
+    of a periodic matrix, which spends its whole budget.  When the budget
+    runs out the matrix goes to dense ``np.linalg.eig``, which takes the
+    eigenvalue with the largest real part: on a periodic matrix several
+    eigenvalues share the modulus ``rho``, but only ``rho`` itself has real
+    part ``rho``.
 
     Either way the vector is taken in absolute value at max-norm 1, the
     eigenvalue is its Rayleigh quotient on ``M`` (a weighted mean of the
@@ -250,7 +200,7 @@ def _dominant(
     """
     n = M.shape[0]
     if budget is None:
-        budget = 0 if period > 1 else min(PF_MAX_ITER, 2 * n)
+        budget = 0 if 2 * n <= PF_MAX_ITER else PF_MAX_ITER
     top = float(M.max(initial=0.0))
     if not top < np.inf:
         raise ValueError("M must be finite")
@@ -300,12 +250,9 @@ def perron_eigen(M) -> PerronResult:
     The pair is verified at ``max |M v - rho v| <= PF_TOL * min(1,
     |M|_inf)`` with ``v`` at max-norm 1, relative below unit norm and
     absolute above: rescale a matrix far above unit norm before the
-    call (``rho`` scales with it).  The graph test that proves ``M``
-    irreducible also gives its period.  A periodic matrix (period > 1) has
-    that many eigenvalues of modulus ``rho``, so power iteration cannot
-    converge on it: each side runs no power step and, unless the uniform
-    start vector is exact, goes to the dense solve.  On a primitive matrix
-    the right side runs at most ``min(PF_MAX_ITER, 2 n)`` power iterations
+    call (``rho`` scales with it).  Up to order 20 each side goes from the
+    uniform start vector, unless it is exact, straight to the dense solve;
+    above that the right side runs at most ``PF_MAX_ITER`` power iterations
     before the dense fallback.  ``M.T`` has the same spectrum, so power
     iteration converges at the same rate on it: the left side gets the same
     budget when the right side converged, and none when it fell back.
@@ -314,11 +261,10 @@ def perron_eigen(M) -> PerronResult:
     irreducible.
     """
     M = _nonneg_square(M)
-    period = _period(M)
-    if not period:
+    if not _irreducible(M):
         raise NotIrreducible("matrix graph is not strongly connected")
-    rho_r, right, it_r, res_r, method_r = _dominant(M, period)
-    rho_l, left, it_l, res_l, method_l = _dominant(M.T, period, 0 if method_r == "dense" else None)
+    rho_r, right, it_r, res_r, method_r = _dominant(M)
+    rho_l, left, it_l, res_l, method_l = _dominant(M.T, 0 if method_r == "dense" else None)
     return PerronResult(
         rho=rho_r,
         right=right,
@@ -605,15 +551,13 @@ def spectral_equilibrium(C, B1, tol: float = DEFAULT_TOL) -> ConstructedEquilibr
     raised.  The returned price is rescaled to max-norm 1.
     """
     econ, B1 = _factored_economy(C, B1)
-    period = _period(B1)
-    if not period:
+    if not _irreducible(B1):
         raise NotIrreducible("B1 graph is not strongly connected")
 
     y = B1.sum(axis=1)
-    stochastic = B1 / y[:, None]  # row scaling keeps the graph tested above
-    _, left, _, _, _ = _dominant(stochastic.T, period)
-    d = left / y
-    d = d / d.max()
+    # d is the Perron vector of diag(1/y) B1^T, which has the graph tested
+    # above and is similar to the transposed stochastic matrix
+    _, d, _, _, _ = _dominant(B1.T / y[:, None])
 
     try:
         sol = _solve_nonneg(econ.C.T, d)

@@ -32,7 +32,7 @@ from .exchange import (
     DEFAULT_TOL,
     DEFAULT_TOL_POS,
     ExchangeEconomy,
-    _check_demand_value,
+    _check_consumers,
     _check_entries,
     _check_finite,
     _check_tol,
@@ -245,7 +245,7 @@ def synthesize_property(
     demand_value = C.T @ q
     if not demand_value.min(initial=np.inf) > DEFAULT_TOL_POS:
         raise ValueError("every consumer must demand something on the support")
-    _check_demand_value(C, demand_value)
+    _check_consumers(C, demand_value)
     P = _proportional(psi_bar, parts.y, demand_value, float(psi_bar @ q))
     return _assemble(P, _weights(q, parts.I), parts)
 
@@ -319,8 +319,8 @@ def decompose_property(
 def is_equivalent(B, B_bar, p, tol: float = DEFAULT_TOL) -> bool:
     """True when the two property distributions have the same per-consumer
     value at price ``p`` (an equivalent redistribution), within the
-    relative band ``tol * max(1, |value under B|)``.  A non-finite entry
-    raises ValueError."""
+    relative band ``tol * max(1, |value under B|)``.  A non-finite entry,
+    or a value or value gap that overflows at ``p``, raises ValueError."""
     B = np.asarray(B, dtype=float)
     B_bar = np.asarray(B_bar, dtype=float)
     if B.shape != B_bar.shape:
@@ -328,8 +328,12 @@ def is_equivalent(B, B_bar, p, tol: float = DEFAULT_TOL) -> bool:
     _check_finite(B, "B")
     _check_finite(B_bar, "B_bar")
     q = _normalized_price(p, B.shape[0])
-    gap = (B_bar - B).T @ q
-    return bool(_classify(gap, np.abs(B.T @ q), tol)[0].all())
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = (B_bar - B).T @ q
+        value = np.abs(B.T @ q)
+    if not (np.isfinite(gap).all() and np.isfinite(value).all()):
+        raise ValueError("the per-consumer values overflow at this price")
+    return bool(_classify(gap, value, tol)[0].all())
 
 
 @dataclass(frozen=True)
@@ -420,8 +424,9 @@ def real_money_value(p, psi) -> float:
 
     ``p`` passes the one price check of :class:`PriceVector` and is
     normalised to money price 1; ``psi`` must be finite and nonnegative, or
-    :class:`ValueError` is raised.  Under a degenerate equilibrium family
-    this is set-valued: sample the off-support prices to trace the range.
+    :class:`ValueError` is raised, as it is when the value overflows.
+    Under a degenerate equilibrium family this is set-valued: sample the
+    off-support prices to trace the range.
     (The display defining the indicator is ambiguous about taking a
     reciprocal; this returns the ratio as shown, and callers can invert
     it.)
@@ -435,4 +440,8 @@ def real_money_value(p, psi) -> float:
         raise NoMoneySupply(f"money supply {psi[0]!r} must be positive")
     if q[0] <= 0:
         raise ValueError("money price must be positive to normalise")
-    return float(q[1:] @ psi[1:] / psi[0])
+    with np.errstate(over="ignore"):
+        value = float(q[1:] @ psi[1:] / psi[0])
+    if value == np.inf:
+        raise ValueError("the real money value overflows at this price")
+    return value

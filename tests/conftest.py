@@ -59,20 +59,26 @@ def cycle_gcd(M: np.ndarray) -> int:
 
 def perron_path(M: np.ndarray) -> tuple[str, int]:
     """The ``(method, iterations)`` that ``perron_eigen`` documents for an
-    irreducible ``M``.  A periodic ``M`` runs no power step: each side is
-    answered by the uniform start vector or goes to the dense solve.
-    Otherwise each side has ``min(PF_MAX_ITER, 2 n)`` power steps, a side
-    that needs more falls back to the dense solve after spending them all,
-    and after a fallback on the right side the left side spends none."""
+    irreducible ``M``.  A side whose uniform start vector is exact answers
+    there with no power step.  Otherwise, up to order 20 (``2 n <=
+    PF_MAX_ITER``) the side goes to the dense solve with no power step;
+    above that it has ``PF_MAX_ITER`` power steps, which a periodic ``M``
+    never meets, and a side that needs more falls back to the dense solve
+    after spending them all.  After a fallback on the right side the left
+    side spends none."""
     from demandgap.solvers import PF_MAX_ITER, PF_TOL
 
-    if cycle_gcd(M) > 1:
+    budget = 0 if 2 * M.shape[0] <= PF_MAX_ITER else PF_MAX_ITER
+    periodic = cycle_gcd(M) > 1
+
+    def steps(A: np.ndarray) -> int:
         # the uniform vector is exact when every row sum equals their mean
-        sums = [A.sum(axis=1) for A in (M, M.T)]
-        exact = all(float(np.abs(s - s.mean()).max()) <= PF_TOL for s in sums)
-        return ("power" if exact else "dense"), 0
-    budget = min(PF_MAX_ITER, 2 * M.shape[0])
-    right, left = power_steps(M), power_steps(M.T)
+        sums = A.sum(axis=1)
+        if float(np.abs(sums - sums.mean()).max()) <= PF_TOL * min(1.0, float(sums.max())):
+            return 0
+        return budget + 1 if periodic or not budget else power_steps(A)
+
+    right, left = steps(M), steps(M.T)
     if right > budget:
         return "dense", budget
     if left > budget:

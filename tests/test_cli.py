@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -271,6 +274,27 @@ class TestEquilibrium:
             "(taxation shares too small: dividing by them can overflow)"
         )
         assert not (tmp_path / "o").exists()
+
+
+def test_warning_prints_as_one_line(tmp_path):
+    # a fresh process, as a user runs it: the default warning format would
+    # name the frame <frozen runpy> and echo a source line
+    table = tmp_path / "toy.csv"
+    table.write_text(HEADER + "\n1,Alpha,10,20,40,10,20,5,100\n2,Beta,30,10,25,5,10,15,100\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "demandgap.cli", "analyze", "toy.csv", "--out", "o"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: no meta.csv beside toy.csv: country XXX and year 0, "
+        "so reports are named XXX_0_*\n"
+    )
 
 
 class TestDemo:

@@ -1,6 +1,8 @@
 """Core exchange model: supply, demand scales, clearing checks,
 certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,12 @@ from demandgap import (
     PriceVector,
     ZeroDemandValue,
     check_equilibrium,
+    decompose_property,
     degenerate_transform,
     demand_scales,
     excess_demand,
+    is_equivalent,
+    real_money_value,
     total_supply,
     verify_certificate,
 )
@@ -299,6 +304,65 @@ class TestOverflowingPrice:
         assert np.isnan(result.diagnostics["transfers"])
         assert not result.ok
         assert result.failed == ("transfers",)
+
+
+class TestOverflowWithoutNumpyWarnings:
+    """Arithmetic that overflows at a valid price is refused with the
+    package's own ValueError, or fails a certificate clause, and numpy
+    warns of nothing on the way."""
+
+    # <b_0, q> = 2e308 overflows, so y_0 is inf, good 0's demand inf and
+    # good 1's demand 0 * inf
+    SCALE = ([[1.0, 1.0], [0.0, 1.0]], [[1e308, 0.0], [1e308, 1.0]], (1.0, 1.0))
+    # y = (1e10, 1e-10) is finite, but the demand for good 1 is 1e300 * 1e10
+    DEMAND = ([[0.0, 1.0], [1e300, 0.0]], [[1e300, 0.0], [0.0, 1.0]], (1.0, 1e-10), 1)
+    # the supply of good 0, 1e308 + 1e308, overflows
+    SUPPLY = ([[1.0, 0.0], [0.0, 1.0]], [[1e308, 1e308], [0.0, 1.0]], (1.0, 1.0), 0)
+
+    CALLS = {
+        "check_equilibrium": check_equilibrium,
+        "demand_scales": demand_scales,
+        "excess_demand": excess_demand,
+        "decompose_property": lambda econ, p: decompose_property(econ, p, (0, 1)),
+        "degenerate_transform": lambda econ, p: degenerate_transform(econ, p, (0, 1)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_overflowing_scale_raises(self, call):
+        # demand_scales names the goods the infinite scale demands; the
+        # clearing check names those whose residual is not finite
+        C, B, p = self.SCALE
+        goods = "0" if call == "demand_scales" else "0, 1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"clearing check overflows .* goods \\[{goods}\\]"):
+                self.CALLS[call](ExchangeEconomy(C, B), p)
+
+    @pytest.mark.parametrize("case", ["DEMAND", "SUPPLY"])
+    @pytest.mark.parametrize("call", ["check_equilibrium", "excess_demand"])
+    def test_overflowing_demand_or_supply_raises(self, call, case):
+        C, B, p, good = getattr(self, case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"clearing check overflows .* goods \\[{good}\\]"):
+                self.CALLS[call](ExchangeEconomy(C, B), p)
+
+    def test_certificate_measures_that_overflow_fail_their_clauses(self):
+        C, B, p = self.SCALE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = verify_certificate(ExchangeEconomy(C, B), p, (1.0, 1.0), (1.0, 1.0))
+        assert not result.ok
+        assert np.isnan(result.diagnostics["transfers"])
+
+    def test_equivalence_and_real_money_value_refuse_overflow(self):
+        C, B, p = self.SCALE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="per-consumer values overflow"):
+                is_equivalent(B, B, p)
+            with pytest.raises(ValueError, match="real money value overflows"):
+                real_money_value([1.0, 1e308], [1.0, 1e308])
 
 
 def _outcome(call):

@@ -38,7 +38,7 @@ from demandgap import (
 )
 from demandgap.exchange import DEFAULT_TOL, DEFAULT_TOL_POS, _classify
 from demandgap.leontief import RHO_TOL
-from demandgap.solvers import CONE_TOL, PF_MAX_ITER, _dominant, _period
+from demandgap.solvers import CONE_TOL, PF_MAX_ITER, _dominant, _irreducible
 from demandgap.structure import RepresentationParts
 from demandgap.fixtures import (
     random_consistent_accounts,
@@ -157,9 +157,9 @@ def reference_solve(acc: IOAccounts) -> dict:
     residual = C_big @ y - target
     inside, below, _ = _classify(residual, target, max(DEFAULT_TOL, CONE_TOL))
     M = (y[:m] / acc.pi)[:, None] * A.T
-    period = _period(M)
-    rho_m, p, _, _, _ = _dominant(M, period)
-    rho = rho_m if period else float(np.abs(np.linalg.eigvals(M)).max())
+    irreducible = _irreducible(M)
+    rho_m, p, _, _, _ = _dominant(M)
+    rho = rho_m if irreducible else float(np.abs(np.linalg.eigvals(M)).max())
     J = tuple(np.flatnonzero(below).tolist())
     certified = certifies(acc, y, p, rho, J)
     return dict(
@@ -485,10 +485,10 @@ class TestNationalEquilibrium:
         sol = solve_national_equilibrium(acc, strict=False)
         assert not sol.certified
         assert (sol.p > 0).all()
-        # at 0.7 pi the unit price misses; M is periodic, so the kernel
-        # runs no power step and answers from the dense solve
+        # at 0.7 pi the unit price misses; M is periodic, so power
+        # iteration spends its whole budget and the dense solve answers
         assert sol.diagnostics["perron_method"] == "dense"
-        assert kernel_steps == [0]
+        assert kernel_steps == [PF_MAX_ITER]
 
     def test_price_is_left_perron_vector_over_pi(self):
         for seed, m in ((6, 5), (7, 8), (8, 12)):
@@ -496,7 +496,7 @@ class TestNationalEquilibrium:
             sol = solve_national_equilibrium(acc, strict=False)
             assert not sol.diagnostics["reducible"]
             A_y = acc.coefficients() * sol.y[None, :m] / acc.pi[:, None]
-            budget = min(PF_MAX_ITER, 2 * m)
+            budget = 0 if 2 * m <= PF_MAX_ITER else PF_MAX_ITER
             path = "dense" if power_steps(A_y.T) > budget else "power"
             assert sol.diagnostics["perron_method"] == path
             _, left = dense_perron_oracle(A_y.T)

@@ -9,7 +9,7 @@ from conftest import (
     perron_path,
     random_irreducible,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 from scipy.sparse.csgraph import connected_components
@@ -27,7 +27,7 @@ from demandgap import (
     unit_value_equilibrium,
 )
 from demandgap import solvers
-from demandgap.solvers import CONE_TOL, PF_MAX_ITER, PF_TOL, _dominant, _period
+from demandgap.solvers import CONE_TOL, PF_MAX_ITER, PF_TOL, _dominant, _irreducible
 
 
 class TestIrreducibility:
@@ -55,9 +55,7 @@ class TestIrreducibility:
     )
     def test_agrees_with_scipy_strong_components(self, n, seed, density, kind):
         M = _graph_case(n, seed, density, kind)
-        period = _period(M)
-        assert is_irreducible(M) == (period > 0) == _scipy_irreducible(M)
-        assert period in (0, cycle_gcd(M))
+        assert is_irreducible(M) == _irreducible(M) == _scipy_irreducible(M)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
@@ -65,7 +63,7 @@ class TestIrreducibility:
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["random", "periodic", "one-loop"]),
     )
-    def test_period_matches_cycle_gcd(self, n, seed, kind):
+    def test_periodic_and_one_loop_draws_agree_with_scipy(self, n, seed, kind):
         if kind == "one-loop":
             # a pure cycle with exactly one positive diagonal entry: primitive
             order = np.random.default_rng(seed).permutation(n)
@@ -74,9 +72,7 @@ class TestIrreducibility:
             M[order[0], order[0]] = 0.5
         else:
             M = _irreducible_case(n, seed, kind)
-        period = _period(M)
-        assert period == cycle_gcd(M)
-        assert is_irreducible(M) == (period > 0) == _scipy_irreducible(M)
+        assert is_irreducible(M) == _irreducible(M) == _scipy_irreducible(M)
 
     def test_long_weighted_cycle(self):
         # a pure cycle is the longest sweep: n steps in each direction
@@ -86,10 +82,9 @@ class TestIrreducibility:
         M = np.zeros((n, n))
         M[order, np.roll(order, -1)] = rng.uniform(0.5, 2.0, n)
         assert is_irreducible(M) and _scipy_irreducible(M)
-        assert _period(M) == n
         M[order[n // 2], order[n // 2 + 1]] = 0.0
         assert not is_irreducible(M) and not _scipy_irreducible(M)
-        assert _period(M) == 0
+        assert not _irreducible(M)
 
 
 def _scipy_irreducible(M: np.ndarray) -> bool:
@@ -187,16 +182,17 @@ class TestPerronEigen:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 19, 24])
     def test_pure_cycle_spends_one_budget(self, n):
-        # a pure n-cycle has period n, so power iteration cannot converge on
-        # it: both sides run no power step, and with unequal weights the
-        # start vector is not exact, so the dense solve answers
+        # with unequal weights the start vector is not exact; up to order 20
+        # both sides go straight to the dense solve, and above it power
+        # iteration cannot converge on a pure n-cycle, so the right side
+        # spends its whole budget and the left side none
         rng = np.random.default_rng(n)
         order = rng.permutation(n)
         M = np.zeros((n, n))
         M[order, np.roll(order, -1)] = rng.uniform(0.5, 2.0, n)
         result = perron_eigen(M)
         assert result.method == "dense"
-        assert result.iterations == 0
+        assert result.iterations == (0 if 2 * n <= PF_MAX_ITER else PF_MAX_ITER)
         assert result.residual <= PF_TOL
 
     @pytest.mark.parametrize(
@@ -212,7 +208,7 @@ class TestPerronEigen:
         # periodic, but every row and column sum is equal, so the uniform
         # start vector is the exact Perron vector on both sides; eig would
         # leave a residual of about 3e284 on the 1e300 matrix
-        assert _period(np.asarray(M)) > 1
+        assert cycle_gcd(np.asarray(M)) > 1
         result = perron_eigen(M)
         assert (result.method, result.iterations, result.residual) == ("power", 0, 0.0)
         np.testing.assert_array_equal(result.right, np.ones(len(M)))
@@ -220,10 +216,11 @@ class TestPerronEigen:
 
     def test_no_convergence_reports_the_budget_spent(self):
         # two 2-cycles of root 1, the first with access to the second:
-        # rho is defective, and eig misses PF_TOL on the transpose
+        # rho is defective, and eig misses PF_TOL on the transpose; at
+        # order 4 the default budget is 0
         M = np.zeros((4, 4))
         M[0, 1] = M[1, 0] = M[2, 3] = M[3, 2] = M[0, 2] = 1.0
-        for budget, spent in ((None, 8), (0, 0)):
+        for budget, spent in ((None, 0), (8, 8)):
             with pytest.raises(NoConvergence) as exc:
                 _dominant(M.T, budget=budget)
             assert exc.value.iterations == spent
@@ -284,7 +281,7 @@ class TestPerronProperties:
     )
     def test_each_side_keeps_its_budget(self, n, seed, kind):
         M = _irreducible_case(n, seed, kind)
-        budget = 0 if cycle_gcd(M) > 1 else min(PF_MAX_ITER, 2 * n)
+        budget = 0 if 2 * n <= PF_MAX_ITER else PF_MAX_ITER
         sides = [_dominant(A, budget=budget) for A in (M, M.T)]
         for A, (rho, v, steps, residual, method) in zip((M, M.T), sides):
             assert steps <= budget
@@ -296,6 +293,24 @@ class TestPerronProperties:
         assert result.iterations == it_r + (0 if method_r == "dense" else it_l)
         assert (result.method, result.iterations) == perron_path(M)
         assert result.residual <= PF_TOL
+
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 20),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "periodic"]),
+    )
+    def test_small_orders_go_straight_to_the_dense_solve(self, n, seed, kind):
+        M = _irreducible_case(n, seed, kind)
+        sums = M.sum(axis=1)
+        assume(float(np.abs(sums - sums.mean()).max()) > PF_TOL * min(1.0, float(sums.max())))
+        rho, v, steps, residual, method = _dominant(M)
+        assert (steps, method) == (0, "dense")
+        assert residual <= PF_TOL
+        rho_oracle, v_oracle = dense_perron_oracle(M)
+        assert rho == pytest.approx(rho_oracle, abs=1e-8)
+        np.testing.assert_allclose(v, v_oracle, atol=1e-8)
 
 
 class TestSolveNonneg:
@@ -520,6 +535,21 @@ class TestSpectralEquilibrium:
             B = C @ B1
             gap = (B - C * result.scales[None, :]).T @ result.p
             assert np.abs(gap).max() <= 1e-8
+
+    def test_budget_is_the_stationary_vector_over_the_scales(self):
+        # the kernel runs on diag(1/y) B1^T, whose Perron vector is the
+        # left vector of the row-normalised B1 divided by the scales
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            l = int(rng.integers(2, 7))
+            B1 = random_irreducible(rng, l)
+            y = B1.sum(axis=1)
+            _, stationary = dense_perron_oracle((B1 / y[:, None]).T)
+            budget = stationary / y
+            budget /= budget.max()
+            C, _ = interior_cone_instance(rng, l + 1, l, budget)
+            result = spectral_equilibrium(C, B1)
+            np.testing.assert_allclose(result.budget, budget, rtol=0, atol=1e-10)
 
     def test_reducible_factor_rejected(self):
         with pytest.raises(NotIrreducible):
