@@ -324,10 +324,11 @@ def _overflow(goods: np.ndarray) -> None:
     )
 
 
-def _proportional(psi_bar, y, demand_value, psi_bar_value: float) -> np.ndarray:
+def _proportional(psi_bar, values, total: float) -> np.ndarray:
     """The rank-one part: the scaled supply ``psi_bar`` split among the
-    consumers in shares ``y_i <C_i, q> / <psi_bar, q>``, given ``C^T q``."""
-    return psi_bar[:, None] * (y * demand_value / psi_bar_value)
+    consumers in shares ``values / total``, the values ``y_i <C_i, q>`` of
+    their scaled bundles over ``<psi_bar, q>`` (or both in one unit)."""
+    return psi_bar[:, None] * (values / total)
 
 
 def _classify(
@@ -494,7 +495,7 @@ def verify_certificate(
         diag["transfers"] = "psi_bar has zero value at p"
         return CertificateReport(False, tuple(failed), diag)
 
-    D = econ.B - _proportional(psi_bar, y, demand_value, psi_bar_value)
+    D = econ.B - _proportional(psi_bar, y * demand_value, psi_bar_value)
     # B and q are nonnegative, so <b_i, q> needs no abs
     value_gap = np.abs(D.T @ q) / np.maximum(1.0, econ.B.T @ q)
     sum_gap = np.abs(D.sum(axis=1) + excess) / scale

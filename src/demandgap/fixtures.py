@@ -106,7 +106,7 @@ def random_equilibrium(
         d0[J, :] = raw
 
     psi_bar = C @ y
-    base = _proportional(psi_bar, y, C.T @ q, float(psi_bar @ q))
+    base = _proportional(psi_bar, y * (C.T @ q), float(psi_bar @ q))
     pert = G @ delta + d0
     mask = pert < 0
     alpha = 1.0

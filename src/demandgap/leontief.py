@@ -208,11 +208,18 @@ def _effective_pi(acc: IOAccounts, live: np.ndarray) -> np.ndarray:
 def demand_vector(acc: IOAccounts) -> np.ndarray:
     """Per-industry demand in value units.
 
-    Sum of the taxed production demand spread over input flows, the
-    household demand spread over the final-consumption pattern, and the
-    export demand scaled by the import/export value ratio, net of the taxed
-    intermediate use.  A table with no exports and no imports has a zero
-    trade term.
+    With ``col`` each industry's input value (column sums of ``X``) and
+    ``g = pi * (Xout - col)`` its taxed value added, ``D`` is the sum of
+    three terms: production demand ``X (g / col)``, which spreads each
+    industry's taxed value over its input flows; household demand, the
+    final-consumption pattern scaled to the untaxed income
+    ``sum(Xout - g)``; and export demand scaled by the import/export value
+    ratio (zero for a table with no exports and no imports).  The terms
+    sum to ``sum(g)``, ``sum(Xout - g)`` and ``sum(Imp)``, so total demand
+    equals total supply term by term.  ``D`` is affine in the shares,
+    ``D(pi) = D(0) + K pi`` with
+    ``K = (X diag(1/col) - Cf 1^T / sum(Cf)) diag(Xout - col)``; this
+    evaluates it without forming ``K``, in one product with ``X``.
 
     An industry that buys no inputs (zero input column) has nothing to
     spread its taxed value over, so its effective taxation share is 0: all
@@ -221,24 +228,22 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
     position) whose share this overrides.
 
     A total of final consumption, exports or imports that overflows raises
-    ValueError "D must be finite", before that warning; so does a ``D`` that
-    overflows anywhere else (in household income, say), with no numpy warning.
+    ValueError "D must be finite", before that warning; so does, with no
+    numpy warning, a term that overflows: household income, say, or the
+    taxed value per unit of input ``g / col``.  No term is the difference
+    of two larger ones, so no other intermediate product can overflow
+    where ``D`` does not.
     """
     cf_total, e_total, imp_total = _final_totals(acc)
     col = acc.input_value()
     live = col > 0
     pi = _effective_pi(acc, live)
     with np.errstate(over="ignore", invalid="ignore"):
-        share = np.divide(pi * acc.Xout, col, out=np.zeros(acc.m), where=live)
-        production = acc.X @ share
-        taxed_use = acc.X @ pi
-        household_income = float(((1.0 - pi) * acc.Xout).sum() + taxed_use.sum())
-        household = acc.Cf * household_income / cf_total
-        if e_total <= 0:
-            trade = np.zeros(acc.m)
-        else:
-            trade = acc.E * imp_total / e_total
-        D = production + household + trade - taxed_use
+        taxed = pi * (acc.Xout - col)
+        D = acc.X @ np.divide(taxed, col, out=np.zeros(acc.m), where=live)
+        D += acc.Cf * float((acc.Xout - taxed).sum()) / cf_total
+        if e_total > 0:
+            D += acc.E * imp_total / e_total
     _check_finite(D, "D")
     return D
 
@@ -290,15 +295,19 @@ class AggregationMap:
         return len(self.blocks)
 
     def apply(self, v) -> np.ndarray:
-        """Block sums of a vector or of the rows of a matrix; a non-finite
-        entry raises ValueError."""
+        """Block sums of a vector or of the rows of a matrix.  A non-finite
+        entry, or a block sum that overflows, raises ValueError "aggregated
+        data must be finite" with no numpy warning: every entry lies in one
+        block, so one test of the sums covers both."""
         arr = np.asarray(v, dtype=float)
         if arr.shape[0] != self.n:
             raise BlockMismatch(
                 f"data has {arr.shape[0]} rows, map expects {self.n}"
             )
-        _check_finite(arr, "aggregated data")
-        return np.stack([arr[list(b)].sum(axis=0) for b in self.blocks])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.stack([arr[list(b)].sum(axis=0) for b in self.blocks])
+        _check_finite(sums, "aggregated data")
+        return sums
 
 
 def aggregate(obj, mapping: AggregationMap):
@@ -314,7 +323,10 @@ def aggregate(obj, mapping: AggregationMap):
 
 def aggregate_accounts(acc: IOAccounts, mapping: AggregationMap, pi=None) -> IOAccounts:
     """Block-sum value accounts.  ``pi`` for the merged industries defaults
-    to the gross-output-weighted average of the original shares."""
+    to the gross-output-weighted average of the original shares, whose
+    weights are the merged gross outputs.  A block sum that overflows raises
+    ValueError "aggregated data must be finite", as in
+    :meth:`AggregationMap.apply`."""
     if mapping.n != acc.m:
         raise BlockMismatch(f"map covers {mapping.n} industries, table has {acc.m}")
     X_u = mapping.apply(mapping.apply(acc.X).T).T
@@ -322,10 +334,12 @@ def aggregate_accounts(acc: IOAccounts, mapping: AggregationMap, pi=None) -> IOA
     if pi is None:
         pi_u = np.empty(mapping.m)
         for j, b in enumerate(mapping.blocks):
-            w = acc.Xout[list(b)]
-            pi_u[j] = float(acc.pi[list(b)] @ w / w.sum()) if w.sum() > 0 else float(
-                acc.pi[list(b)].mean()
-            )
+            # pi <= 1, so the weighted sum is at most the finite Xout_u[j]
+            shares = acc.pi[list(b)]
+            if Xout_u[j] > 0:
+                pi_u[j] = float(shares @ acc.Xout[list(b)] / Xout_u[j])
+            else:
+                pi_u[j] = float(shares.mean())
     else:
         pi_u = np.asarray(pi, dtype=float)
     return IOAccounts(
@@ -445,8 +459,9 @@ def check_value_equilibrium(acc: IOAccounts, tol: float = DEFAULT_TOL) -> ValueB
     """Evaluate the value-form clearing inequalities industry by industry.
 
     The residual is the demand deficit ``D_k - S_k`` of the recession
-    diagnostics: production demand + household demand + export demand
-    minus taxed intermediate use, minus gross output + imports.  Verdict:
+    diagnostics: production demand (the taxed value added spread over input
+    flows) + household demand + export demand, minus gross output +
+    imports.  Verdict:
     equilibrium iff every residual is at most ``tol * max(1, S_k)``.  A
     non-finite ``D`` or ``S`` raises ValueError, as in the recession
     diagnostics; ``D`` is refused so by :func:`demand_vector`, which forms it.
@@ -541,8 +556,9 @@ def solve_national_equilibrium(
             "(taxation shares must be positive here)"
         )
 
-    taxed_use = acc.X @ acc.pi
-    target = acc.Xout + acc.Imp + taxed_use
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        taxed_use = acc.X @ acc.pi
+        target = acc.Xout + acc.Imp + taxed_use
 
     residual = -acc.balance_residual()
     unit = _check_entries(target, "supply plus taxed use") or 1.0

@@ -8,8 +8,13 @@ gross value added of the same table, so it is dimensionless and comparable
 across countries.
 
 Total demand always equals total supply (the production, household, and
-trade terms redistribute exactly the taxed output, untaxed output, and
-import values), which is the strongest internal check on the formulas.
+trade terms redistribute exactly the taxed value added ``g = pi (Xout -
+X^T 1)``, the rest of gross output ``Xout - g`` and the import values),
+which is the strongest internal check on the formulas.  Demand is affine in
+the taxation shares, ``D(pi) = D(0) + K pi``; :func:`demand_vector` gives
+``K`` and evaluates that form in one product with ``X``, and refuses
+``D`` (ValueError "D must be finite") only when one of its terms, or the
+taxed value per unit of input, overflows.
 An industry that buys no inputs has no input column to spread its taxed
 value over, so :func:`demand_vector` gives it an effective taxation share
 of 0 (its whole new value funds households) and warns with a

@@ -549,12 +549,29 @@ def spectral_equilibrium(C, B1, tol: float = DEFAULT_TOL) -> ConstructedEquilibr
     solves ``C.T p = d`` and exists (nonnegatively) iff ``d`` lies in the
     cone of the rows of ``C``; otherwise :class:`NoPositivePrice` is
     raised.  The returned price is rescaled to max-norm 1.
+
+    :class:`NoPositivePrice` also names, before any division and with no
+    numpy warning, the consumers whose scale ``y_j`` or row of the budget
+    system ``diag(1/y) B1^T`` (entries ``B1[k, j] / y_j``) could leave the
+    float range: no float budget vector prices them.
     """
     econ, B1 = _factored_economy(C, B1)
     if not _irreducible(B1):
         raise NotIrreducible("B1 graph is not strongly connected")
 
-    y = B1.sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        y = B1.sum(axis=1)
+        inflow = B1.sum(axis=0)
+    # Row j of the budget system diag(1/y) B1^T sums to inflow_j / y_j, which
+    # bounds its entries B1[k, j] / y_j; as with the national solve's shares,
+    # a consumer whose row could leave the float range is refused before
+    # any division.
+    wide = ~(inflow / sys.float_info.max < 0.5 * y) | (y == np.inf)
+    if wide.any():
+        raise NoPositivePrice(
+            "the budget system diag(1/y) B1^T leaves the float range for consumers "
+            f"{np.flatnonzero(wide).tolist()} (y_j or B1[:, j].sum() / y_j overflows)"
+        )
     # d is the Perron vector of diag(1/y) B1^T, which has the graph tested
     # above and is similar to the transposed stochastic matrix
     _, d, _, _, _ = _dominant(B1.T / y[:, None])

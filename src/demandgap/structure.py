@@ -15,6 +15,7 @@ Index sets are 0-based throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,7 +204,7 @@ def clearing_basis(p, I) -> ClearingBasis:
     q = _unit_price(p)
     idx = _positive_support(q, I)
     rows = list(idx)
-    u = _weights(q, idx)
+    u = _weights(_in_units(q)[0], idx)
     G = np.zeros((q.shape[0], len(rows)))
     G[rows] = -u
     G[rows, range(len(rows))] = 1.0 - u
@@ -211,9 +212,31 @@ def clearing_basis(p, I) -> ClearingBasis:
 
 
 def _weights(q: np.ndarray, idx) -> np.ndarray:
-    """The weights ``u = p_I / sum(p_I)`` of :class:`ClearingBasis`, on a checked support."""
+    """The weights ``u = p_I / sum(p_I)`` of :class:`ClearingBasis`, on a
+    checked support, from the price in the units of :func:`_in_units`."""
     q_I = q[list(idx)]
     return q_I / q_I.sum()
+
+
+def _in_units(q: np.ndarray) -> tuple[np.ndarray, float]:
+    """The price ``q`` in units of the power of two at or below ``max(q)``,
+    so that no entry exceeds 2, and that unit.  Scaling by a power of two
+    rounds nothing (above the subnormal range), so a ratio of values at
+    ``q``, as the weights of the clearing basis or the shares of the
+    rank-one part, is the same to the bit; in these units a sum of prices
+    cannot overflow, and a value ``<v, q>`` only when ``2 sum(v)`` does."""
+    unit = 2.0 ** (math.frexp(q.max())[1] - 1)
+    return q / unit, unit
+
+
+def _supply_value(psi_bar: np.ndarray, q: np.ndarray) -> float:
+    """``<psi_bar, q>`` at a price in the units of :func:`_in_units`;
+    raises ValueError, with no numpy warning, when it overflows."""
+    with np.errstate(over="ignore"):
+        total = float(psi_bar @ q)
+    if total == np.inf:
+        raise ValueError("the value <sum_i y_i C_i, p> overflows at this price")
+    return total
 
 
 def synthesize_property(
@@ -230,7 +253,11 @@ def synthesize_property(
     coefficients are infeasible; the function raises instead of projecting,
     because projection would silently destroy the clearing property.
     Magnitudes below the negativity tolerance are snapped to zero.  A
-    non-finite entry of ``C`` or bundle value ``<C_i, p>`` raises ValueError.
+    non-finite entry of ``C`` raises ValueError, and so does, before any
+    division and with no numpy warning, a scaled demand ``sum_i y_i C_i``,
+    bundle value ``<C_i, p>`` or total value ``<sum_i y_i C_i, p>`` that
+    overflows, the last in the units of the largest price that the
+    rank-one shares and the clearing-basis weights are formed in.
     """
     C = np.asarray(C, dtype=float)
     _check_finite(C, "C")
@@ -240,13 +267,19 @@ def synthesize_property(
         raise ValueError(f"d0 shape {parts.d0.shape} does not match C {C.shape}")
     q = _normalized_price(p, n)
     _exact_support(q, parts.I)
-    psi_bar = C @ parts.y
+    with np.errstate(over="ignore", invalid="ignore"):  # each overflow is refused below
+        psi_bar = C @ parts.y
+        demand_value = C.T @ q
+    if not np.isfinite(psi_bar).all():
+        raise ValueError(
+            f"sum_i y_i C_i overflows on goods {np.flatnonzero(~np.isfinite(psi_bar)).tolist()}"
+        )
     _check_supplied(psi_bar, parts.I)
-    demand_value = C.T @ q
     if not demand_value.min(initial=np.inf) > DEFAULT_TOL_POS:
         raise ValueError("every consumer must demand something on the support")
     _check_consumers(C, demand_value)
-    P = _proportional(psi_bar, parts.y, demand_value, float(psi_bar @ q))
+    q, unit = _in_units(q)
+    P = _proportional(psi_bar, parts.y * (demand_value / unit), _supply_value(psi_bar, q))
     return _assemble(P, _weights(q, parts.I), parts)
 
 
@@ -294,13 +327,20 @@ def decompose_property(
     Raises what the clearing check of :func:`degenerate_transform` raises,
     :class:`NotAnEquilibrium` when the economy has no valued supply at
     ``p`` and ValueError when ``sum_i y_i C_i`` vanishes somewhere on ``I``.
+    The shares of the rank-one part and the clearing-basis weights are
+    formed in units of the largest price (see :func:`_in_units`), so a
+    price at which ``<sum_i y_i C_i, p>`` or the sum of the support prices
+    overflows is answered; only a scaled supply whose sum nearly leaves
+    the float range raises ValueError, before any division and with no
+    numpy warning.
     """
     q, idx, off, y, psi_bar, demand_value = _cleared_support(econ, p, I, case, tol)
-    psi_bar_value = float(psi_bar @ q)
-    if psi_bar_value <= DEFAULT_TOL_POS:
+    q, unit = _in_units(q)
+    total = _supply_value(psi_bar, q)
+    if total * unit <= DEFAULT_TOL_POS:  # <psi_bar, q> at unit money price, perhaps inf
         raise NotAnEquilibrium("the economy has no valued supply at this price")
     _check_supplied(psi_bar, idx)
-    P = _proportional(psi_bar, y, demand_value, psi_bar_value)
+    P = _proportional(psi_bar, y * (demand_value / unit), total)
     D = econ.B - P
 
     d1, d0 = D[~off], np.where(off[:, None], D, 0.0)

@@ -264,6 +264,22 @@ class TestEquilibrium:
         assert _one_line(capsys.readouterr().err) == "error: D must be finite"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "equilibrium"])
+    def test_overflowing_aggregate_exits_three(self, command, tmp_path, capsys):
+        # the merged X = 2e308 once printed numpy's "overflow encountered in
+        # reduce" and then "error: X must be finite", about an X never written
+        table = tmp_path / "huge.csv"
+        table.write_text(HEADER + "\n1,A,1e308,0,1,0,1,1,1e308\n2,B,0,1e308,1,0,1,1,1e308\n")
+        (tmp_path / "meta.csv").write_text("country,year,currency\nHUG,2000,u\n")
+        blocks = tmp_path / "map.txt"
+        blocks.write_text("1,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, str(table), "--aggregate", str(blocks), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert _one_line(capsys.readouterr().err) == "error: aggregated data must be finite"
+        assert not (tmp_path / "o").exists()
+
     def test_share_too_small_to_divide_by_exits_three(self, toy_table, tmp_path, capsys):
         pi = tmp_path / "pi.csv"
         pi.write_text("1e-310,1.0\n")

@@ -1,7 +1,8 @@
 """Golden CLI outputs: the byte-for-byte regression oracle for refactors.
 
-Each case runs ``demandgap.cli.main`` on generated inputs and compares its
-exit code, its stdout and every file it writes with ``tests/golden/<case>/``.
+Each case runs ``demandgap.cli.main`` on the stored inputs of
+``tests/golden/inputs/`` and compares its exit code, its stdout and every
+file it writes with ``tests/golden/<case>/``.
 
 One exception: in the equilibrium JSON (report file and stdout), a
 ``value_residual`` entry whose recorded value lies in the tolerance band
@@ -28,19 +29,12 @@ import numpy as np
 import pytest
 
 from demandgap.cli import main
-from demandgap.fixtures import random_value_accounts
 from demandgap.leontief import AggregationMap
-from demandgap.niot import NiotTable, parse_blocks, parse_niot, serialize_niot
+from demandgap.niot import parse_blocks, parse_niot
 
 GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
 TOL = 1e-9  # the CLI's default --tol; no case overrides it
-
-TOY = (
-    "industry_index,industry_name,X_1,X_2,final_consumption,"
-    "gcf_inventory,export,import,gross_output\n"
-    "1,Alpha,10,20,40,10,20,5,100\n"
-    "2,Beta,30,10,25,5,10,15,100\n"
-)
 
 CASES = {
     "toy-analyze-json": ["analyze", "{toy}", "--out", "{out}", "--format", "json"],
@@ -85,45 +79,24 @@ CASES = {
 
 
 def write_inputs(root: Path) -> dict[str, str]:
-    """Write the input tables, the pi file and the aggregation maps."""
-    toy_dir = root / "toy"
-    toy_dir.mkdir(parents=True)
-    (toy_dir / "toy.csv").write_text(TOY)
-    (toy_dir / "meta.csv").write_text("country,year,currency\nTOY,2010,MUAH\n")
-    (toy_dir / "map.txt").write_text("1,2\n")
-    paths = {
-        "toy": str(toy_dir / "toy.csv"),
-        "toy_map": str(toy_dir / "map.txt"),
-    }
-    # Registry-sized tables with blank names, so the CLI labels them from
-    # the built-in registries.  Gross output closes the interindustry
-    # balance, so value added is positive and the national solve's
-    # guaranteed seed fits: every stage runs to a report.
-    for name, m in (("w34", 34), ("u38", 38)):
-        acc = random_value_accounts(m, m)
-        Xout = acc.X.sum(axis=1) + acc.Cf + acc.E - acc.Imp
-        table = NiotTable(
-            country=name.upper(),
-            year=2000 + m,
-            currency="million USD",
-            indices=tuple(range(1, m + 1)),
-            names=("",) * m,
-            X=acc.X,
-            fc=0.75 * acc.Cf,
-            gcf=0.25 * acc.Cf,
-            E=acc.E,
-            Imp=acc.Imp,
-            Xout=Xout,
-        )
-        d = root / name
-        d.mkdir()
-        serialize_niot(table, d / f"{name}.csv")
-        paths[name] = str(d / f"{name}.csv")
-        (d / "pi.csv").write_text(",".join(repr(float(v)) for v in acc.pi) + "\n")
-        paths[f"{name}_pi"] = str(d / "pi.csv")
-        blocks = [range(k, min(k + 4, m + 1)) for k in range(1, m + 1, 4)]
-        (d / "map.txt").write_text("".join(",".join(map(str, b)) + "\n" for b in blocks))
-        paths[f"{name}_map"] = str(d / "map.txt")
+    """Copy the frozen input tables, pi files and aggregation maps of
+    ``tests/golden/inputs`` to ``root``; return their paths by case key.
+
+    The toy table has two industries, as ``fixtures.toy_accounts``.  The
+    w34 and u38 tables are registry-sized, with blank names, so the CLI
+    labels them from the built-in registries; their gross output closes
+    the interindustry balance, so value added is positive and the national
+    solve's guaranteed seed fits: every stage runs to a report.  They are
+    stored, not generated, so the oracle does not move with a generator or
+    with numpy's random stream.
+    """
+    shutil.copytree(INPUTS, root)
+    paths = {}
+    for name in ("toy", "w34", "u38"):
+        paths[name] = str(root / name / f"{name}.csv")
+        paths[f"{name}_map"] = str(root / name / "map.txt")
+        if name != "toy":
+            paths[f"{name}_pi"] = str(root / name / "pi.csv")
     return paths
 
 

@@ -273,6 +273,17 @@ class TestAggregation:
         np.testing.assert_allclose(merged.X, [[70.0]])
         assert merged.pi[0] == pytest.approx(0.75)  # output-weighted
 
+    def test_overflowing_block_sum_raises(self):
+        # numpy once warned "overflow encountered in reduce" and returned [inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="aggregated data must be finite"):
+                aggregate([1e308, 1e308], AggregationMap(((0, 1),)))
+            # the merged gross output weights the merged share
+            acc = IOAccounts(X=np.eye(2), Xout=[1e308, 1e308], Cf=[1, 1], E=[1, 1], Imp=[1, 1], pi=[1.0, 0.5])
+            with pytest.raises(ValueError, match="aggregated data must be finite"):
+                aggregate_accounts(acc, AggregationMap(((0, 1),)))
+
 
 class TestAggregationAgreement:
     def test_identity_aggregation_agrees(self):
@@ -708,7 +719,8 @@ class TestNationalEquilibrium:
             X=[[1e307, 1.0], [1.0, 1.0]], Xout=[1.7e308, 10.0], Cf=[1.6e308, 7.0],
             E=[1.0, 1.0], Imp=[1.7e308, 1.0], pi=0.5,
         )
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match="supply plus taxed use must be finite"):
                 solve_national_equilibrium(acc, strict=False)
 

@@ -32,7 +32,9 @@ from demandgap.leontief import _shortfall
 # added of 0.4, whose r overflows; and three sums that once overflowed with
 # numpy's "overflow encountered in reduce" before the call refused, or
 # without a refusal: household income (D infinite), value added, and the
-# shortfalls of two industries that each import 8.5e307
+# shortfalls of two industries that each import 8.5e307.  Last, a finite D
+# whose production demand X @ (pi Xout / col) = 2e308 once overflowed before
+# the taxed use X @ pi = 1.6e308 was taken off it: r = 2e307 / 4e307 = 0.5
 OVERFLOW_TABLES = {
     "final-demand total": dict(
         X=np.full((2, 2), 0.01), Xout=[0.1, 0.1], Cf=[1e308, 1e308], E=[1, 1], Imp=[1, 1], pi=0.5
@@ -49,6 +51,9 @@ OVERFLOW_TABLES = {
     "shortfall sum": dict(
         X=[[0.1] * 4, [0.1] * 4, [0] * 4, [0] * 4], Xout=[1, 1, 1e307, 1e307], Cf=[1] * 4,
         E=[1, 1, 0, 0], Imp=[0, 0, 8.5e307, 8.5e307], pi=1.0,
+    ),
+    "production demand": dict(
+        X=[[8e307, 8e307], [1, 1]], Xout=[1e308, 1e308], Cf=[1, 1], E=[1, 1], Imp=[1, 1], pi=1.0
     ),
 }
 
@@ -78,6 +83,10 @@ REFUSALS = {
         "build_exchange_from_iot": "gross output value must be finite",
     },
     "shortfall sum": {"recession_ratio": "r must be finite", "analyze_accounts": "r must be finite"},
+    "production demand": {
+        "solve_national_equilibrium": "supply plus taxed use must be finite",
+        "build_exchange_from_iot": "gross output value must be finite",
+    },
 }
 
 
@@ -148,6 +157,42 @@ class TestDemandVector:
             zeroed[list(dead)] = 0.0
             plain = IOAccounts(X=X, Xout=acc.Xout, Cf=acc.Cf, E=acc.E, Imp=acc.Imp, pi=zeroed)
             np.testing.assert_array_equal(D, demand_vector(plain))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), m=st.integers(1, 5))
+    def test_affine_in_the_shares(self, data, m):
+        # D(pi) = D(0) + K pi_eff with K = (X diag(1/col) - Cf 1^T / sum(Cf))
+        # diag(Xout - col) formed explicitly (1/col read as 0 on input-less
+        # columns, whose effective share is 0), to within 16 (m + 4) units of
+        # roundoff of the sum of the terms' magnitudes
+        def entries(*shape, low=0.0):
+            flat = data.draw(st.lists(
+                st.one_of(st.just(low), st.floats(max(low, 1e-3), 100.0)),
+                min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
+            ))
+            return np.array(flat, dtype=float).reshape(shape)
+
+        X = entries(m, m) * (entries(m) > 50.0)  # about half the input columns zeroed
+        acc = IOAccounts(
+            X=X, Xout=100.0 * entries(m), Cf=entries(m, low=0.1), E=entries(m, low=0.1),
+            Imp=entries(m), pi=entries(m) / 100.0,
+        )
+        col = X.sum(axis=0)
+        inv_col = np.divide(1.0, col, out=np.zeros(m), where=col > 0)
+        K = (X * inv_col - acc.Cf[:, None] / acc.Cf.sum()) * (acc.Xout - col)
+        pi_eff = np.where(col > 0, acc.pi, 0.0)
+        zero = IOAccounts(X=X, Xout=acc.Xout, Cf=acc.Cf, E=acc.E, Imp=acc.Imp, pi=0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            D = demand_vector(acc)
+        assert all("buy no inputs" in str(w.message) for w in caught)
+        magnitude = (
+            X @ (inv_col * np.abs(acc.Xout - col))
+            + acc.Cf * (acc.Xout.sum() + np.abs(acc.Xout - col).sum()) / acc.Cf.sum()
+            + acc.E * acc.Imp.sum() / acc.E.sum()
+        )
+        bound = 16 * (m + 4) * np.finfo(float).eps * magnitude
+        assert (np.abs(D - (demand_vector(zero) + K @ pi_eff)) <= bound).all()
 
 
 class TestSupplyVector:
@@ -369,6 +414,7 @@ class TestInvariants:
     @example(table=OVERFLOW_TABLES["gross output"])
     @example(table=OVERFLOW_TABLES["ratio"])
     @example(table=OVERFLOW_TABLES["value added"])  # finite D and S, value added whose sum overflows
+    @example(table=OVERFLOW_TABLES["production demand"])
     def test_every_value_form_verdict_agrees(self, table):
         acc = IOAccounts(**table)
         calls = {
@@ -427,6 +473,9 @@ class TestInvariants:
             assert report.r == outcome["recession_ratio"] == float(shortfall.sum()) / report.gdp
             if table == "gross output":
                 assert report.r == pytest.approx(1.61373, rel=1e-5)
+            if table == "production demand":
+                np.testing.assert_allclose(report.D, [1.2e308, 8e307], rtol=1e-15)
+                assert report.recession_set == (2,) and report.r == 0.5
 
     def test_export_monotonicity(self):
         # raising one industry's exports (imports fixed) cannot lower its demand

@@ -1,5 +1,7 @@
 """Perron eigenpairs, cone solves, and the constructive equilibria."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (
@@ -583,6 +585,21 @@ class TestSpectralEquilibrium:
         C = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(NoPositivePrice):
             spectral_equilibrium(C, [[0.0, 2.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "B1, consumers",
+        [
+            ([[1e-300, 1e-300], [1e300, 1e300]], r"\[0\]"),  # B1[1, 0] / y_0 = 5e599
+            ([[1.0, 1.0], [1e308, 1e308]], r"\[1\]"),  # y_1 = 2e308
+        ],
+    )
+    def test_budget_system_past_the_float_range(self, B1, consumers):
+        # once numpy warned "overflow encountered in divide" and the kernel
+        # then refused an M the caller never passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoPositivePrice, match="for consumers " + consumers):
+                spectral_equilibrium(np.eye(2), B1)
 
 
 class TestUnitValueEquilibrium:

@@ -1,5 +1,7 @@
 """Representation, equivalence, and degeneracy machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,9 +149,31 @@ class TestSynthesize:
         # <C_0, q> overflows to inf; unchecked, column 0 of B is NaN
         C = np.array([[1.0, 1.0], [1e308, 1.0]])
         parts = RepresentationParts(y=[1.0, 1.0], a=np.full((2, 2), 0.5), d0=np.zeros((2, 2)), I=(0, 1))
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match="clearing check overflows .* goods \\[0, 1\\]"):
                 synthesize_property(C, [1.0, 10.0], parts)
+
+    def test_overflowing_scaled_demand_raises(self):
+        # sum_i y_i C_i overflows on good 0; unchecked, row 0 of B was NaN
+        C = np.array([[1e308, 1e308], [1.0, 1.0]])
+        parts = RepresentationParts(y=[1.0, 1.0], a=np.full((2, 2), 0.5), d0=np.zeros((2, 2)), I=(0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"sum_i y_i C_i overflows on goods \[0\]"):
+                synthesize_property(C, [1.0, 1.0], parts)
+
+    def test_overflowing_total_value_is_answered(self):
+        # <psi_bar, q> = 2 + 2e308 overflows, but the shares 1/2 do not: B was
+        # 0 (every share divided by inf); in units of the largest price it is
+        # the economy's own endowment, which clears at p
+        p = [1.0, 1e308]
+        parts = RepresentationParts(y=[1.0, 1.0], a=np.full((2, 2), 0.5), d0=np.zeros((2, 2)), I=(0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            B = synthesize_property(np.ones((2, 2)), p, parts)
+            np.testing.assert_array_equal(B, np.ones((2, 2)))
+            assert check_equilibrium(ExchangeEconomy(np.ones((2, 2)), B), p).is_equilibrium
 
     def test_invalid_parts_rejected(self):
         C = np.ones((2, 2))
@@ -248,6 +272,40 @@ class TestRoundTripProperty:
 
 
 class TestDecompose:
+    def test_overflowing_total_value_is_answered(self):
+        # the clearing check accepts this economy at p, and <psi_bar, q>
+        # overflows: the round trip once missed B by 1.0 (every share was 0)
+        econ = ExchangeEconomy(np.ones((2, 2)), np.ones((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_equilibrium(econ, [1.0, 1e308]).is_equilibrium
+            parts, residual = decompose_property(econ, [1.0, 1e308], (0, 1))
+        assert residual == 0.0
+        np.testing.assert_array_equal(parts.a, np.full((2, 2), 0.5))
+
+    def test_support_prices_past_the_float_range(self):
+        # sum(p_I) = 2e308 overflows: the clearing basis warned and the round
+        # trip residual was NaN; in units of the largest price u = (5e-309, 1/2, 1/2)
+        C = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        econ, p = ExchangeEconomy(C, C), [1.0, 1e308, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_equilibrium(econ, p).is_equilibrium
+            parts, residual = decompose_property(econ, p, (0, 1, 2))
+            G = clearing_basis(p, (0, 1, 2)).G
+        assert residual == 0.0
+        np.testing.assert_array_equal(G[:, 1], [-0.5, 0.5, -0.5])  # e_1 - u_1 e_I
+
+    def test_scaled_supply_past_the_float_range_raises(self):
+        # each good's supply is finite, but their value 2e308 at unit prices
+        # is not, even in units of the largest price
+        econ = ExchangeEconomy(np.eye(2), np.diag([1e308, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_equilibrium(econ, [1.0, 1.0]).is_equilibrium
+            with pytest.raises(ValueError, match=r"<sum_i y_i C_i, p> overflows"):
+                decompose_property(econ, [1.0, 1.0], (0, 1))
+
     def test_e1_uniform_gauge(self):
         econ, p = economy_e1()
         parts, residual = decompose_property(econ, p, I=(0, 1))
