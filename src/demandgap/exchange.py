@@ -16,12 +16,12 @@ positive price.
 One private helper checks each price (finite, nonnegative, nonzero) and
 normalises it to unit money price, or unit max-norm when money is free,
 once per call, whether it arrives as an array or a :class:`PriceVector`.
-It refuses, before dividing, a price whose normalisation would overflow
-(``max(p) / p[0]`` beyond the float range), and the clearing check refuses,
-with ValueError and no numpy warning, a bundle value ``<C_i, p>``, demand
-scale, aggregate demand or total supply that overflows.  One private helper
-issues every warning, at the caller's line, and the CLI prints each as one
-``warning:`` line.
+One pair of private helpers holds the package's float-range policy: a
+quantity that can leave the float range is formed inside ``with _quiet():``,
+so numpy warns of nothing, and :func:`_finite` refuses it with ValueError
+unless the call's contract reads inf or NaN there on purpose.  One private
+helper issues every warning, at the caller's line, and the CLI prints each
+as one ``warning:`` line.
 
 Everything here is a pure function over immutable value objects; it is safe
 to evaluate in parallel over prices or economies.
@@ -29,6 +29,7 @@ to evaluate in parallel over prices or economies.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import warnings
@@ -75,10 +76,25 @@ def _check_entries(a: np.ndarray, what: str) -> float:
     return top
 
 
-def _check_finite(a: np.ndarray, what: str) -> None:
-    """Raise ValueError unless every entry of ``a`` is finite (of any sign)."""
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} must be finite")
+def _quiet() -> np.errstate:
+    """A fresh ``np.errstate`` that silences numpy's overflow, invalid and
+    divide-by-zero warnings for one ``with`` block: the one place the package
+    sets these flags.  What a block forms is refused by :func:`_finite`, or
+    read as inf or NaN where the call's contract says so.  Fresh, because
+    blocks nest and one instance cannot be entered twice; a block, not a
+    decorator, which would put a numpy frame on the stack for :func:`_warn`
+    to name as the caller."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _finite(value, message: str):
+    """``value`` (a float or an array, of any sign) when every entry is
+    finite; otherwise raise ValueError(message), with ``{}`` in the message
+    replaced by the list of the non-finite positions."""
+    finite = np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)
+    if finite:
+        return value
+    raise ValueError(message.format(np.flatnonzero(~np.isfinite(value)).tolist()))
 
 
 def _warn(message: str) -> None:
@@ -143,11 +159,11 @@ def total_supply(B) -> np.ndarray:
     """Total supply ``psi_k = sum_i B[k, i]`` (sum over consumers).
 
     Zero rows are allowed here; the equilibrium checks flag them.  A
-    non-finite entry raises ValueError.
+    non-finite entry, or a sum that overflows, raises ValueError.
     """
-    B = _as_matrix(B, "B")
-    _check_finite(B, "B")
-    return B.sum(axis=1)
+    B = _finite(_as_matrix(B, "B"), "B must be finite")
+    with _quiet():
+        return _finite(B.sum(axis=1), "total supply overflows on goods {}")
 
 
 @dataclass(frozen=True)
@@ -238,13 +254,6 @@ def _unit_price(p) -> np.ndarray:
     return p / unit
 
 
-def as_price(p) -> PriceVector:
-    """Coerce an array-like or PriceVector into a PriceVector."""
-    if isinstance(p, PriceVector):
-        return p
-    return PriceVector(np.asarray(p, dtype=float))
-
-
 @dataclass(frozen=True)
 class EquilibriumReport:
     """Per-good clearing diagnosis at a price vector.
@@ -293,35 +302,31 @@ def _scales(econ: ExchangeEconomy, q: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return (econ.B.T @ q) / demand_value, demand_value
 
 
-@np.errstate(over="ignore", invalid="ignore")
+_CLEARING = "the clearing check overflows at this price on goods {}"
+
+
 def _market(econ: ExchangeEconomy, q: np.ndarray) -> tuple[np.ndarray, ...]:
     """The demand scales ``y`` and values ``C^T q`` of :func:`_scales` at the
     normalized price ``q``, the aggregate demand ``C y``, the total supply
     and the residual ``C y - psi``.  Raises ValueError naming the goods
     whose residual is not finite, because a scale, the demand or the supply
     overflowed; numpy warns of nothing."""
-    y, demand_value = _scales(econ, q)
-    demand = econ.C @ y
-    psi = econ.total_supply()
-    residual = demand - psi
-    if not np.isfinite(residual).all():
-        _overflow(~np.isfinite(residual))
+    with _quiet():
+        y, demand_value = _scales(econ, q)
+        demand = econ.C @ y
+        psi = econ.total_supply()
+        residual = _finite(demand - psi, _CLEARING)
     return y, demand_value, demand, psi, residual
 
 
 def _check_consumers(C: np.ndarray, values: np.ndarray) -> None:
-    """Raise ValueError naming the goods in the demand columns of every
-    consumer whose entry of ``values`` (bundle values ``C^T q`` or demand
-    scales) overflows."""
-    if values.max(initial=0.0) == np.inf:
-        _overflow(C[:, values == np.inf].any(axis=1))
-
-
-def _overflow(goods: np.ndarray) -> None:
-    """Raise the clearing check's ValueError naming the goods of the mask ``goods``."""
-    raise ValueError(
-        f"the clearing check overflows at this price on goods {np.flatnonzero(goods).tolist()}"
-    )
+    """Raise the clearing check's ValueError naming the goods in the demand
+    columns of every consumer whose entry of ``values`` (bundle values
+    ``C^T q`` or demand scales, nonnegative) overflows; the goods are looked
+    up only then."""
+    if not math.isfinite(values.max(initial=0.0)):
+        goods = C[:, ~np.isfinite(values)].any(axis=1)
+        raise ValueError(_CLEARING.format(np.flatnonzero(goods).tolist()))
 
 
 def _proportional(psi_bar, values, total: float) -> np.ndarray:
@@ -383,7 +388,7 @@ def demand_scales(econ: ExchangeEconomy, p) -> np.ndarray:
     not positive, which signals a violated support precondition on the
     demand matrix, and ValueError when a value or a scale overflows.
     """
-    with np.errstate(over="ignore"):
+    with _quiet():
         y = _scales(econ, _normalized_price(p, econ.n))[0]
     _check_consumers(econ.C, y)
     return y
@@ -422,7 +427,6 @@ class CertificateReport:
     diagnostics: dict
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def verify_certificate(
     econ: ExchangeEconomy,
     p,
@@ -450,8 +454,8 @@ def verify_certificate(
     _check_tol(tol)
     y = np.asarray(y, dtype=float).reshape(-1)
     psi_bar = np.asarray(psi_bar, dtype=float).reshape(-1)
-    _check_finite(y, "y")
-    _check_finite(psi_bar, "psi_bar")
+    _finite(y, "y must be finite")
+    _finite(psi_bar, "psi_bar must be finite")
     q = _unit_price(p)
     if y.shape[0] != econ.l or psi_bar.shape[0] != econ.n or q.shape[0] != econ.n:
         raise DimensionMismatch(
@@ -459,7 +463,6 @@ def verify_certificate(
             f"p: {q.shape[0]}) do not match economy ({econ.n} goods, {econ.l} consumers)"
         )
 
-    psi = econ.total_supply()
     failed: list[str] = []
     diag: dict = {}
 
@@ -471,41 +474,43 @@ def verify_certificate(
         failed.append("nonzero")
         diag["nonzero"] = "; ".join(f"{name} must be nonnegative and nonzero" for name in zero)
 
-    scale = np.maximum(1.0, np.abs(psi_bar))
-    cone_gap = np.abs(econ.C @ y - psi_bar)
-    diag["cone"] = float((cone_gap / scale).max()) if cone_gap.size else 0.0
-    if not diag["cone"] <= tol:
-        failed.append("cone")
+    with _quiet():
+        psi = econ.total_supply()
+        scale = np.maximum(1.0, np.abs(psi_bar))
+        cone_gap = np.abs(econ.C @ y - psi_bar)
+        diag["cone"] = float((cone_gap / scale).max()) if cone_gap.size else 0.0
+        if not diag["cone"] <= tol:
+            failed.append("cone")
 
-    excess = psi_bar - psi
-    diag["bounded"] = float(np.maximum(excess / np.maximum(1.0, psi), 0.0).max())
-    if not diag["bounded"] <= tol:
-        failed.append("bounded")
+        excess = psi_bar - psi
+        diag["bounded"] = float(np.maximum(excess / np.maximum(1.0, psi), 0.0).max())
+        if not diag["bounded"] <= tol:
+            failed.append("bounded")
 
-    demand_value = econ.C.T @ q
-    diag["demand-value"] = float(demand_value.min(initial=np.inf))
-    if not diag["demand-value"] > DEFAULT_TOL_POS:
-        failed.append("demand-value")
-        # The transfer clause below would divide by these values.
-        return CertificateReport(False, tuple(failed), diag)
+        demand_value = econ.C.T @ q
+        diag["demand-value"] = float(demand_value.min(initial=np.inf))
+        if not diag["demand-value"] > DEFAULT_TOL_POS:
+            failed.append("demand-value")
+            # The transfer clause below would divide by these values.
+            return CertificateReport(False, tuple(failed), diag)
 
-    psi_bar_value = float(psi_bar @ q)
-    if not psi_bar_value > DEFAULT_TOL_POS:
-        failed.append("transfers")
-        diag["transfers"] = "psi_bar has zero value at p"
-        return CertificateReport(False, tuple(failed), diag)
+        psi_bar_value = float(psi_bar @ q)
+        if not psi_bar_value > DEFAULT_TOL_POS:
+            failed.append("transfers")
+            diag["transfers"] = "psi_bar has zero value at p"
+            return CertificateReport(False, tuple(failed), diag)
 
-    D = econ.B - _proportional(psi_bar, y * demand_value, psi_bar_value)
-    # B and q are nonnegative, so <b_i, q> needs no abs
-    value_gap = np.abs(D.T @ q) / np.maximum(1.0, econ.B.T @ q)
-    sum_gap = np.abs(D.sum(axis=1) + excess) / scale
-    diag["transfers"] = float(np.maximum(value_gap.max(initial=0.0), sum_gap.max()))
-    if not diag["transfers"] <= tol:
-        failed.append("transfers")
+        D = econ.B - _proportional(psi_bar, y * demand_value, psi_bar_value)
+        # B and q are nonnegative, so <b_i, q> needs no abs
+        value_gap = np.abs(D.T @ q) / np.maximum(1.0, econ.B.T @ q)
+        sum_gap = np.abs(D.sum(axis=1) + excess) / scale
+        diag["transfers"] = float(np.maximum(value_gap.max(initial=0.0), sum_gap.max()))
+        if not diag["transfers"] <= tol:
+            failed.append("transfers")
 
-    supply_value_gap = abs(float(excess @ q)) / max(1.0, abs(float(psi @ q)))
-    diag["supply-value"] = supply_value_gap
-    if not supply_value_gap <= tol:
-        failed.append("supply-value")
+        supply_value_gap = abs(float(excess @ q)) / max(1.0, abs(float(psi @ q)))
+        diag["supply-value"] = supply_value_gap
+        if not supply_value_gap <= tol:
+            failed.append("supply-value")
 
     return CertificateReport(not failed, tuple(failed), diag)

@@ -38,14 +38,15 @@ from .exchange import (
     DEFAULT_TOL_POS,
     ExchangeEconomy,
     _check_entries,
-    _check_finite,
     _check_tol,
     _classify,
     _clearing,
+    _finite,
     _hold_read_only,
     _nonneg_square,
     _normalized_price,
     _positions,
+    _quiet,
     _vector,
     _warn,
     check_equilibrium,
@@ -138,7 +139,7 @@ class IOAccounts:
     def gross_value_added(self) -> float:
         """Value added summed over the industries, ``sum(Xout - X^T 1)``: it
         overflows (to inf or NaN, with no numpy warning) only when value added does."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet():
             return float((self.Xout - self.input_value()).sum())
 
     def coefficients(self) -> np.ndarray:
@@ -147,13 +148,11 @@ class IOAccounts:
 
         Each entry is the one division a column-by-column loop would make:
         a zero output is replaced by 1 for the division and its column is
-        zeroed afterwards.
+        zeroed afterwards.  An entry that overflows reads inf, with no numpy
+        warning, as :meth:`gross_value_added` does for its sum.
         """
-        live = self.Xout > 0
-        out = self.X / np.where(live, self.Xout, 1.0)
-        if not live.all():
-            out[:, ~live] = 0.0
-        return out
+        with _quiet():
+            return _coefficients(self)
 
     def balance_residual(self) -> np.ndarray:
         """Interindustry balance gap: Xout - (X @ 1 + Cf + E - Imp)."""
@@ -170,16 +169,23 @@ class IOAccounts:
         )
 
 
+def _coefficients(acc: IOAccounts) -> np.ndarray:
+    """:meth:`IOAccounts.coefficients`, inside the caller's ``with _quiet():``."""
+    live = acc.Xout > 0
+    out = acc.X / np.where(live, acc.Xout, 1.0)
+    if not live.all():
+        out[:, ~live] = 0.0
+    return out
+
+
 def _final_totals(acc: IOAccounts) -> tuple[float, float, float]:
     """Total final consumption, exports and imports, the one place they are
-    formed.  Household and trade demand divide by them, so a total that
-    overflows raises ValueError "D must be finite" (without a numpy
-    warning), and :class:`ZeroDenominator` is raised when household or
-    trade demand would divide by a zero total."""
-    with np.errstate(over="ignore"):
-        totals = float(acc.Cf.sum()), float(acc.E.sum()), float(acc.Imp.sum())
-    if not max(totals) < np.inf:
-        raise ValueError("D must be finite")
+    formed, inside the caller's ``with _quiet():``.  Household and trade
+    demand divide by them, so a total that overflows raises ValueError "D
+    must be finite", and :class:`ZeroDenominator` is raised when household
+    or trade demand would divide by a zero total."""
+    totals = float(acc.Cf.sum()), float(acc.E.sum()), float(acc.Imp.sum())
+    _finite(max(totals), "D must be finite")
     cf_total, e_total, imp_total = totals
     if cf_total <= 0:
         raise ZeroDenominator("total final consumption")
@@ -229,36 +235,48 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
 
     A total of final consumption, exports or imports that overflows raises
     ValueError "D must be finite", before that warning; so does, with no
-    numpy warning, a term that overflows: household income, say, or the
-    taxed value per unit of input ``g / col``.  No term is the difference
-    of two larger ones, so no other intermediate product can overflow
-    where ``D`` does not.
+    numpy warning, a term that overflows: household income, say, an input
+    value (column sum of ``X``) or the taxed value per unit of input
+    ``g / col``.  No term is the difference of two larger ones, so no other
+    intermediate product can overflow where ``D`` does not.
     """
+    with _quiet():
+        return _demand(acc)
+
+
+def _demand(acc: IOAccounts) -> np.ndarray:
+    """:func:`demand_vector`, inside the caller's ``with _quiet():``."""
     cf_total, e_total, imp_total = _final_totals(acc)
     col = acc.input_value()
     live = col > 0
     pi = _effective_pi(acc, live)
-    with np.errstate(over="ignore", invalid="ignore"):
-        taxed = pi * (acc.Xout - col)
-        D = acc.X @ np.divide(taxed, col, out=np.zeros(acc.m), where=live)
-        D += acc.Cf * float((acc.Xout - taxed).sum()) / cf_total
-        if e_total > 0:
-            D += acc.E * imp_total / e_total
-    _check_finite(D, "D")
-    return D
+    taxed = pi * (acc.Xout - col)
+    D = acc.X @ np.divide(taxed, col, out=np.zeros(acc.m), where=live)
+    D += acc.Cf * float((acc.Xout - taxed).sum()) / cf_total
+    if e_total > 0:
+        D += acc.E * imp_total / e_total
+    return _finite(D, "D must be finite")
 
 
 def supply_vector(acc: IOAccounts) -> np.ndarray:
-    """Per-industry supply in value units: gross output plus imports."""
-    return acc.Xout + acc.Imp
+    """Per-industry supply in value units: gross output plus imports.  A sum
+    that overflows raises ValueError "S must be finite", with no numpy warning."""
+    with _quiet():
+        return _supply(acc)
+
+
+def _supply(acc: IOAccounts) -> np.ndarray:
+    """:func:`supply_vector`, inside the caller's ``with _quiet():``."""
+    return _finite(acc.Xout + acc.Imp, "S must be finite")
 
 
 def _shortfall(D: np.ndarray, S: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    """The deficit ``D - S`` and its equal, strict and violated masks at ``tol``.
-    ``S`` is checked finite first, and ``D`` where it is formed
-    (:func:`demand_vector`) or passed in, so ``inf - inf`` never warns."""
-    _check_finite(S, "S")
-    gap = D - S
+    """The deficit ``D - S`` and its equal, strict and violated masks at
+    ``tol``, inside the caller's ``with _quiet():``.  ``D`` and ``S`` are
+    checked finite where they are formed (:func:`_demand`, :func:`_supply`)
+    or passed in; a deficit that overflows raises ValueError "D - S must be
+    finite"."""
+    gap = _finite(D - S, "D - S must be finite")
     return (gap, *_classify(gap, S, tol))
 
 
@@ -304,10 +322,9 @@ class AggregationMap:
             raise BlockMismatch(
                 f"data has {arr.shape[0]} rows, map expects {self.n}"
             )
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet():
             sums = np.stack([arr[list(b)].sum(axis=0) for b in self.blocks])
-        _check_finite(sums, "aggregated data")
-        return sums
+        return _finite(sums, "aggregated data must be finite")
 
 
 def aggregate(obj, mapping: AggregationMap):
@@ -395,49 +412,54 @@ def build_exchange_from_iot(acc: IOAccounts, p, x) -> ExchangeEconomy:
     reported by :meth:`IOAccounts.balance_residual`, not enforced here.
 
     A final-demand total that overflows raises ValueError "D must be
-    finite", as in :func:`demand_vector`, and so does, with its own message,
-    a total gross output value that overflows (the household weights divide by it).
+    finite", as in :func:`demand_vector`.  So does, with its own message and
+    no numpy warning, a technical coefficient ``X / (p x)`` that leaves the
+    float range, a total gross output value that overflows (the household
+    weights divide by it), and any other entry of the physical economy
+    that overflows.
     """
     m = acc.m
     p = _vector(p, m, "p")
     if (p <= 0).any():
         raise ValueError("conversion prices must be strictly positive")
     x = _vector(x, m, "x")
-    _final_totals(acc)
 
-    A = np.zeros((m, m))
-    live = x > 0
-    A[:, live] = acc.X[:, live] / (p[:, None] * x[None, live])
-    cf = acc.Cf / p
-    e = acc.E / p
-    imp = acc.Imp / p
+    with _quiet():
+        _final_totals(acc)
+        A = np.zeros((m, m))
+        live = x > 0
+        A[:, live] = acc.X[:, live] / (p[:, None] * x[None, live])
+        _finite(A, "technical coefficients X / (p x) must be finite")
+        cf = acc.Cf / p
+        e = acc.E / p
+        imp = acc.Imp / p
 
-    new_value = x * (p - A.T @ p)
-    resource = A @ x
-    resource_income = p * resource
-    with np.errstate(over="ignore"):
-        total_value = float(resource_income.sum() + new_value.sum())
-    if not total_value < np.inf:
-        raise ValueError("gross output value must be finite")
-    if total_value <= 0:
-        raise ZeroDenominator("gross output value")
-    weights = ((1.0 - acc.pi) * new_value + resource_income) / total_value
-    if (weights < 0).any():
-        bad = int(np.argmin(weights))
-        raise ValueError(
-            f"industry {bad} has negative untaxed new value; cannot form "
-            "household demand weights"
+        new_value = x * (p - A.T @ p)
+        resource = A @ x
+        resource_income = p * resource
+        total_value = _finite(
+            float(resource_income.sum() + new_value.sum()), "gross output value must be finite"
         )
+        if total_value <= 0:
+            raise ZeroDenominator("gross output value")
+        weights = ((1.0 - acc.pi) * new_value + resource_income) / total_value
+        if (weights < 0).any():
+            bad = int(np.argmin(weights))
+            raise ValueError(
+                f"industry {bad} has negative untaxed new value; cannot form "
+                "household demand weights"
+            )
 
-    C = np.zeros((m, 2 * m + 1))
-    B = np.zeros((m, 2 * m + 1))
-    C[:, :m] = A * x[None, :]
-    B[:, :m] = np.diag(x)
-    C[:, m:2 * m] = cf[:, None] * weights[None, :]
-    B[:, m:2 * m] = np.diag(resource)
-    C[:, 2 * m] = e
-    B[:, 2 * m] = imp
-    return ExchangeEconomy(C, B)
+        C = np.zeros((m, 2 * m + 1))
+        B = np.zeros((m, 2 * m + 1))
+        C[:, :m] = A * x[None, :]
+        B[:, :m] = np.diag(x)
+        C[:, m:2 * m] = cf[:, None] * weights[None, :]
+        B[:, m:2 * m] = np.diag(resource)
+        C[:, 2 * m] = e
+        B[:, 2 * m] = imp
+    message = "the economy in physical units must be finite"
+    return ExchangeEconomy(_finite(C, message), _finite(B, message))
 
 
 @dataclass(frozen=True)
@@ -466,7 +488,8 @@ def check_value_equilibrium(acc: IOAccounts, tol: float = DEFAULT_TOL) -> ValueB
     non-finite ``D`` or ``S`` raises ValueError, as in the recession
     diagnostics; ``D`` is refused so by :func:`demand_vector`, which forms it.
     """
-    residual, _, _, violated = _shortfall(demand_vector(acc), supply_vector(acc), tol)
+    with _quiet():
+        residual, _, _, violated = _shortfall(_demand(acc), _supply(acc), tol)
     return ValueBalanceReport(
         residual=residual,
         violated=_positions(violated),
@@ -527,7 +550,11 @@ def solve_national_equilibrium(
 
     A total of final consumption, exports or imports that overflows
     raises ValueError "D must be finite" before the fit, as it does in every
-    value-form call.
+    value-form call; so, with their own messages, do a target
+    ``Xout + Imp + X pi``, a column of the fit in units of the largest
+    target entry and a coefficient ``X / Xout`` that leave the float range.
+    numpy warns of nothing: an overflow in the seed test, the eigen kernel
+    or the checks at ``p`` reads inf or NaN and fails that test.
 
     Every share must be positive, after the override of
     :func:`demand_vector` that gives an industry buying no inputs an
@@ -547,30 +574,31 @@ def solve_national_equilibrium(
     """
     _check_tol(tol)
     m = acc.m
-    _, e_total, imp_total = _final_totals(acc)
-    live = acc.input_value() > 0
-    pi = _effective_pi(acc, live) if live.any() else acc.pi
-    if (pi <= 0).any():
-        raise ZeroDenominator(
-            f"pi at positions {np.flatnonzero(pi <= 0).tolist()} "
-            "(taxation shares must be positive here)"
-        )
-
-    with np.errstate(over="ignore"):  # an overflow is refused below
+    with _quiet():
+        _, e_total, imp_total = _final_totals(acc)
+        live = acc.input_value() > 0  # a column sum that overflows is inf
+        pi = _effective_pi(acc, live) if live.any() else acc.pi
+        if (pi <= 0).any():
+            raise ZeroDenominator(
+                f"pi at positions {np.flatnonzero(pi <= 0).tolist()} "
+                "(taxation shares must be positive here)"
+            )
         taxed_use = acc.X @ acc.pi
         target = acc.Xout + acc.Imp + taxed_use
-
-    residual = -acc.balance_residual()
-    unit = _check_entries(target, "supply plus taxed use") or 1.0
-    seed_used = bool(
-        np.hypot.reduce(residual / unit, initial=0.0)
-        <= CONE_TOL * np.hypot.reduce(target / unit, initial=0.0)
-    )
+        unit = _check_entries(target, "supply plus taxed use") or 1.0
+        # a residual that overflows, before or after the division, does not fit
+        residual = -acc.balance_residual()
+        seed_used = bool(
+            np.hypot.reduce(residual / unit, initial=0.0)
+            <= CONE_TOL * np.hypot.reduce(target / unit, initial=0.0)
+        )
     if not seed_used:
         C_big = np.column_stack([acc.X, acc.Cf, acc.E])
-        sol = _solve_nonneg(C_big / unit, target / unit)
+        with _quiet():
+            scaled = _finite(C_big / unit, "[X | Cf | E] over the largest target entry must be finite")
+        sol = _solve_nonneg(scaled, target / unit)
         residual = C_big @ sol.y - target
-        del C_big
+        del C_big, scaled
     y = np.concatenate([1.0 + acc.pi, [1.0, 1.0]]) if seed_used else sol.y
 
     fit_tol = max(tol, CONE_TOL)
@@ -581,30 +609,35 @@ def solve_national_equilibrium(
         )
     I, J = _positions(inside), _positions(below)
 
-    # No entry of y/pi or of M = diag(y/pi) A^T exceeds
-    # max(1, y) max(1, A) / pi_i, so a share that puts twice that bound out
-    # of the float range is refused, as a zero share is.  M^T = A diag(y/pi)
-    # is then scaled in place in A's buffer.
-    M_T = acc.coefficients()
-    bound = 2.0 * max(1.0, float(y[:m].max())) * max(1.0, float(M_T.max()))
-    tiny = acc.pi * sys.float_info.max < bound
-    if tiny.any():
-        raise ZeroDenominator(
-            f"pi at positions {np.flatnonzero(tiny).tolist()} "
-            "(taxation shares too small: dividing by them can overflow)"
-        )
-    scale = y[:m] / acc.pi
-    M_T *= scale
-    M = M_T.T
+    with _quiet():
+        # No entry of y/pi or of M = diag(y/pi) A^T exceeds
+        # max(1, y) max(1, A) / pi_i, so a share that puts twice that bound
+        # out of the float range is refused, as a zero share is.
+        # M^T = A diag(y/pi) is then scaled in place in A's buffer.
+        M_T = _coefficients(acc)
+        top = _finite(float(M_T.max()), "technical coefficients X / Xout must be finite")
+        bound = 2.0 * max(1.0, float(y[:m].max())) * max(1.0, top)
+        tiny = acc.pi * sys.float_info.max < bound
+        if tiny.any():
+            raise ZeroDenominator(
+                f"pi at positions {np.flatnonzero(tiny).tolist()} "
+                "(taxation shares too small: dividing by them can overflow)"
+            )
+        scale = y[:m] / acc.pi
+        M_T *= scale
+        M = M_T.T
 
-    # One eigen call on M serves the spectral radius and the prices.
-    reducible = not _irreducible(M)
-    rho_m, p, _, _, method = _dominant(M)
-    rho = float(np.abs(np.linalg.eigvals(M)).max()) if reducible else rho_m
-    # A^T p = (X^T p) / Xout, 0 on the columns of zero output, takes one
-    # product with X, and M p follows from it.
-    input_value_at_p = np.divide(p @ acc.X, acc.Xout, out=np.zeros(m), where=acc.Xout > 0)
-    Mp = scale * input_value_at_p
+        # The kernel's products and the sums at p can overflow where M's
+        # entries do not: an overflow reads inf or NaN, which fails its check.
+        # One eigen call on M serves the spectral radius and the prices.
+        reducible = not _irreducible(M)
+        rho_m, p, _, _, method = _dominant(M)
+        rho = float(np.abs(np.linalg.eigvals(M)).max()) if reducible else rho_m
+        # A^T p = (X^T p) / Xout, 0 on the columns of zero output, takes one
+        # product with X, and M p follows from it.
+        input_value_at_p = np.divide(p @ acc.X, acc.Xout, out=np.zeros(m), where=acc.Xout > 0)
+        Mp = scale * input_value_at_p
+        household_income = float(((1.0 - acc.pi) * acc.Xout) @ p + p @ taxed_use)
 
     diag: dict = {
         "rho_gap": abs(rho - 1.0),
@@ -624,9 +657,7 @@ def solve_national_equilibrium(
 
     closure_tol = max(RHO_TOL, tol)
     if cf_value > DEFAULT_TOL_POS:
-        household_scale = float(
-            (((1.0 - acc.pi) * acc.Xout) @ p + p @ taxed_use) / cf_value
-        )
+        household_scale = household_income / cf_value
         diag["closure_household"] = abs(household_scale - y[m]) / max(1.0, abs(y[m]))
     else:
         diag["closure_household"] = np.inf

@@ -24,14 +24,13 @@ of 0 (its whole new value funds households) and warns with a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonpositiveGDP
-from .exchange import _check_finite, _positions
-from .leontief import IOAccounts, _shortfall, demand_vector, supply_vector
+from .exchange import _finite, _positions, _quiet
+from .leontief import IOAccounts, _demand, _shortfall, _supply, demand_vector, supply_vector
 
 __all__ = [
     "RecessionReport",
@@ -57,8 +56,10 @@ def recession_industries(D, S, tol: float = 0.0) -> tuple[tuple[int, ...], np.nd
     S = np.asarray(S, dtype=float).reshape(-1)
     if D.shape != S.shape:
         raise ValueError(f"D and S lengths differ: {D.shape[0]} vs {S.shape[0]}")
-    _check_finite(D, "D")
-    gap, _, strict, _ = _shortfall(D, S, tol)
+    _finite(D, "D must be finite")
+    _finite(S, "S must be finite")
+    with _quiet():
+        gap, _, strict, _ = _shortfall(D, S, tol)
     return _positions(strict), np.abs(gap[strict])
 
 
@@ -73,23 +74,19 @@ def recession_ratio(acc: IOAccounts, tol: float = 0.0) -> float:
     ``r`` is not finite raises ValueError, never a ratio of ``inf`` or 0.
     """
     gdp = acc.gross_value_added()
-    deficit, _, strict, _ = _shortfall(demand_vector(acc), supply_vector(acc), tol)
-    return _ratio(np.abs(deficit[strict]), gdp)
+    with _quiet():
+        deficit, _, strict, _ = _shortfall(_demand(acc), _supply(acc), tol)
+        return _ratio(np.abs(deficit[strict]), gdp)
 
 
 def _ratio(shortfall: np.ndarray, gdp: float) -> float:
-    """``r`` from the shortfalls and the gross value added; raises ValueError
-    unless both ``gdp`` and ``r`` are finite, and :class:`NonpositiveGDP`
-    unless ``gdp > 0``."""
-    if not math.isfinite(gdp):
-        raise ValueError("gross value added must be finite")
+    """``r`` from the shortfalls and the gross value added, inside the
+    caller's ``with _quiet():``; raises ValueError unless both ``gdp`` and
+    ``r`` are finite, and :class:`NonpositiveGDP` unless ``gdp > 0``."""
+    _finite(gdp, "gross value added must be finite")
     if gdp <= 0:
         raise NonpositiveGDP(f"gross value added {gdp:.6g} is not positive")
-    with np.errstate(over="ignore"):  # a shortfall sum that overflows is inf, and so is r
-        r = float(shortfall.sum()) / gdp
-    if not math.isfinite(r):
-        raise ValueError("r must be finite")
-    return r
+    return _finite(float(shortfall.sum()) / gdp, "r must be finite")
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,8 @@ def _ranked(
         key = reduction
     else:
         gross = report.gross_output[positions]
-        key = np.divide(reduction, gross, out=np.full(len(positions), np.inf), where=gross > 0)
+        with _quiet():  # a ratio that overflows is inf, as for a zero gross output
+            key = np.divide(reduction, gross, out=np.full(len(positions), np.inf), where=gross > 0)
     # sorted() is stable, so ties keep the order of the recession set
     order = sorted(range(len(positions)), key=key.tolist().__getitem__, reverse=True)
     rows = []
@@ -192,12 +190,13 @@ def analyze_accounts(
     :func:`recession_ratio`, for a table whose ``D``, gross value added or
     ``r`` is not finite: a returned report's ``r`` and ``gdp`` are finite.
     """
-    D = demand_vector(acc)
-    S = supply_vector(acc)
-    deficit, _, strict, _ = _shortfall(D, S, tol)
-    positions = strict.nonzero()[0].tolist()
-    gdp = acc.gross_value_added()
-    r = _ratio(np.abs(deficit[strict]), gdp)
+    with _quiet():
+        D = _demand(acc)
+        S = _supply(acc)
+        deficit, _, strict, _ = _shortfall(D, S, tol)
+        positions = strict.nonzero()[0].tolist()
+        gdp = acc.gross_value_added()
+        r = _ratio(np.abs(deficit[strict]), gdp)
     if indices is None:
         indices = tuple(range(1, acc.m + 1))
     else:

@@ -70,9 +70,11 @@ from .exchange import (
     DEFAULT_TOL,
     EquilibriumReport,
     ExchangeEconomy,
-    _check_finite,
+    _check_entries,
     _check_tol,
+    _finite,
     _nonneg_square,
+    _quiet,
     _vector,
     check_equilibrium,
 )
@@ -196,14 +198,15 @@ def _dominant(M: np.ndarray, budget: int | None = None) -> tuple[float, np.ndarr
     The callers pass checked matrices or, in the national solve, the price
     system ``diag(y/pi) A^T`` of checked arrays, with shares that the solve
     has checked for overflow; the maximum taken for the shift still rejects
-    an infinite or NaN entry with ValueError.
+    an infinite or NaN entry with ValueError.  A product of a matrix whose
+    row sums leave the float range overflows, so the callers run the kernel
+    inside ``with _quiet():``; the overflow then reads inf or NaN, which no
+    acceptance test passes.
     """
     n = M.shape[0]
     if budget is None:
         budget = 0 if 2 * n <= PF_MAX_ITER else PF_MAX_ITER
-    top = float(M.max(initial=0.0))
-    if not top < np.inf:
-        raise ValueError("M must be finite")
+    top = _finite(float(M.max(initial=0.0)), "M must be finite")
     if top == 0.0:
         return 0.0, np.ones(n), 0, 0.0, "power"
     shift = 1e-3 * top
@@ -263,8 +266,9 @@ def perron_eigen(M) -> PerronResult:
     M = _nonneg_square(M)
     if not _irreducible(M):
         raise NotIrreducible("matrix graph is not strongly connected")
-    rho_r, right, it_r, res_r, method_r = _dominant(M)
-    rho_l, left, it_l, res_l, method_l = _dominant(M.T, 0 if method_r == "dense" else None)
+    with _quiet():
+        rho_r, right, it_r, res_r, method_r = _dominant(M)
+        rho_l, left, it_l, res_l, method_l = _dominant(M.T, 0 if method_r == "dense" else None)
     return PerronResult(
         rho=rho_r,
         right=right,
@@ -304,19 +308,21 @@ def solve_nonneg(C, target) -> ConeSolution:
     C = np.asarray(C, dtype=float)
     if C.ndim != 2:
         raise ValueError(f"C must be a 2-d array, got shape {C.shape}")
-    _check_finite(C, "C")
-    return _solve_nonneg(C, target)
+    return _solve_nonneg(_finite(C, "C must be finite"), target)
 
 
 def _solve_nonneg(C: np.ndarray, target) -> ConeSolution:
     """:func:`solve_nonneg` of a finite 2-d float matrix its caller has
     already checked; only the target is checked here."""
     target = _vector(target, C.shape[0], "target")
-    norm = float(np.hypot.reduce(target, initial=0.0))  # cannot overflow below the largest float
-    if norm == 0.0:
+    top = float(target.max(initial=0.0))
+    if top == 0.0:
         return ConeSolution(y=np.zeros(C.shape[1]), residual=0.0, interior=False)
+    # the norm in units of the power of two of the largest entry, so that a
+    # norm beyond the float range still gives the finite threshold
+    e = math.frexp(top)[1]
+    threshold = math.ldexp(CONE_TOL * float(np.hypot.reduce(np.ldexp(target, -e))), e)
     y, rnorm = _lawson_hanson(C, target, max(30, 10 * C.shape[1]))
-    threshold = CONE_TOL * norm
     if rnorm > threshold:
         raise NotInCone(float(rnorm), threshold)
     ymax = float(y.max(initial=0.0))
@@ -369,7 +375,9 @@ def _lawson_hanson(A: np.ndarray, b: np.ndarray, maxiter: int) -> tuple[np.ndarr
     largest entries into ``[0.5, 1)``: that rounds nothing, so every step
     rounds as it would unscaled, and no square can overflow.  A column
     below about ``1e-150`` of the largest entry of ``A`` then has a square
-    that underflows, and counts as a zero column.
+    that underflows, and counts as a zero column.  A solution that leaves
+    the float range when scaled back raises ValueError, found from the
+    exponents before the shift; a residual norm beyond it reads inf.
     """
     m, n = A.shape
     ea = math.frexp(float(np.abs(A).max(initial=0.0)))[1]
@@ -439,9 +447,14 @@ def _lawson_hanson(A: np.ndarray, b: np.ndarray, maxiter: int) -> tuple[np.ndarr
         Q = QT[:k]
         r = b - qtb[:k].dot(Q)
         r -= Q.dot(r).dot(Q)
+    top = float(yp[:k].max(initial=0.0))
+    if top > 0.0 and math.frexp(top)[1] + eb - ea > sys.float_info.max_exp:
+        raise ValueError("the cone solve's coefficients y leave the float range")
     y = np.zeros(n)
     y[order[:k]] = yp[:k]
-    return np.ldexp(y, eb - ea), float(np.ldexp(math.sqrt(r.dot(r)), eb))
+    rs = math.sqrt(r.dot(r))
+    rnorm = math.ldexp(rs, eb) if math.frexp(rs)[1] + eb <= sys.float_info.max_exp else math.inf
+    return np.ldexp(y, eb - ea), rnorm
 
 
 def _entering(A, Q, others, w, r, slack):
@@ -526,15 +539,17 @@ def _factored_economy(C, B1) -> tuple[ExchangeEconomy, np.ndarray]:
     """The economy ``(C, C @ B1)`` of the constructive solvers, and ``B1``
     as a float array.  Raises ValueError unless ``B1`` is square with
     finite nonnegative entries and one row per column of ``C``, ``C``
-    passes the economy's own entry check and every column of ``C`` has a
-    positive sum."""
+    passes the economy's own entry check, ``C @ B1`` is finite (with no
+    numpy warning) and every column of ``C`` has a positive sum."""
     C = np.asarray(C, dtype=float)
     B1 = _nonneg_square(B1, "B1")
     if C.ndim != 2 or C.shape[1] != B1.shape[0]:
         raise ValueError(f"C shape {C.shape} does not match B1 shape {B1.shape}")
-    econ = ExchangeEconomy(C, C @ B1)
-    if (econ.C.sum(axis=0) <= 0).any():
-        raise ValueError("every column of C must have a positive sum")
+    _check_entries(C, "C and B")
+    with _quiet():
+        econ = ExchangeEconomy(C, _finite(C @ B1, "the property matrix C @ B1 must be finite"))
+        if (econ.C.sum(axis=0) <= 0).any():  # a sum that overflows is inf
+            raise ValueError("every column of C must have a positive sum")
     return econ, B1
 
 
@@ -559,22 +574,22 @@ def spectral_equilibrium(C, B1, tol: float = DEFAULT_TOL) -> ConstructedEquilibr
     if not _irreducible(B1):
         raise NotIrreducible("B1 graph is not strongly connected")
 
-    with np.errstate(over="ignore"):  # an overflow is refused below
+    with _quiet():  # an overflow is refused below, or fails the kernel's test
         y = B1.sum(axis=1)
         inflow = B1.sum(axis=0)
-    # Row j of the budget system diag(1/y) B1^T sums to inflow_j / y_j, which
-    # bounds its entries B1[k, j] / y_j; as with the national solve's shares,
-    # a consumer whose row could leave the float range is refused before
-    # any division.
-    wide = ~(inflow / sys.float_info.max < 0.5 * y) | (y == np.inf)
-    if wide.any():
-        raise NoPositivePrice(
-            "the budget system diag(1/y) B1^T leaves the float range for consumers "
-            f"{np.flatnonzero(wide).tolist()} (y_j or B1[:, j].sum() / y_j overflows)"
-        )
-    # d is the Perron vector of diag(1/y) B1^T, which has the graph tested
-    # above and is similar to the transposed stochastic matrix
-    _, d, _, _, _ = _dominant(B1.T / y[:, None])
+        # Row j of the budget system diag(1/y) B1^T sums to inflow_j / y_j,
+        # which bounds its entries B1[k, j] / y_j; as with the national
+        # solve's shares, a consumer whose row could leave the float range is
+        # refused before any division.
+        wide = ~(inflow / sys.float_info.max < 0.5 * y) | (y == np.inf)
+        if wide.any():
+            raise NoPositivePrice(
+                "the budget system diag(1/y) B1^T leaves the float range for consumers "
+                f"{np.flatnonzero(wide).tolist()} (y_j or B1[:, j].sum() / y_j overflows)"
+            )
+        # d is the Perron vector of diag(1/y) B1^T, which has the graph tested
+        # above and is similar to the transposed stochastic matrix
+        _, d, _, _, _ = _dominant(B1.T / y[:, None])
 
     try:
         sol = _solve_nonneg(econ.C.T, d)
@@ -613,9 +628,10 @@ def unit_value_equilibrium(C, B1, psi, tol: float = DEFAULT_TOL) -> ConstructedE
     psi = _vector(psi, econ.n, "psi")
     _check_tol(tol)
 
-    y_bar = B1.sum(axis=0)
-    gap = np.abs(econ.C @ y_bar - psi) / np.maximum(1.0, np.abs(psi))
-    if gap.max(initial=0.0) > tol:
+    with _quiet():  # a supply gap that overflows is inf, or NaN, and fails
+        y_bar = B1.sum(axis=0)
+        gap = np.abs(econ.C @ y_bar - psi) / np.maximum(1.0, np.abs(psi))
+    if not gap.max(initial=0.0) <= tol:
         raise PreconditionFailed(
             "supply-balance",
             f"column sums of B1 miss the supply through C by {gap.max():.3e}",

@@ -35,12 +35,13 @@ from .exchange import (
     ExchangeEconomy,
     _check_consumers,
     _check_entries,
-    _check_finite,
     _check_tol,
     _classify,
     _clearing,
+    _finite,
     _normalized_price,
     _proportional,
+    _quiet,
     _unit_price,
 )
 
@@ -161,8 +162,8 @@ class RepresentationParts:
                 f"d0 {self.d0.shape}, |I| = {len(self.I)}"
             )
         _check_entries(self.y, "y")
-        _check_finite(self.a, "a")
-        _check_finite(self.d0, "d0")
+        _finite(self.a, "a must be finite")
+        _finite(self.d0, "d0 must be finite")
         col_sums = self.a.sum(axis=1)
         if np.abs(col_sums - 1.0).max(initial=0.0) > 1e-12:
             raise ValueError("each clearing-basis coefficient row must sum to 1")
@@ -232,11 +233,8 @@ def _in_units(q: np.ndarray) -> tuple[np.ndarray, float]:
 def _supply_value(psi_bar: np.ndarray, q: np.ndarray) -> float:
     """``<psi_bar, q>`` at a price in the units of :func:`_in_units`;
     raises ValueError, with no numpy warning, when it overflows."""
-    with np.errstate(over="ignore"):
-        total = float(psi_bar @ q)
-    if total == np.inf:
-        raise ValueError("the value <sum_i y_i C_i, p> overflows at this price")
-    return total
+    with _quiet():
+        return _finite(float(psi_bar @ q), "the value <sum_i y_i C_i, p> overflows at this price")
 
 
 def synthesize_property(
@@ -257,30 +255,27 @@ def synthesize_property(
     division and with no numpy warning, a scaled demand ``sum_i y_i C_i``,
     bundle value ``<C_i, p>`` or total value ``<sum_i y_i C_i, p>`` that
     overflows, the last in the units of the largest price that the
-    rank-one shares and the clearing-basis weights are formed in.
+    rank-one shares and the clearing-basis weights are formed in; so does
+    an entry of the result that overflows.
     """
-    C = np.asarray(C, dtype=float)
-    _check_finite(C, "C")
+    C = _finite(np.asarray(C, dtype=float), "C must be finite")
     parts.validate(tol=tol)
     n, l = C.shape
     if parts.d0.shape != (n, l):
         raise ValueError(f"d0 shape {parts.d0.shape} does not match C {C.shape}")
     q = _normalized_price(p, n)
     _exact_support(q, parts.I)
-    with np.errstate(over="ignore", invalid="ignore"):  # each overflow is refused below
-        psi_bar = C @ parts.y
+    with _quiet():  # each overflow is refused
+        psi_bar = _finite(C @ parts.y, "sum_i y_i C_i overflows on goods {}")
         demand_value = C.T @ q
-    if not np.isfinite(psi_bar).all():
-        raise ValueError(
-            f"sum_i y_i C_i overflows on goods {np.flatnonzero(~np.isfinite(psi_bar)).tolist()}"
-        )
-    _check_supplied(psi_bar, parts.I)
-    if not demand_value.min(initial=np.inf) > DEFAULT_TOL_POS:
-        raise ValueError("every consumer must demand something on the support")
-    _check_consumers(C, demand_value)
-    q, unit = _in_units(q)
-    P = _proportional(psi_bar, parts.y * (demand_value / unit), _supply_value(psi_bar, q))
-    return _assemble(P, _weights(q, parts.I), parts)
+        _check_supplied(psi_bar, parts.I)
+        if not demand_value.min(initial=np.inf) > DEFAULT_TOL_POS:
+            raise ValueError("every consumer must demand something on the support")
+        _check_consumers(C, demand_value)
+        q, unit = _in_units(q)
+        P = _proportional(psi_bar, parts.y * (demand_value / unit), _supply_value(psi_bar, q))
+        B = _assemble(P, _weights(q, parts.I), parts)
+    return _finite(B, "the synthesized property matrix must be finite")
 
 
 def _check_supplied(psi_bar: np.ndarray, I) -> None:
@@ -365,14 +360,13 @@ def is_equivalent(B, B_bar, p, tol: float = DEFAULT_TOL) -> bool:
     B_bar = np.asarray(B_bar, dtype=float)
     if B.shape != B_bar.shape:
         raise DimensionMismatch(f"shapes differ: {B.shape} vs {B_bar.shape}")
-    _check_finite(B, "B")
-    _check_finite(B_bar, "B_bar")
+    _finite(B, "B must be finite")
+    _finite(B_bar, "B_bar must be finite")
     q = _normalized_price(p, B.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = (B_bar - B).T @ q
-        value = np.abs(B.T @ q)
-    if not (np.isfinite(gap).all() and np.isfinite(value).all()):
-        raise ValueError("the per-consumer values overflow at this price")
+    message = "the per-consumer values overflow at this price"
+    with _quiet():
+        gap = _finite((B_bar - B).T @ q, message)
+        value = _finite(np.abs(B.T @ q), message)
     return bool(_classify(gap, value, tol)[0].all())
 
 
@@ -434,7 +428,8 @@ def degeneracy_multiplicity(B_bar, C, y, I=None) -> int:
     support ``I`` is supplied the result is checked against the guaranteed
     lower bound ``n - |I|``.  Raises :class:`DimensionMismatch` unless ``C``
     has the shape of ``B_bar`` and ``y`` one entry per column, and
-    ValueError on a non-finite entry.
+    ValueError on a non-finite entry or, with no numpy warning, a residual
+    column that overflows.
     """
     B_bar = np.asarray(B_bar, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -444,8 +439,9 @@ def degeneracy_multiplicity(B_bar, C, y, I=None) -> int:
             f"B_bar {B_bar.shape}, C {C.shape} and y {y.shape} do not match"
         )
     for name, arr in (("B_bar", B_bar), ("C", C), ("y", y)):
-        _check_finite(arr, name)
-    residual = B_bar - C * y[None, :]
+        _finite(arr, f"{name} must be finite")
+    with _quiet():
+        residual = _finite(B_bar - C * y[None, :], "the residual columns b_i - y_i C_i must be finite")
     sv = np.linalg.svd(residual[residual.any(axis=1)], compute_uv=False)
     rank = int((sv > DEFAULT_RANK_TOL * sv[0]).sum()) if sv.size else 0
     multiplicity = B_bar.shape[0] - rank
@@ -480,8 +476,5 @@ def real_money_value(p, psi) -> float:
         raise NoMoneySupply(f"money supply {psi[0]!r} must be positive")
     if q[0] <= 0:
         raise ValueError("money price must be positive to normalise")
-    with np.errstate(over="ignore"):
-        value = float(q[1:] @ psi[1:] / psi[0])
-    if value == np.inf:
-        raise ValueError("the real money value overflows at this price")
-    return value
+    with _quiet():
+        return _finite(float(q[1:] @ psi[1:] / psi[0]), "the real money value overflows at this price")

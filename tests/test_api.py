@@ -13,7 +13,7 @@ import inspect
 
 import demandgap
 from demandgap.cli import build_parser
-from demandgap.exchange import DEFAULT_TOL, as_price
+from demandgap.exchange import DEFAULT_TOL
 from demandgap.structure import RepresentationParts
 
 # None: an exception class that takes only its message
@@ -122,10 +122,9 @@ def test_parameter_names_match_the_snapshot():
 
 def test_fixed_tolerances_are_not_parameters():
     callables = [getattr(demandgap, name) for name in SIGNATURES]
-    callables += [as_price, RepresentationParts.validate]
+    callables += [RepresentationParts.validate]
     for obj in callables:
         assert not FIXED & set(_params(obj) or ()), obj.__name__
-    assert _params(as_price) == ("p",)
     assert _params(RepresentationParts.validate) == ("self", "tol")
 
 

@@ -284,23 +284,20 @@ class TestOverflowingPrice:
     def test_overflowing_demand_value_raises(self):
         # C^T q overflows in consumer 0, so y and the residuals are NaN
         C = np.array([[1.0, 1.0], [10.0, 1.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="clearing check overflows .* goods \\[0, 1\\]"):
-                check_equilibrium(ExchangeEconomy(C, C), (1.0, 1e308))
+        with pytest.raises(ValueError, match="clearing check overflows .* goods \\[0, 1\\]"):
+            check_equilibrium(ExchangeEconomy(C, C), (1.0, 1e308))
 
     @pytest.mark.parametrize("call", [demand_scales, check_equilibrium])
     def test_infinite_demand_value_raises(self, call):
         # <C_0, q> = 1 + 1e309 overflows to inf while <b_0, q> = 11 stays
         # finite: unchecked, y_0 reads 0 and the check reports equilibrium
         C = np.array([[1.0, 1.0], [1e308, 1.0]])
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="clearing check overflows .* goods \\[0, 1\\]"):
-                call(ExchangeEconomy(C, np.ones((2, 2))), (1.0, 10.0))
+        with pytest.raises(ValueError, match="clearing check overflows .* goods \\[0, 1\\]"):
+            call(ExchangeEconomy(C, np.ones((2, 2))), (1.0, 10.0))
 
     def test_nan_measure_fails_its_clause(self):
         C = np.array([[1.0, 1.0], [10.0, 1.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = verify_certificate(ExchangeEconomy(C, C), (1.0, 1e308), (1, 1), (2, 11))
+        result = verify_certificate(ExchangeEconomy(C, C), (1.0, 1e308), (1, 1), (2, 11))
         assert np.isnan(result.diagnostics["transfers"])
         assert not result.ok
         assert result.failed == ("transfers",)
@@ -422,9 +419,8 @@ class TestPricePath:
         n = max(1, np.asarray(p).size)
         rng = np.random.default_rng(seed)
         econ = ExchangeEconomy(rng.uniform(0.1, 2.0, (n, 3)), rng.uniform(0.1, 2.0, (n, 3)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = _outcome(lambda: check_equilibrium(econ, p))
-            held = _outcome(lambda: check_equilibrium(econ, PriceVector(p)))
+        raw = _outcome(lambda: check_equilibrium(econ, p))
+        held = _outcome(lambda: check_equilibrium(econ, PriceVector(p)))
         assert raw[0] == held[0]
         if raw[0] == "raised":
             assert raw[1:] == held[1:]

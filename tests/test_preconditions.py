@@ -380,18 +380,19 @@ class TestCheckedOnce:
     @pytest.fixture
     def cone_checks(self, monkeypatch):
         names = []
-        check = exchange._check_finite
+        check = exchange._finite
 
-        def counted(a, what):
-            names.append(what)
-            return check(a, what)
+        def counted(value, message):
+            if message == "C must be finite":  # the cone solve's matrix check
+                names.append(message)
+            return check(value, message)
 
-        monkeypatch.setattr(solvers, "_check_finite", counted)  # the cone solve's matrix check
+        monkeypatch.setattr(solvers, "_finite", counted)
         return names
 
     def test_solve_nonneg(self, cone_checks):
         solve_nonneg([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
-        assert cone_checks == ["C"]
+        assert cone_checks == ["C must be finite"]
 
     def test_constructive_solvers_solve_the_cone_unchecked(self, cone_checks):
         a = _factored_args()

@@ -404,9 +404,8 @@ class TestInvariants:
     def test_value_check_refuses_an_overflowing_table(self):
         # D is NaN (Cf * income overflows); unchecked, violated was empty
         acc = IOAccounts(X=np.ones((2, 2)), Xout=[1, 1], Cf=[1e308, 1e308], E=[1, 1], Imp=[1, 1], pi=0.5)
-        with np.errstate(all="ignore"):
-            with pytest.raises(ValueError, match="D must be finite"):
-                check_value_equilibrium(acc)
+        with pytest.raises(ValueError, match="D must be finite"):
+            check_value_equilibrium(acc)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(table=value_tables())
@@ -424,7 +423,7 @@ class TestInvariants:
             "recession_industries": lambda: recession_industries(demand_vector(acc), supply_vector(acc)),
         }
         outcome = {}
-        with np.errstate(all="ignore"), warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # input-less industries
             for name, call in calls.items():
                 try:

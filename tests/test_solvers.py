@@ -1,5 +1,6 @@
 """Perron eigenpairs, cone solves, and the constructive equilibria."""
 
+import math
 import warnings
 
 import numpy as np
@@ -483,6 +484,14 @@ class TestSolveNonneg:
         # of the target, so no square overflows or underflows (a
         # RuntimeWarning fails the test)
         np.testing.assert_allclose(solve_nonneg(C, target).y, y, rtol=1e-15)
+
+    def test_target_whose_norm_leaves_the_float_range(self):
+        # |target| = 2.1e308 once read inf, so the threshold was inf and a
+        # fit missing the second entry by 1.5e308 was accepted
+        with pytest.raises(NotInCone) as err:
+            solve_nonneg([[1.0], [0.0]], [1.5e308, 1.5e308])
+        assert err.value.residual == 1.5e308
+        assert err.value.threshold == pytest.approx(CONE_TOL * 1e308 * math.hypot(1.5, 1.5))
 
 
 class TestSpectralEquilibrium:

@@ -32,7 +32,6 @@ from demandgap import (
     verify_certificate,
 )
 from demandgap import exchange, structure
-from demandgap.exchange import as_price
 from demandgap.fixtures import economy_e1, economy_e2, random_equilibrium
 
 
@@ -80,7 +79,7 @@ class TestClearingBasis:
 
 def _loop_clearing_matrix(p, I) -> np.ndarray:
     """Reference: the clearing basis column by column, as the formula reads."""
-    q = as_price(p).normalized()
+    q = PriceVector(p).normalized()
     total = q[list(I)].sum()
     G = np.zeros((q.shape[0], len(I)))
     for j, s in enumerate(I):
@@ -194,7 +193,7 @@ def _spread_economy(seed, n, l, k, log_spread, partial):
     p = np.zeros(n)
     p[list(I)] = 10.0 ** rng.uniform(0.0, log_spread, k)
     y = rng.uniform(0.5, 1.5, l)
-    q = as_price(p).normalized()
+    q = PriceVector(p).normalized()
     delta = rng.normal(0.0, 1.0, (k, l))
     delta -= delta.mean(axis=1, keepdims=True)
     d0 = np.zeros((n, l))
@@ -229,7 +228,7 @@ class TestRoundTripProperty:
         assert residual <= 1e-9
         np.testing.assert_allclose(got.y, parts.y, rtol=1e-9)
         # reference: the pseudo-inverse of the clearing basis on the support
-        q = as_price(p).normalized()
+        q = PriceVector(p).normalized()
         psi_bar = econ.C @ got.y
         shares = got.y * (econ.C.T @ q) / float(psi_bar @ q)
         rows = list(parts.I)
