@@ -21,6 +21,7 @@ ingestion at declared prices.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -140,7 +141,7 @@ class IOAccounts:
         """Value added summed over the industries, ``sum(Xout - X^T 1)``: it
         overflows (to inf or NaN, with no numpy warning) only when value added does."""
         with _quiet():
-            return float((self.Xout - self.input_value()).sum())
+            return _value_added(self, self.input_value())
 
     def coefficients(self) -> np.ndarray:
         """Technical coefficients at unit prices: X[:, i] / Xout[i], with
@@ -167,6 +168,13 @@ class IOAccounts:
             Imp=alpha * self.Imp,
             pi=self.pi,
         )
+
+
+def _value_added(acc: IOAccounts, col: np.ndarray) -> float:
+    """:meth:`IOAccounts.gross_value_added` from the input values ``col``
+    (column sums of ``X``) its caller formed, inside the caller's
+    ``with _quiet():``."""
+    return float((acc.Xout - col).sum())
 
 
 def _coefficients(acc: IOAccounts) -> np.ndarray:
@@ -235,23 +243,29 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
 
     A total of final consumption, exports or imports that overflows raises
     ValueError "D must be finite", before that warning; so does, with no
-    numpy warning, a term that overflows: household income, say, an input
-    value (column sum of ``X``) or the taxed value per unit of input
-    ``g / col``.  No term is the difference of two larger ones, so no other
-    intermediate product can overflow where ``D`` does not.
+    numpy warning, a term that overflows: household income, say, or an
+    input value (column sum of ``X``).  The taxed value per unit of input
+    ``g / col`` is formed in units of a power of two at or above
+    ``max|g|``, so it overflows only where an input value is below the
+    smallest normal float.  No term is the difference of two larger ones,
+    so no other intermediate product can overflow where ``D`` does not.
     """
     with _quiet():
-        return _demand(acc)
+        return _demand(acc, acc.input_value())
 
 
-def _demand(acc: IOAccounts) -> np.ndarray:
-    """:func:`demand_vector`, inside the caller's ``with _quiet():``."""
+def _demand(acc: IOAccounts, col: np.ndarray) -> np.ndarray:
+    """:func:`demand_vector` from the input values ``col`` (column sums of
+    ``X``) its caller formed, inside the caller's ``with _quiet():``.
+    ``g / col`` is formed in units of ``2**e >= max|g|`` and the product
+    scaled back, which in the normal range is bit for bit ``X @ (g / col)``."""
     cf_total, e_total, imp_total = _final_totals(acc)
-    col = acc.input_value()
     live = col > 0
     pi = _effective_pi(acc, live)
     taxed = pi * (acc.Xout - col)
-    D = acc.X @ np.divide(taxed, col, out=np.zeros(acc.m), where=live)
+    e = math.frexp(float(np.abs(taxed).max()))[1]
+    per_input = np.divide(np.ldexp(taxed, -e), col, out=np.zeros(acc.m), where=live)
+    D = np.ldexp(acc.X @ per_input, e)
     D += acc.Cf * float((acc.Xout - taxed).sum()) / cf_total
     if e_total > 0:
         D += acc.E * imp_total / e_total
@@ -489,7 +503,7 @@ def check_value_equilibrium(acc: IOAccounts, tol: float = DEFAULT_TOL) -> ValueB
     diagnostics; ``D`` is refused so by :func:`demand_vector`, which forms it.
     """
     with _quiet():
-        residual, _, _, violated = _shortfall(_demand(acc), _supply(acc), tol)
+        residual, _, _, violated = _shortfall(_demand(acc, acc.input_value()), _supply(acc), tol)
     return ValueBalanceReport(
         residual=residual,
         violated=_positions(violated),

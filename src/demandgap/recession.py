@@ -13,8 +13,9 @@ X^T 1)``, the rest of gross output ``Xout - g`` and the import values),
 which is the strongest internal check on the formulas.  Demand is affine in
 the taxation shares, ``D(pi) = D(0) + K pi``; :func:`demand_vector` gives
 ``K`` and evaluates that form in one product with ``X``, and refuses
-``D`` (ValueError "D must be finite") only when one of its terms, or the
-taxed value per unit of input, overflows.
+``D`` (ValueError "D must be finite") only when one of its terms
+overflows, or the taxed value per unit of an input value below the
+smallest normal float.
 An industry that buys no inputs has no input column to spread its taxed
 value over, so :func:`demand_vector` gives it an effective taxation share
 of 0 (its whole new value funds households) and warns with a
@@ -24,13 +25,23 @@ of 0 (its whole new value funds households) and warns with a
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonpositiveGDP
 from .exchange import _finite, _positions, _quiet
-from .leontief import IOAccounts, _demand, _shortfall, _supply, demand_vector, supply_vector
+from .leontief import (
+    IOAccounts,
+    _demand,
+    _shortfall,
+    _supply,
+    _value_added,
+    demand_vector,
+    supply_vector,
+)
 
 __all__ = [
     "RecessionReport",
@@ -73,20 +84,25 @@ def recession_ratio(acc: IOAccounts, tol: float = 0.0) -> float:
     never an external figure.  A table whose ``D``, gross value added or
     ``r`` is not finite raises ValueError, never a ratio of ``inf`` or 0.
     """
-    gdp = acc.gross_value_added()
     with _quiet():
-        deficit, _, strict, _ = _shortfall(_demand(acc), _supply(acc), tol)
-        return _ratio(np.abs(deficit[strict]), gdp)
+        return _diagnosis(acc, tol)[-1]
 
 
-def _ratio(shortfall: np.ndarray, gdp: float) -> float:
-    """``r`` from the shortfalls and the gross value added, inside the
-    caller's ``with _quiet():``; raises ValueError unless both ``gdp`` and
-    ``r`` are finite, and :class:`NonpositiveGDP` unless ``gdp > 0``."""
-    _finite(gdp, "gross value added must be finite")
+def _diagnosis(acc: IOAccounts, tol: float) -> tuple:
+    """``D``, ``S``, the deficit ``D - S``, its strict mask at ``tol``, the
+    gross value added and ``r``, from one pass of ``X``'s column sums,
+    inside the caller's ``with _quiet():``.  Raises ValueError unless
+    ``D``, ``gdp`` and ``r`` are finite, and :class:`NonpositiveGDP`
+    unless ``gdp > 0``."""
+    col = acc.input_value()
+    D = _demand(acc, col)
+    S = _supply(acc)
+    deficit, _, strict, _ = _shortfall(D, S, tol)
+    gdp = _finite(_value_added(acc, col), "gross value added must be finite")
     if gdp <= 0:
         raise NonpositiveGDP(f"gross value added {gdp:.6g} is not positive")
-    return _finite(float(shortfall.sum()) / gdp, "r must be finite")
+    r = _finite(float(np.abs(deficit[strict]).sum()) / gdp, "r must be finite")
+    return D, S, deficit, strict, gdp, r
 
 
 @dataclass(frozen=True)
@@ -133,46 +149,52 @@ def rank_industries(report: RecessionReport, k: int, mode: str) -> list[RankedIn
     """Top-``k`` recession industries.
 
     ``mode='sensitive'`` orders by shortfall relative to gross output (the
-    industries hit hardest for their size); ``mode='contributing'`` orders
-    by absolute shortfall.  Industries without a registry name are labelled
-    by their numeric index.  ``k`` must be nonnegative.
+    industries hit hardest for their size; an industry with no gross output
+    has infinite sensitivity and comes first); ``mode='contributing'``
+    orders by absolute shortfall.  Ties keep the order of the recession
+    set.  Industries without a registry name are labelled by their numeric
+    index.  ``k`` must be nonnegative.
     """
     position = {index: pos for pos, index in enumerate(report.indices)}
-    return _ranked(report, [position[i] for i in report.recession_set], k, mode)
+    positions = np.array([position[i] for i in report.recession_set], dtype=np.intp)
+    with _quiet():
+        return _ranked(report, positions, k, (mode,))[mode]
 
 
 def _ranked(
-    report: RecessionReport, positions: list[int], k: int, mode: str
-) -> list[RankedIndustry]:
-    """:func:`rank_industries` given the table positions of the recession
-    set, in its order."""
-    if mode not in ("sensitive", "contributing"):
-        raise ValueError(f"mode must be 'sensitive' or 'contributing', got {mode!r}")
+    report: RecessionReport, positions: np.ndarray, k: int, modes: tuple[str, ...]
+) -> dict[str, list[RankedIndustry]]:
+    """:func:`rank_industries` in each of ``modes``, given the table
+    positions of the recession set in its order, inside the caller's
+    ``with _quiet():`` (a sensitivity that overflows is inf, as for a zero
+    gross output)."""
+    for mode in modes:
+        if mode not in ("sensitive", "contributing"):
+            raise ValueError(f"mode must be 'sensitive' or 'contributing', got {mode!r}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     reduction = -report.deficit[positions]
-    if mode == "contributing":
-        key = reduction
-    else:
-        gross = report.gross_output[positions]
-        with _quiet():  # a ratio that overflows is inf, as for a zero gross output
+    tops = []
+    for mode in modes:
+        if mode == "contributing":
+            key = reduction
+        else:
+            gross = report.gross_output[positions]
             key = np.divide(reduction, gross, out=np.full(len(positions), np.inf), where=gross > 0)
-    # sorted() is stable, so ties keep the order of the recession set
-    order = sorted(range(len(positions)), key=key.tolist().__getitem__, reverse=True)
-    rows = []
-    for j in order[:k]:
-        pos = positions[j]
-        rows.append(
-            RankedIndustry(
-                index=report.indices[pos],
-                name=report.names[pos] or str(report.indices[pos]),
-                demand_reduction=float(reduction[j]),
-                gross_output=float(report.gross_output[pos]),
-                imports=float(report.imports[pos]),
-                exports=float(report.exports[pos]),
-            )
-        )
-    return rows
+        # a stable sort of the negated key orders as sorted(..., reverse=True):
+        # ties keep the order of the recession set, infinite keys come first
+        tops.append((-key).argsort(kind="stable")[:k])
+    # the ranked industries' cells, gathered once for all modes
+    chosen = positions[np.concatenate(tops)]
+    cells = zip(
+        *(a.tolist() for a in (chosen, -report.deficit[chosen], report.gross_output[chosen],
+                               report.imports[chosen], report.exports[chosen]))
+    )
+    rows = (
+        RankedIndustry(report.indices[pos], report.names[pos] or str(report.indices[pos]), *values)
+        for pos, *values in cells
+    )
+    return {mode: list(itertools.islice(rows, len(top))) for mode, top in zip(modes, tops)}
 
 
 def analyze_accounts(
@@ -189,47 +211,59 @@ def analyze_accounts(
     otherwise :class:`ValueError` is raised.  So is it, as in
     :func:`recession_ratio`, for a table whose ``D``, gross value added or
     ``r`` is not finite: a returned report's ``r`` and ``gdp`` are finite.
+    ``X``'s column sums are formed once, for both ``D`` and ``gdp``.  The
+    rankings hold the top ``top`` industries of each mode of
+    :func:`rank_industries`: ties keep the order of the recession set, and
+    an industry with no gross output is the most sensitive.
     """
     with _quiet():
-        D = _demand(acc)
-        S = _supply(acc)
-        deficit, _, strict, _ = _shortfall(D, S, tol)
-        positions = strict.nonzero()[0].tolist()
-        gdp = acc.gross_value_added()
-        r = _ratio(np.abs(deficit[strict]), gdp)
+        D, S, deficit, strict, gdp, r = _diagnosis(acc, tol)
+        indices, names = _labels(acc.m, indices, names)
+        positions = strict.nonzero()[0]
+        report = RecessionReport(
+            D=D,
+            S=S,
+            deficit=deficit,
+            recession_set=tuple(map(indices.__getitem__, positions.tolist())),
+            r=r,
+            gdp=gdp,
+            rankings={},
+            tol=tol,
+            indices=indices,
+            names=names,
+            gross_output=acc.Xout,
+            imports=acc.Imp,
+            exports=acc.E,
+        )
+        rankings = _ranked(report, positions, top, ("sensitive", "contributing"))
+    object.__setattr__(report, "rankings", rankings)
+    return report
+
+
+@functools.lru_cache(maxsize=16)
+def _default_labels(m: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The default indices ``1..m`` and their strings, built once per size."""
+    indices = tuple(range(1, m + 1))
+    return indices, tuple(map(str, indices))
+
+
+def _labels(m: int, indices, names) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The report's ``indices`` and ``names`` for a table of ``m``
+    industries, checked as :func:`analyze_accounts` says."""
+    if indices is None and names is None:
+        return _default_labels(m)
     if indices is None:
-        indices = tuple(range(1, acc.m + 1))
+        indices = _default_labels(m)[0]
     else:
         indices = tuple(int(i) for i in indices)
-        if len(indices) != acc.m:
-            raise ValueError(f"indices must have length {acc.m}, got {len(indices)}")
-        if len(set(indices)) != acc.m:
+        if len(indices) != m:
+            raise ValueError(f"indices must have length {m}, got {len(indices)}")
+        if len(set(indices)) != m:
             raise ValueError("indices must be distinct")
     if names is None:
         names = tuple(map(str, indices))
     else:
         names = tuple(str(nm) for nm in names)
-        if len(names) != acc.m:
-            raise ValueError(f"names must have length {acc.m}, got {len(names)}")
-
-    report = RecessionReport(
-        D=D,
-        S=S,
-        deficit=deficit,
-        recession_set=tuple(indices[pos] for pos in positions),
-        r=r,
-        gdp=gdp,
-        rankings={},
-        tol=tol,
-        indices=indices,
-        names=names,
-        gross_output=acc.Xout,
-        imports=acc.Imp,
-        exports=acc.E,
-    )
-    rankings = {
-        "sensitive": _ranked(report, positions, top, "sensitive"),
-        "contributing": _ranked(report, positions, top, "contributing"),
-    }
-    object.__setattr__(report, "rankings", rankings)
-    return report
+        if len(names) != m:
+            raise ValueError(f"names must have length {m}, got {len(names)}")
+    return indices, names

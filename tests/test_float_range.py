@@ -14,6 +14,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -192,6 +193,18 @@ def test_every_public_call_answers_finite_or_refuses(calls):
             except (ValueError, DemandGapError):
                 continue
         _assert_finite(out, name)
+
+
+def test_taxed_value_per_unit_of_input_beyond_the_float_range():
+    # g_0 / col_0 = 1e10 / 1e-300 overflows, yet the production term
+    # X[0, 0] * g_0 / col_0 = g_0 = 1e10 and every other term of D is finite
+    acc = _accounts(X=[[1e-300, 0.0], [0.0, 1.0]], Xout=[1e10, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = dg.analyze_accounts(acc)
+    np.testing.assert_allclose(report.D, [1e10 + 1.5, 2.5], rtol=1e-15)
+    assert report.recession_set == (2,)
+    assert report.r == pytest.approx(0.5 / (1e10 + 1.0), rel=1e-9)
 
 
 def test_only_exchange_sets_numpy_error_flags():

@@ -23,7 +23,7 @@ from demandgap import (
     solve_national_equilibrium,
     supply_vector,
 )
-from demandgap.fixtures import random_value_accounts, toy_accounts
+from demandgap.fixtures import random_consistent_accounts, random_value_accounts, toy_accounts
 from demandgap.leontief import _shortfall
 
 # Tables at the edge of the float range: a final-consumption total that
@@ -475,6 +475,42 @@ class TestInvariants:
             if table == "production demand":
                 np.testing.assert_allclose(report.D, [1.2e308, 8e307], rtol=1e-15)
                 assert report.recession_set == (2,) and report.r == 0.5
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        consistent=st.booleans(),
+        zeroed=st.floats(0.0, 0.5),
+        tol=st.sampled_from([0.0, 1e-9]),
+    )
+    def test_one_pass_agrees_with_the_public_parts(self, seed, m, consistent, zeroed, tol):
+        # analyze_accounts forms X's column sums once for D, gdp and r; its r
+        # and gdp are bit for bit those of recession_ratio and
+        # gross_value_added, or it raises as recession_ratio does
+        acc = random_consistent_accounts(seed, m)[0] if consistent else random_value_accounts(seed, m)
+        X = acc.X.copy()
+        X[:, np.random.default_rng(seed).random(m) < zeroed] = 0.0
+        acc = IOAccounts(X=X, Xout=acc.Xout, Cf=acc.Cf, E=acc.E, Imp=acc.Imp, pi=acc.pi)
+        outcome = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # input-less industries
+            for name, call in (
+                ("ratio", lambda: recession_ratio(acc, tol)),
+                ("report", lambda: analyze_accounts(acc, tol=tol)),
+            ):
+                try:
+                    outcome[name] = call()
+                except (ValueError, DemandGapError) as e:
+                    outcome[name] = e
+        ratio, report = outcome["ratio"], outcome["report"]
+        if isinstance(report, Exception):
+            assert type(ratio) is type(report) and str(ratio) == str(report)
+            return
+        assert report.r.hex() == ratio.hex()
+        assert report.gdp.hex() == acc.gross_value_added().hex()
+        assert report.indices == tuple(range(1, m + 1))
+        assert report.names == tuple(str(i) for i in range(1, m + 1))
 
     def test_export_monotonicity(self):
         # raising one industry's exports (imports fixed) cannot lower its demand
