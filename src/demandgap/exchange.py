@@ -203,7 +203,15 @@ class ExchangeEconomy:
         return self.C.shape[1]
 
     def total_supply(self) -> np.ndarray:
-        return self.B.sum(axis=1)
+        """Total supply ``psi_k = sum_i B[k, i]``.  A sum that overflows
+        reads inf, with no numpy warning."""
+        with _quiet():
+            return _total_supply(self)
+
+
+def _total_supply(econ: ExchangeEconomy) -> np.ndarray:
+    """:meth:`ExchangeEconomy.total_supply`, inside the caller's ``with _quiet():``."""
+    return econ.B.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -314,7 +322,7 @@ def _market(econ: ExchangeEconomy, q: np.ndarray) -> tuple[np.ndarray, ...]:
     with _quiet():
         y, demand_value = _scales(econ, q)
         demand = econ.C @ y
-        psi = econ.total_supply()
+        psi = _total_supply(econ)
         residual = _finite(demand - psi, _CLEARING)
     return y, demand_value, demand, psi, residual
 
@@ -475,7 +483,7 @@ def verify_certificate(
         diag["nonzero"] = "; ".join(f"{name} must be nonnegative and nonzero" for name in zero)
 
     with _quiet():
-        psi = econ.total_supply()
+        psi = _total_supply(econ)
         scale = np.maximum(1.0, np.abs(psi_bar))
         cone_gap = np.abs(econ.C @ y - psi_bar)
         diag["cone"] = float((cone_gap / scale).max()) if cone_gap.size else 0.0

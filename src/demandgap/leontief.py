@@ -134,14 +134,16 @@ class IOAccounts:
         return self.X.shape[0]
 
     def input_value(self) -> np.ndarray:
-        """Per-industry value of intermediate inputs (column sums of X)."""
-        return self.X.sum(axis=0)
+        """Per-industry value of intermediate inputs (column sums of X).  A
+        sum that overflows reads inf, with no numpy warning."""
+        with _quiet():
+            return _input_value(self)
 
     def gross_value_added(self) -> float:
         """Value added summed over the industries, ``sum(Xout - X^T 1)``: it
         overflows (to inf or NaN, with no numpy warning) only when value added does."""
         with _quiet():
-            return _value_added(self, self.input_value())
+            return _value_added(self, _input_value(self))
 
     def coefficients(self) -> np.ndarray:
         """Technical coefficients at unit prices: X[:, i] / Xout[i], with
@@ -156,8 +158,10 @@ class IOAccounts:
             return _coefficients(self)
 
     def balance_residual(self) -> np.ndarray:
-        """Interindustry balance gap: Xout - (X @ 1 + Cf + E - Imp)."""
-        return self.Xout - (self.X.sum(axis=1) + self.Cf + self.E - self.Imp)
+        """Interindustry balance gap: Xout - (X @ 1 + Cf + E - Imp).  A sum
+        that overflows reads inf (or NaN), with no numpy warning."""
+        with _quiet():
+            return self.Xout - _net_use(self)
 
     def scaled(self, alpha: float) -> "IOAccounts":
         return IOAccounts(
@@ -168,6 +172,18 @@ class IOAccounts:
             Imp=alpha * self.Imp,
             pi=self.pi,
         )
+
+
+def _input_value(acc: IOAccounts) -> np.ndarray:
+    """:meth:`IOAccounts.input_value`, inside the caller's ``with _quiet():``."""
+    return acc.X.sum(axis=0)
+
+
+def _net_use(acc: IOAccounts) -> np.ndarray:
+    """Each good's use net of imports, ``X @ 1 + Cf + E - Imp``, the part of
+    :meth:`IOAccounts.balance_residual` that the national solve's seed
+    residual shares, inside the caller's ``with _quiet():``."""
+    return acc.X.sum(axis=1) + acc.Cf + acc.E - acc.Imp
 
 
 def _value_added(acc: IOAccounts, col: np.ndarray) -> float:
@@ -251,7 +267,7 @@ def demand_vector(acc: IOAccounts) -> np.ndarray:
     so no other intermediate product can overflow where ``D`` does not.
     """
     with _quiet():
-        return _demand(acc, acc.input_value())
+        return _demand(acc, _input_value(acc))
 
 
 def _demand(acc: IOAccounts, col: np.ndarray) -> np.ndarray:
@@ -503,7 +519,7 @@ def check_value_equilibrium(acc: IOAccounts, tol: float = DEFAULT_TOL) -> ValueB
     diagnostics; ``D`` is refused so by :func:`demand_vector`, which forms it.
     """
     with _quiet():
-        residual, _, _, violated = _shortfall(_demand(acc, acc.input_value()), _supply(acc), tol)
+        residual, _, _, violated = _shortfall(_demand(acc, _input_value(acc)), _supply(acc), tol)
     return ValueBalanceReport(
         residual=residual,
         violated=_positions(violated),
@@ -590,9 +606,12 @@ def solve_national_equilibrium(
     m = acc.m
     with _quiet():
         _, e_total, imp_total = _final_totals(acc)
-        live = acc.input_value() > 0  # a column sum that overflows is inf
+        live = _input_value(acc) > 0  # a column sum that overflows is inf
         pi = _effective_pi(acc, live) if live.any() else acc.pi
-        if (pi <= 0).any():
+        # One minimum decides both share guards (once the first passes, pi
+        # holds the configured shares); positions are listed only to raise.
+        low = float(pi.min())
+        if low <= 0:
             raise ZeroDenominator(
                 f"pi at positions {np.flatnonzero(pi <= 0).tolist()} "
                 "(taxation shares must be positive here)"
@@ -601,29 +620,29 @@ def solve_national_equilibrium(
         target = acc.Xout + acc.Imp + taxed_use
         unit = _check_entries(target, "supply plus taxed use") or 1.0
         # a residual that overflows, before or after the division, does not fit
-        residual = -acc.balance_residual()
+        residual = _net_use(acc) - acc.Xout
         seed_used = bool(
             np.hypot.reduce(residual / unit, initial=0.0)
             <= CONE_TOL * np.hypot.reduce(target / unit, initial=0.0)
         )
-    if not seed_used:
-        C_big = np.column_stack([acc.X, acc.Cf, acc.E])
-        with _quiet():
+        if seed_used:
+            y = np.ones(m + 2)
+            y[:m] += acc.pi
+        else:
+            C_big = np.column_stack([acc.X, acc.Cf, acc.E])
             scaled = _finite(C_big / unit, "[X | Cf | E] over the largest target entry must be finite")
-        sol = _solve_nonneg(scaled, target / unit)
-        residual = C_big @ sol.y - target
-        del C_big, scaled
-    y = np.concatenate([1.0 + acc.pi, [1.0, 1.0]]) if seed_used else sol.y
+            y = _solve_nonneg(scaled, target / unit).y
+            residual = C_big @ y - target
+            del C_big, scaled
 
-    fit_tol = max(tol, CONE_TOL)
-    inside, below, over = _classify(residual, target, fit_tol)
-    if over.any():
-        raise NotInCone(
-            float(residual[over].max()), fit_tol * max(1.0, float(target[over].max()))
-        )
-    I, J = _positions(inside), _positions(below)
+        fit_tol = max(tol, CONE_TOL)
+        inside, below, over = _classify(residual, target, fit_tol)
+        if over.any():
+            raise NotInCone(
+                float(residual[over].max()), fit_tol * max(1.0, float(target[over].max()))
+            )
+        I, J = _positions(inside), _positions(below)
 
-    with _quiet():
         # No entry of y/pi or of M = diag(y/pi) A^T exceeds
         # max(1, y) max(1, A) / pi_i, so a share that puts twice that bound
         # out of the float range is refused, as a zero share is.
@@ -631,10 +650,9 @@ def solve_national_equilibrium(
         M_T = _coefficients(acc)
         top = _finite(float(M_T.max()), "technical coefficients X / Xout must be finite")
         bound = 2.0 * max(1.0, float(y[:m].max())) * max(1.0, top)
-        tiny = acc.pi * sys.float_info.max < bound
-        if tiny.any():
+        if low * sys.float_info.max < bound:
             raise ZeroDenominator(
-                f"pi at positions {np.flatnonzero(tiny).tolist()} "
+                f"pi at positions {np.flatnonzero(acc.pi * sys.float_info.max < bound).tolist()} "
                 "(taxation shares too small: dividing by them can overflow)"
             )
         scale = y[:m] / acc.pi
@@ -683,7 +701,7 @@ def solve_national_equilibrium(
     else:
         diag["closure_trade"] = np.inf
 
-    prices_vanish_on_J = bool((p[list(J)] <= DEFAULT_TOL_POS).all())
+    prices_vanish_on_J = bool((p[below] <= DEFAULT_TOL_POS).all())
     positivity_ok = cf_value > DEFAULT_TOL_POS and (
         e_value > DEFAULT_TOL_POS or e_total + imp_total == 0.0
     )

@@ -36,6 +36,7 @@ from .exchange import _finite, _positions, _quiet
 from .leontief import (
     IOAccounts,
     _demand,
+    _input_value,
     _shortfall,
     _supply,
     _value_added,
@@ -94,7 +95,7 @@ def _diagnosis(acc: IOAccounts, tol: float) -> tuple:
     inside the caller's ``with _quiet():``.  Raises ValueError unless
     ``D``, ``gdp`` and ``r`` are finite, and :class:`NonpositiveGDP`
     unless ``gdp > 0``."""
-    col = acc.input_value()
+    col = _input_value(acc)
     D = _demand(acc, col)
     S = _supply(acc)
     deficit, _, strict, _ = _shortfall(D, S, tol)

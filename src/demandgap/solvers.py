@@ -20,8 +20,10 @@ unverified price.
 Irreducibility is tested in numpy with the reachability criterion of
 Tarjan (1972): a digraph is strongly connected iff every vertex is
 reachable from vertex 0 both in the graph and in its transpose.  Each of
-the two breadth-first sweeps takes one vectorised step per level, so a
-dense matrix needs a few steps and a pure n-cycle needs n.
+the two breadth-first sweeps reads its first level straight from vertex 0's
+row (its column, for the transpose) and then takes one vectorised step per
+level: a sweep ends at its first level when vertex 0 trades both ways with
+every vertex, as in a dense table, and a pure n-cycle needs n levels.
 
 The cone membership test is a numpy nonnegative least-squares solve, the
 active-set method of Lawson and Hanson (1995, ch. 23) that
@@ -85,12 +87,13 @@ PF_TOL = 1e-10
 # systems of balanced 34-300 industry tables converge in 6-10 steps; a
 # periodic matrix needs thousands.  Measured on random irreducible matrices
 # (median of 5 matrices per order, each the best of 7 x 300 calls, one
-# pinned core of a 2-CPU Xeon, numpy 2.4 with OpenBLAS):
+# pinned core of a 2-CPU Xeon, numpy 2.4 with OpenBLAS; both rows of times
+# measured in one run):
 #
 #     n                               8      12      16      20      24      34
 #     power steps to PF_TOL          24      21      19      19      18      16
-#     power iteration, us           225     188     182     169     175     149
-#     start check + eig, us          51      73      94     130     182     331
+#     power iteration, us           175     162     153     146     135     123
+#     start check + eig, us          44      63      88     114     148     312
 #
 # so up to n = 20 the dense solve is cheaper than the steps the matrix
 # needs, and above it power iteration is.
@@ -122,20 +125,23 @@ def is_irreducible(M) -> bool:
 
 def _irreducible(M: np.ndarray) -> bool:
     """:func:`is_irreducible` of a matrix its caller has already checked:
-    breadth-first frontier sweeps from vertex 0, one vectorised step per
-    level, along the edges of the digraph and then of its transpose, each
-    stopping as soon as every vertex is reached or no new one is."""
+    breadth-first frontier sweeps from vertex 0 along the edges of the
+    digraph and then of its transpose, each stopping as soon as every
+    vertex is reached or no new one is.  The first level is vertex 0's row
+    of ``M > 0`` (its column, for the transpose), read with one copy and one
+    count; each later level is one vectorised step."""
     n = M.shape[0]
     if n == 1:
         return bool(M[0, 0] > 0)
     adj = M > 0
     for graph in (adj, adj.T):
-        seen = np.zeros(n, dtype=bool)
+        seen = graph[0].copy()
         seen[0] = True
-        frontier = seen.copy()
-        unseen = n - 1
+        unseen = n - np.count_nonzero(seen)
+        frontier = seen
         while unseen:
-            frontier = graph[frontier].any(axis=0) & ~seen
+            frontier = graph[frontier].any(axis=0)
+            np.greater(frontier, seen, out=frontier)  # frontier & ~seen
             found = np.count_nonzero(frontier)
             if not found:
                 return False
@@ -193,7 +199,9 @@ def _dominant(M: np.ndarray, budget: int | None = None) -> tuple[float, np.ndarr
     :class:`NoConvergence` is raised with the budget spent.  Returns
     ``(rho, v, iterations, residual, method)`` with ``method`` ``"power"``
     (the start vector answers with 0 iterations) or ``"dense"``; a dense
-    answer reports the whole budget as its iterations.
+    answer reports the whole budget as its iterations.  Every product
+    ``M v`` goes into one held buffer and each residual into a second, so
+    no step allocates a vector, and the dense answer is normalised in place.
 
     The callers pass checked matrices or, in the national solve, the price
     system ``diag(y/pi) A^T`` of checked arrays, with shares that the solve
@@ -214,36 +222,35 @@ def _dominant(M: np.ndarray, budget: int | None = None) -> tuple[float, np.ndarr
     mv = M @ v
     bound = PF_TOL * min(1.0, float(mv.max()))  # M @ 1 is the row sums: |M|_inf
     work = np.empty(n)
-    rho, residual = _rayleigh(v, mv, work)
     it = 0
-    while residual > bound and it < budget:
-        # (M + eps I) v from the M v in hand: one product per step
-        np.multiply(v, shift, out=work)
-        work += mv
-        np.divide(work, work.max(), out=v)
-        mv = M @ v
-        rho, residual = _rayleigh(v, mv, work)
-        it += 1
-    if residual <= bound:
-        return rho, v, it, residual, "power"
-    vals, vecs = np.linalg.eig(M)
-    v = np.abs(vecs[:, int(np.argmax(vals.real))])
-    v = v / v.max()
-    mv = M @ v
-    rho, residual = _rayleigh(v, mv, work)
+    dense = False
+    while True:
+        # the Rayleigh quotient of v and the residual M v - rho v, in work,
+        # as numpy floats until they are returned
+        rho = v.dot(mv) / v.dot(v)
+        np.multiply(v, rho, out=work)
+        np.subtract(mv, work, out=work)
+        residual = np.abs(work, out=work).max()
+        if residual <= bound or dense:
+            break
+        if residual > bound and it < budget:
+            # (M + eps I) v from the M v in hand: one product per step
+            np.multiply(v, shift, out=work)
+            work += mv
+            np.divide(work, work.max(), out=v)
+            it += 1
+        else:  # the budget is spent, or the residual is NaN
+            vals, vecs = np.linalg.eig(M)
+            np.abs(vecs[:, int(np.argmax(vals.real))], out=v)
+            np.divide(v, v.max(), out=v)
+            dense = True
+        np.matmul(M, v, out=mv)
+    rho, residual = float(rho), float(residual)
     if not residual <= bound:
         raise NoConvergence(budget, residual)
-    return rho, v, budget, residual, "dense"
-
-
-def _rayleigh(v: np.ndarray, mv: np.ndarray, work: np.ndarray) -> tuple[float, float]:
-    """Rayleigh quotient of ``v`` and the eigen-residual it leaves;
-    ``work``, a vector of ``v``'s length, holds ``mv - rho v`` (so the
-    power step's scratch serves here too, and no vector is allocated)."""
-    rho = float(v @ mv) / float(v @ v)
-    np.multiply(v, rho, out=work)
-    np.subtract(mv, work, out=work)
-    return rho, float(np.abs(work, out=work).max())
+    if dense:
+        return rho, v, budget, residual, "dense"
+    return rho, v, it, residual, "power"
 
 
 def perron_eigen(M) -> PerronResult:

@@ -195,6 +195,72 @@ def test_every_public_call_answers_finite_or_refuses(calls):
         _assert_finite(out, name)
 
 
+@st.composite
+def value_objects(draw):
+    """Accounts and an economy with entries drawn as in :func:`public_calls`,
+    then a share of them (up to half) lifted to 3e307-1.8e308, where a sum of
+    a few overflows; None when a constructor refuses the draw."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros, top = rng.uniform(0.1, 0.3), rng.uniform(0.0, 0.5)
+
+    def entries(shape):
+        a = _entries(rng, shape, zeros)
+        lift = rng.random(shape) < top
+        a[lift] = 10.0 ** rng.uniform(307.5, 308.25, int(lift.sum()))
+        return a
+
+    m, n, l = (int(k) for k in rng.integers(1, 6, 3))
+    try:
+        acc = IOAccounts(
+            X=entries((m, m)), Xout=entries(m), Cf=entries(m), E=entries(m), Imp=entries(m),
+            pi=_shares(rng, m),
+        )
+        econ = dg.ExchangeEconomy(entries((n, l)), entries((n, l)))
+    except (ValueError, DemandGapError):
+        return None
+    return acc, econ
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("balance_residual", lambda: _accounts(
+            X=[[1.5e308, 1.5e308], [1.0, 1.0]], Xout=[1.0, 1.0], pi=0.5).balance_residual()),
+        ("input_value", lambda: _accounts(
+            X=[[1.5e308, 1.0], [1.5e308, 1.0]], Xout=[1.0, 1.0], pi=0.5).input_value()),
+        ("total_supply", lambda: dg.ExchangeEconomy(
+            np.ones((2, 2)), [[1.5e308, 1.5e308], [1.0, 1.0]]).total_supply()),
+    ],
+)
+def test_value_object_sum_reads_an_overflow_as_inf(name, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = call()
+    assert np.isinf(out[0]) and np.isfinite(out[1]), (name, out)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(drawn=value_objects())
+def test_value_object_sums_never_warn(drawn):
+    # the five sums of the value objects, which read an overflow as inf
+    if drawn is None:
+        return
+    acc, econ = drawn
+    sums = {
+        "input_value": acc.input_value,
+        "balance_residual": acc.balance_residual,
+        "coefficients": acc.coefficients,
+        "gross_value_added": acc.gross_value_added,
+        "total_supply": econ.total_supply,
+    }
+    for name, call in sums.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = call()
+        # inf is allowed; only a non-float answer would be wrong
+        assert np.asarray(out).dtype.kind == "f", name
+
+
 def test_taxed_value_per_unit_of_input_beyond_the_float_range():
     # g_0 / col_0 = 1e10 / 1e-300 overflows, yet the production term
     # X[0, 0] * g_0 / col_0 = g_0 = 1e10 and every other term of D is finite

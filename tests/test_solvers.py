@@ -54,7 +54,7 @@ class TestIrreducibility:
         n=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
         density=st.floats(0.0, 1.0),
-        kind=st.sampled_from(["random", "cycle", "block-triangular", "zero"]),
+        kind=st.sampled_from(["random", "cycle", "block-triangular", "zero", "hub"]),
     )
     def test_agrees_with_scipy_strong_components(self, n, seed, density, kind):
         M = _graph_case(n, seed, density, kind)
@@ -103,7 +103,10 @@ def _graph_case(n: int, seed: int, density: float, kind: str) -> np.ndarray:
     """Nonnegative n x n matrix with a random pattern of the given density;
     ``cycle`` plants a permutation cycle through every vertex (always
     irreducible), ``block-triangular`` zeroes the block below a random cut
-    (always reducible for n > 1), ``zero`` is all zeros."""
+    (always reducible for n > 1), ``zero`` is all zeros, and ``hub`` makes
+    row 0 and column 0 positive off the diagonal (each sweep of the graph
+    test ends at its first level), then in half the draws removes one edge
+    of vertex 0."""
     rng = np.random.default_rng(seed)
     M = rng.uniform(0.1, 1.1, (n, n)) * (rng.uniform(size=(n, n)) < density)
     if kind == "cycle":
@@ -114,6 +117,15 @@ def _graph_case(n: int, seed: int, density: float, kind: str) -> np.ndarray:
         M[cut:, :cut] = 0.0
     elif kind == "zero":
         M[:] = 0.0
+    elif kind == "hub" and n > 1:
+        M[0, 1:] = rng.uniform(0.1, 1.1, n - 1)
+        M[1:, 0] = rng.uniform(0.1, 1.1, n - 1)
+        if rng.random() < 0.5:
+            k = int(rng.integers(1, n))
+            if rng.random() < 0.5:
+                M[0, k] = 0.0
+            else:
+                M[k, 0] = 0.0
     return M
 
 
@@ -314,6 +326,83 @@ class TestPerronProperties:
         rho_oracle, v_oracle = dense_perron_oracle(M)
         assert rho == pytest.approx(rho_oracle, abs=1e-8)
         np.testing.assert_allclose(v, v_oracle, atol=1e-8)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["power", "dense", "equal-rows", "periodic"]),
+    )
+    def test_kernel_keeps_the_bits_of_the_reference_loop(self, seed, kind):
+        # power: irreducible of order 21-60; dense: order 1-20; equal-rows:
+        # the uniform start vector is exact; periodic: a weighted pure cycle
+        # above order 20, which spends the budget before eig answers
+        rng = np.random.default_rng(seed)
+        if kind == "power":
+            M = random_irreducible(rng, int(rng.integers(21, 61)))
+        elif kind == "dense":
+            M = random_irreducible(rng, int(rng.integers(1, 21)))
+        elif kind == "equal-rows":
+            M = random_irreducible(rng, int(rng.integers(1, 61)))
+            M /= M.sum(axis=1, keepdims=True)
+        else:
+            n = int(rng.integers(21, 61))
+            order = rng.permutation(n)
+            M = np.zeros((n, n))
+            M[order, np.roll(order, -1)] = rng.uniform(0.5, 2.0, n)
+        expected = {"equal-rows": ("power", 0), "periodic": ("dense", PF_MAX_ITER)}.get(kind)
+        for A in (M, M.T):
+            got = _dominant(A)
+            assert _bits(got) == _bits(_reference_dominant(A))
+            if expected and A is M:
+                assert (got[4], got[2]) == expected
+
+
+def _bits(result) -> tuple:
+    rho, v, iterations, residual, method = result
+    return rho.hex(), v.tobytes(), iterations, residual.hex(), method
+
+
+def _reference_dominant(M: np.ndarray) -> tuple[float, np.ndarray, int, float, str]:
+    """The eigen kernel with a fresh product ``M @ v`` and a Rayleigh call
+    per step and a fresh dense vector, the form it had before its steps
+    moved into held buffers; :func:`solvers._dominant` must return the same
+    bits at its default budget."""
+    n = M.shape[0]
+    budget = 0 if 2 * n <= PF_MAX_ITER else PF_MAX_ITER
+    top = float(M.max(initial=0.0))
+    if top == 0.0:
+        return 0.0, np.ones(n), 0, 0.0, "power"
+    shift = 1e-3 * top
+    v = np.ones(n)
+    mv = M @ v
+    bound = PF_TOL * min(1.0, float(mv.max()))
+    work = np.empty(n)
+    rho, residual = _reference_rayleigh(v, mv, work)
+    it = 0
+    while residual > bound and it < budget:
+        np.multiply(v, shift, out=work)
+        work += mv
+        np.divide(work, work.max(), out=v)
+        mv = M @ v
+        rho, residual = _reference_rayleigh(v, mv, work)
+        it += 1
+    if residual <= bound:
+        return rho, v, it, residual, "power"
+    vals, vecs = np.linalg.eig(M)
+    v = np.abs(vecs[:, int(np.argmax(vals.real))])
+    v = v / v.max()
+    mv = M @ v
+    rho, residual = _reference_rayleigh(v, mv, work)
+    if not residual <= bound:
+        raise NoConvergence(budget, residual)
+    return rho, v, budget, residual, "dense"
+
+
+def _reference_rayleigh(v, mv, work) -> tuple[float, float]:
+    rho = float(v @ mv) / float(v @ v)
+    np.multiply(v, rho, out=work)
+    np.subtract(mv, work, out=work)
+    return rho, float(np.abs(work, out=work).max())
 
 
 class TestSolveNonneg:
