@@ -26,7 +26,6 @@ of 0 (its whole new value funds households) and warns with a
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,43 +158,37 @@ def rank_industries(report: RecessionReport, k: int, mode: str) -> list[RankedIn
     position = {index: pos for pos, index in enumerate(report.indices)}
     positions = np.array([position[i] for i in report.recession_set], dtype=np.intp)
     with _quiet():
-        return _ranked(report, positions, k, (mode,))[mode]
+        return _ranked(report, positions, k, mode)
 
 
 def _ranked(
-    report: RecessionReport, positions: np.ndarray, k: int, modes: tuple[str, ...]
-) -> dict[str, list[RankedIndustry]]:
-    """:func:`rank_industries` in each of ``modes``, given the table
-    positions of the recession set in its order, inside the caller's
-    ``with _quiet():`` (a sensitivity that overflows is inf, as for a zero
-    gross output)."""
-    for mode in modes:
-        if mode not in ("sensitive", "contributing"):
-            raise ValueError(f"mode must be 'sensitive' or 'contributing', got {mode!r}")
+    report: RecessionReport, positions: np.ndarray, k: int, mode: str
+) -> list[RankedIndustry]:
+    """:func:`rank_industries`, given the table positions of the recession
+    set in its order, inside the caller's ``with _quiet():`` (a sensitivity
+    that overflows is inf, as for a zero gross output)."""
+    if mode not in ("sensitive", "contributing"):
+        raise ValueError(f"mode must be 'sensitive' or 'contributing', got {mode!r}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     reduction = -report.deficit[positions]
-    tops = []
-    for mode in modes:
-        if mode == "contributing":
-            key = reduction
-        else:
-            gross = report.gross_output[positions]
-            key = np.divide(reduction, gross, out=np.full(len(positions), np.inf), where=gross > 0)
-        # a stable sort of the negated key orders as sorted(..., reverse=True):
-        # ties keep the order of the recession set, infinite keys come first
-        tops.append((-key).argsort(kind="stable")[:k])
-    # the ranked industries' cells, gathered once for all modes
-    chosen = positions[np.concatenate(tops)]
+    if mode == "contributing":
+        key = reduction
+    else:
+        gross = report.gross_output[positions]
+        key = np.divide(reduction, gross, out=np.full(len(positions), np.inf), where=gross > 0)
+    # a stable sort of the negated key orders as sorted(..., reverse=True):
+    # ties keep the order of the recession set, infinite keys come first
+    top = (-key).argsort(kind="stable")[:k]
+    chosen = positions[top]
     cells = zip(
-        *(a.tolist() for a in (chosen, -report.deficit[chosen], report.gross_output[chosen],
+        *(a.tolist() for a in (chosen, reduction[top], report.gross_output[chosen],
                                report.imports[chosen], report.exports[chosen]))
     )
-    rows = (
+    return [
         RankedIndustry(report.indices[pos], report.names[pos] or str(report.indices[pos]), *values)
         for pos, *values in cells
-    )
-    return {mode: list(itertools.islice(rows, len(top))) for mode, top in zip(modes, tops)}
+    ]
 
 
 def analyze_accounts(
@@ -221,6 +214,7 @@ def analyze_accounts(
         D, S, deficit, strict, gdp, r = _diagnosis(acc, tol)
         indices, names = _labels(acc.m, indices, names)
         positions = strict.nonzero()[0]
+        rankings = {}
         report = RecessionReport(
             D=D,
             S=S,
@@ -228,7 +222,7 @@ def analyze_accounts(
             recession_set=tuple(map(indices.__getitem__, positions.tolist())),
             r=r,
             gdp=gdp,
-            rankings={},
+            rankings=rankings,
             tol=tol,
             indices=indices,
             names=names,
@@ -236,8 +230,8 @@ def analyze_accounts(
             imports=acc.Imp,
             exports=acc.E,
         )
-        rankings = _ranked(report, positions, top, ("sensitive", "contributing"))
-    object.__setattr__(report, "rankings", rankings)
+        for mode in ("sensitive", "contributing"):
+            rankings[mode] = _ranked(report, positions, top, mode)
     return report
 
 

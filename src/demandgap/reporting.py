@@ -31,14 +31,15 @@ __all__ = [
 
 
 def round6(obj):
-    """Recursively round floats to 6 significant digits (report precision)."""
+    """Recursively round Python and numpy floats (``np.float64`` is a
+    ``float``) to 6 significant digits (report precision); arrays and tuples
+    come back as lists, numpy bools and integers as Python ones.  Floats,
+    the bulk of a payload, are tested first."""
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{obj:.6g}")
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, float):
-        return float(f"{obj:.6g}")
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.6g}")
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [round6(v) for v in obj.tolist()]
@@ -49,27 +50,22 @@ def round6(obj):
     return obj
 
 
-def _head(country: str, year: int, pi) -> dict:
-    """The fields every JSON report opens with."""
-    return {"country": country, "year": year, "pi": round6(np.asarray(pi, dtype=float))}
-
-
 def analysis_dict(country: str, year: int, pi, report: RecessionReport, diagnostics=None) -> dict:
-    """Recession analysis in the fixed JSON field order."""
-    return {
-        **_head(country, year, pi),
-        "D": round6(report.D),
-        "S": round6(report.S),
-        "deficit": round6(report.deficit),
-        "recession_set": list(report.recession_set),
-        "r": round6(report.r),
-        "gdp": round6(report.gdp),
-        "rankings": {
-            mode: [round6(asdict(row)) for row in rows]
-            for mode, rows in report.rankings.items()
-        },
-        "diagnostics": round6(diagnostics or {}),
-    }
+    """Recession analysis in the fixed JSON field order, rounded in one
+    :func:`round6` pass."""
+    return round6({
+        "country": country,
+        "year": year,
+        "pi": np.asarray(pi, dtype=float),
+        "D": report.D,
+        "S": report.S,
+        "deficit": report.deficit,
+        "recession_set": report.recession_set,
+        "r": report.r,
+        "gdp": report.gdp,
+        "rankings": {mode: [asdict(row) for row in rows] for mode, rows in report.rankings.items()},
+        "diagnostics": diagnostics or {},
+    })
 
 
 def equilibrium_dict(
@@ -79,18 +75,22 @@ def equilibrium_dict(
     solution: NationalEquilibrium,
     balance: ValueBalanceReport,
 ) -> dict:
-    return {
-        **_head(country, year, pi),
-        "rho": round6(solution.rho),
-        "certified": bool(solution.certified),
-        "equality_set": list(solution.I),
-        "slack_set": list(solution.J),
-        "y": round6(solution.y),
-        "p": round6(solution.p),
-        "value_residual": round6(balance.residual),
-        "violated": list(balance.violated),
-        "diagnostics": round6(solution.diagnostics),
-    }
+    """National equilibrium and its value-form check in the fixed JSON
+    field order, rounded in one :func:`round6` pass."""
+    return round6({
+        "country": country,
+        "year": year,
+        "pi": np.asarray(pi, dtype=float),
+        "rho": solution.rho,
+        "certified": solution.certified,
+        "equality_set": solution.I,
+        "slack_set": solution.J,
+        "y": solution.y,
+        "p": solution.p,
+        "value_residual": balance.residual,
+        "violated": balance.violated,
+        "diagnostics": solution.diagnostics,
+    })
 
 
 def to_json(payload: dict) -> str:

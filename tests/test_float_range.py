@@ -29,8 +29,11 @@ LIBRARY_WARNINGS = ("goods with zero total supply", "industries at positions")
 
 
 def _entries(rng, shape, zeros: float) -> np.ndarray:
-    """Entries log-uniform over 1e-300 to 1.8e308, a share ``zeros`` of them 0."""
+    """Entries log-uniform over 1e-300 to 1.8e308, about a quarter of them
+    lifted to 3e307-1.77e308, where a sum of a few overflows, and a share
+    ``zeros`` of them 0."""
     a = 10.0 ** rng.uniform(-300.0, 308.25, shape)
+    a = np.where(rng.random(shape) < 0.25, 3e307 * rng.uniform(1.0, 5.9, shape), a)
     a[rng.random(shape) < zeros] = 0.0
     return a
 
@@ -115,7 +118,7 @@ def _solver_calls(rng, zeros):
 @st.composite
 def public_calls(draw):
     """Every public call of one group (value form, exchange or solvers) on
-    one draw: sizes 1-5, entries log-uniform over the float range with
+    one draw: sizes 1-5, entries as :func:`_entries` draws them with
     10-30 % zeros.  A draw whose inputs a constructor refuses is skipped."""
     group = draw(st.sampled_from([_value_calls, _exchange_calls, _solver_calls]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

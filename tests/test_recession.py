@@ -358,6 +358,37 @@ class TestRankings:
         assert [r.gross_output for r in rows] == [gross[pos] for pos in expected]
         assert [r.imports for r in rows] == [report.imports[pos] for pos in expected]
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(m=st.integers(1, 30), types=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_analyze_and_rank_industries_agree(self, m, types, seed):
+        # industries of a few repeated types tie exactly in shortfall, and a
+        # type with no gross output (and no sales) ties at infinite
+        # sensitivity; industry 1 is of a selling type, so every industry
+        # buys inputs.  Declared indices are not 1..m
+        rng = np.random.default_rng(seed)
+        kind = rng.integers(0, types, m)
+        kind[0] = 0
+        out = rng.integers(3 * m, 12 * m, types) * (rng.random(types) < 0.7)
+        out[0] = 3 * m
+        sells = (out > 0)[:, None]
+        X = (rng.integers(1, 4, (types, types)) * sells)[kind][:, kind].astype(float)
+        Cf, E = ((rng.integers(0, 10, types) * sells[:, 0])[kind].astype(float) for _ in range(2))
+        Cf[0] = 1.0
+        acc = IOAccounts(
+            X=X, Xout=out[kind].astype(float), Cf=Cf, E=E,
+            Imp=rng.integers(1, 10, types)[kind].astype(float),
+            pi=(rng.integers(0, 3, types) / 2)[kind],
+        )
+        indices = tuple(rng.choice(10**6, m, replace=False).tolist())
+        names = tuple(rng.choice(["", "n"], m).tolist())
+        for k in range(m + 2):
+            try:
+                report = analyze_accounts(acc, indices=indices, names=names, top=k)
+            except DemandGapError:
+                return
+            for mode in ("sensitive", "contributing"):
+                assert report.rankings[mode] == rank_industries(report, k, mode)
+
 
 class TestAnalyzeArguments:
     def test_duplicate_indices_rejected(self):
