@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .demo import run_demo
 from .errors import DemandGapError, SchemaError
-from .exchange import DEFAULT_TOL, _warning_lines
+from ._policy import _warning_lines
+from .exchange import DEFAULT_TOL
 from .leontief import AggregationMap, aggregate_accounts, check_value_equilibrium, solve_national_equilibrium
 from .niot import parse_blocks, parse_niot, parse_pi
 from .recession import analyze_accounts

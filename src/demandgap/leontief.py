@@ -34,22 +34,24 @@ from .errors import (
     RhoNotOne,
     ZeroDenominator,
 )
-from .exchange import (
-    DEFAULT_TOL,
-    DEFAULT_TOL_POS,
-    ExchangeEconomy,
+from ._policy import (
     _check_entries,
     _check_tol,
     _classify,
-    _clearing,
     _finite,
     _hold_read_only,
     _nonneg_square,
-    _normalized_price,
     _positions,
     _quiet,
     _vector,
     _warn,
+)
+from .exchange import (
+    DEFAULT_TOL,
+    DEFAULT_TOL_POS,
+    ExchangeEconomy,
+    _clearing,
+    _normalized_price,
     check_equilibrium,
 )
 from .solvers import CONE_TOL, _dominant, _irreducible, _solve_nonneg
@@ -324,6 +326,8 @@ class AggregationMap:
         for b in blocks:
             if not b:
                 raise BlockMismatch("empty aggregation block")
+            if len(set(b)) < len(b):
+                raise BlockMismatch("aggregation block repeats an index")
             if seen & set(b):
                 raise BlockMismatch("aggregation blocks overlap")
             seen |= set(b)

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeValue, SchemaError
-from .exchange import _nonneg_square, _vector, _warn
+from ._policy import _nonneg_square, _vector, _warn
 from .leontief import IOAccounts
 
 __all__ = ["NiotTable", "parse_niot", "serialize_niot"]

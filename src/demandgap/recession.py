@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveGDP
-from .exchange import _finite, _positions, _quiet
+from ._policy import _finite, _positions, _quiet
 from .leontief import (
     IOAccounts,
     _demand,

@@ -68,16 +68,11 @@ from .errors import (
     NotIrreducible,
     PreconditionFailed,
 )
+from ._policy import _check_entries, _check_tol, _finite, _nonneg_square, _quiet, _vector
 from .exchange import (
     DEFAULT_TOL,
     EquilibriumReport,
     ExchangeEconomy,
-    _check_entries,
-    _check_tol,
-    _finite,
-    _nonneg_square,
-    _quiet,
-    _vector,
     check_equilibrium,
 )
 

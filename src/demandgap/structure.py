@@ -29,19 +29,15 @@ from .errors import (
     RankDeficiency,
     SupportMismatch,
 )
+from ._policy import _check_entries, _check_tol, _classify, _finite, _quiet
 from .exchange import (
     DEFAULT_TOL,
     DEFAULT_TOL_POS,
     ExchangeEconomy,
     _check_consumers,
-    _check_entries,
-    _check_tol,
-    _classify,
     _clearing,
-    _finite,
     _normalized_price,
     _proportional,
-    _quiet,
     _unit_price,
 )
 

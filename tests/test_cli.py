@@ -143,6 +143,15 @@ class TestAnalyze:
         ])
         assert code == 3
 
+    def test_map_that_repeats_an_industry_exits_three(self, toy_table, tmp_path, capsys):
+        # "1,1" once summed industry 1 twice and dropped industry 2: S = [210]
+        blocks = tmp_path / "map.txt"
+        blocks.write_text("1,1\n")
+        out = tmp_path / "o"
+        assert main(["analyze", str(toy_table), "--out", str(out), "--aggregate", str(blocks)]) == 3
+        assert capsys.readouterr().err == "error: aggregation block repeats an index\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("aggregate", [False, True], ids=["table", "aggregated"])
 @pytest.mark.parametrize(
@@ -334,6 +343,12 @@ class TestDemo:
         assert main(["demo", spec, "--format", "json"]) == 0
         assert capsys.readouterr().out == first
         assert json.loads(first)["all_checks_pass"] is True
+
+    def test_blank_random_token_is_skipped(self, capsys):
+        assert main(["demo", "random:seed=42,,n=5", "--format", "json"]) == 0
+        blank = capsys.readouterr().out
+        assert main(["demo", "random:seed=42,n=5", "--format", "json"]) == 0
+        assert capsys.readouterr().out == blank
 
     def test_seed_zero_overrides_fixture_seed(self, capsys):
         assert main(["demo", "random:seed=42", "--seed", "0", "--format", "json"]) == 0

@@ -117,6 +117,7 @@ class TestCheckEquilibrium:
         report = check_equilibrium(econ, p)
         assert report.is_equilibrium
         assert report.equality_set == (0, 1)
+        assert report.max_violation() == 0.0
 
     def test_e1_wrong_price_violates_money_good(self):
         econ, _ = economy_e1()

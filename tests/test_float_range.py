@@ -4,7 +4,7 @@ Every public value-form, exchange and solver call, on inputs whose entries
 span the whole float range, returns finite outputs or refuses with
 ValueError or a :class:`DemandGapError`, and numpy warns of nothing on the
 way.  The package sets numpy's error flags in one place,
-``exchange._quiet``; no other module touches them.
+``_policy._quiet``; no other module touches them.
 """
 
 import ast
@@ -276,12 +276,12 @@ def test_taxed_value_per_unit_of_input_beyond_the_float_range():
     assert report.r == pytest.approx(0.5 / (1e10 + 1.0), rel=1e-9)
 
 
-def test_only_exchange_sets_numpy_error_flags():
-    # the float-range policy lives in exchange._quiet; a second errstate
+def test_only_policy_sets_numpy_error_flags():
+    # the float-range policy lives in _policy._quiet; a second errstate
     # (or seterr) would be a second policy
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "exchange.py":
+        if path.name == "_policy.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute):

@@ -36,7 +36,8 @@ from demandgap import (
     supply_vector,
     synthesize_property,
 )
-from demandgap.exchange import DEFAULT_TOL, DEFAULT_TOL_POS, _classify
+from demandgap._policy import _classify
+from demandgap.exchange import DEFAULT_TOL, DEFAULT_TOL_POS
 from demandgap.leontief import RHO_TOL
 from demandgap.solvers import CONE_TOL, PF_MAX_ITER, _dominant, _irreducible
 from demandgap.structure import RepresentationParts
@@ -250,6 +251,11 @@ class TestAggregation:
             AggregationMap(((0, 1), (1, 2)))
         with pytest.raises(BlockMismatch):
             AggregationMap(((0,), (2,)))
+        # a repeat inside one block would sum that index twice and drop another
+        with pytest.raises(BlockMismatch):
+            AggregationMap(((0, 0),))
+        with pytest.raises(BlockMismatch):
+            AggregationMap(((0, 0), (1,)))
 
     def test_totals_conserved(self):
         # up to summation-order roundoff (float addition is not associative)

@@ -45,7 +45,7 @@ from demandgap import (
     unit_value_equilibrium,
     verify_certificate,
 )
-from demandgap import exchange, leontief, solvers, structure
+from demandgap import _policy, exchange, leontief, solvers, structure
 from demandgap.fixtures import (
     economy_e1,
     random_consistent_accounts,
@@ -351,7 +351,7 @@ class TestCheckedOnce:
     @pytest.fixture
     def checks(self, monkeypatch):
         names = []
-        check = exchange._nonneg_square
+        check = _policy._nonneg_square
 
         def counted(M, name="M"):
             names.append(name)
@@ -380,7 +380,7 @@ class TestCheckedOnce:
     @pytest.fixture
     def cone_checks(self, monkeypatch):
         names = []
-        check = exchange._finite
+        check = _policy._finite
 
         def counted(value, message):
             if message == "C must be finite":  # the cone solve's matrix check

@@ -401,6 +401,11 @@ class TestAnalyzeArguments:
         with pytest.raises(ValueError, match="indices must have length 3"):
             analyze_accounts(random_value_accounts(1, 3), indices=indices)
 
+    def test_indices_label_the_industries_without_names(self):
+        report = analyze_accounts(random_value_accounts(1, 2), indices=(7, 3))
+        assert report.indices == (7, 3)
+        assert report.names == ("7", "3")
+
     @pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c", "d")])
     def test_wrong_number_of_names_rejected(self, names):
         with pytest.raises(ValueError, match="names must have length 3"):

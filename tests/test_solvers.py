@@ -12,7 +12,7 @@ from conftest import (
     perron_path,
     random_irreducible,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 from scipy.sparse.csgraph import connected_components
@@ -454,11 +454,19 @@ class TestSolveNonneg:
         exponents=st.lists(st.integers(-6, 6), min_size=10, max_size=10),
         in_cone=st.booleans(),
     )
+    # draws on which both answers fit exactly with different supports; at
+    # seed 711, in base units, (0, 0, 1, 0, 1, 0) against scipy's (1, 0, 1, 1, 0, 0)
+    @example(4, "rank-deficient", 0, True, 2, 0, [0, -1, -1, 0, 1, 0, 0, 0, 0, 0], True)
+    @example(5, "rank-deficient", 711, True, 0, 0, [1, -1, 1, 0, 0, 0, 0, 0, 0, 0], True)
+    @example(3, "underdetermined", 23452, True, 0, 0, [0, 0, 0, 0, 0, 5, 0, 0, 0, 0], True)
     def test_agrees_with_scipy(self, m, shape, seed, integer, duplicates, zeros, exponents, in_cone):
-        # the same verdict, support and coefficients as scipy's nnls, which
-        # runs the same active-set rules: on these non-unique problems only
-        # the entering rule, ties included, picks the support.  Small
-        # integer entries make exact ties and exact rank deficiency
+        # the same verdict as scipy's nnls, which runs the same active-set
+        # rules.  Where base has full column rank, y is unique and the
+        # support and coefficients must match too.  Otherwise many y fit and
+        # the entering rule, ties included, picks one by rounding, so only
+        # the fitted vector C y, the unique projection onto the cone, is
+        # compared.  Small integer entries make exact ties and exact rank
+        # deficiency
         rng = np.random.default_rng(seed)
         n = {"square": m, "underdetermined": m + 3, "overdetermined": max(1, m - 2)}.get(shape, m + 1)
 
@@ -482,6 +490,9 @@ class TestSolveNonneg:
             return
         assert ref_residual <= CONE_TOL * norm
         assert np.linalg.norm(C @ sol.y - target) <= CONE_TOL * norm
+        if np.linalg.matrix_rank(base) < n:
+            np.testing.assert_allclose(C @ sol.y, C @ ref, rtol=0, atol=1e-12 * norm)
+            return
         # in base's units, where a column's scale no longer hides its share
         got, want = sol.y * scale, ref * scale
         top = max(got.max(initial=0.0), want.max(initial=0.0))

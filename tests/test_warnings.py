@@ -1,5 +1,5 @@
 """Every warning of the package is a ``RuntimeWarning`` issued by one helper,
-``exchange._warn``, at the caller's line, however deep inside the package
+``_policy._warn``, at the caller's line, however deep inside the package
 it arises."""
 
 import ast
@@ -88,7 +88,7 @@ def test_only_the_warning_helper_warns():
     # counts frames with stacklevel= would name a library line again
     offenders = []
     for path in sorted(Path(demandgap.__file__).parent.glob("*.py")):
-        if path.name == "exchange.py":
+        if path.name == "_policy.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import) and any(a.name == "warnings" for a in node.names):
