@@ -157,7 +157,7 @@ class IOAccounts:
         warning, as :meth:`gross_value_added` does for its sum.
         """
         with _quiet():
-            return _coefficients(self)
+            return _coefficients(self, self.Xout > 0)
 
     def balance_residual(self) -> np.ndarray:
         """Interindustry balance gap: Xout - (X @ 1 + Cf + E - Imp).  A sum
@@ -178,28 +178,28 @@ class IOAccounts:
 
 def _input_value(acc: IOAccounts) -> np.ndarray:
     """:meth:`IOAccounts.input_value`, inside the caller's ``with _quiet():``."""
-    return acc.X.sum(axis=0)
+    return np.add.reduce(acc.X, axis=0)
 
 
 def _net_use(acc: IOAccounts) -> np.ndarray:
     """Each good's use net of imports, ``X @ 1 + Cf + E - Imp``, the part of
     :meth:`IOAccounts.balance_residual` that the national solve's seed
     residual shares, inside the caller's ``with _quiet():``."""
-    return acc.X.sum(axis=1) + acc.Cf + acc.E - acc.Imp
+    return np.add.reduce(acc.X, axis=1) + acc.Cf + acc.E - acc.Imp
 
 
 def _value_added(acc: IOAccounts, col: np.ndarray) -> float:
     """:meth:`IOAccounts.gross_value_added` from the input values ``col``
     (column sums of ``X``) its caller formed, inside the caller's
     ``with _quiet():``."""
-    return float((acc.Xout - col).sum())
+    return float(np.add.reduce(acc.Xout - col))
 
 
-def _coefficients(acc: IOAccounts) -> np.ndarray:
-    """:meth:`IOAccounts.coefficients`, inside the caller's ``with _quiet():``."""
-    live = acc.Xout > 0
+def _coefficients(acc: IOAccounts, live: np.ndarray) -> np.ndarray:
+    """:meth:`IOAccounts.coefficients` from the output mask ``live``
+    (``Xout > 0``) its caller formed, inside the caller's ``with _quiet():``."""
     out = acc.X / np.where(live, acc.Xout, 1.0)
-    if not live.all():
+    if not np.logical_and.reduce(live):
         out[:, ~live] = 0.0
     return out
 
@@ -210,7 +210,7 @@ def _final_totals(acc: IOAccounts) -> tuple[float, float, float]:
     demand divide by them, so a total that overflows raises ValueError "D
     must be finite", and :class:`ZeroDenominator` is raised when household
     or trade demand would divide by a zero total."""
-    totals = float(acc.Cf.sum()), float(acc.E.sum()), float(acc.Imp.sum())
+    totals = float(np.add.reduce(acc.Cf)), float(np.add.reduce(acc.E)), float(np.add.reduce(acc.Imp))
     _finite(max(totals), "D must be finite")
     cf_total, e_total, imp_total = totals
     if cf_total <= 0:
@@ -225,10 +225,10 @@ def _effective_pi(acc: IOAccounts, live: np.ndarray) -> np.ndarray:
     (``live`` is false: zero input column) but has taxed output
     ``pi_i * Xout_i > 0``; a ``RuntimeWarning`` at the caller's line names
     their 0-based positions."""
-    if live.all():
+    if np.logical_and.reduce(live):
         return acc.pi
     inputless = ~live & (acc.pi * acc.Xout > 0)
-    if not inputless.any():
+    if not np.logical_or.reduce(inputless):
         return acc.pi
     _warn(
         f"industries at positions {np.flatnonzero(inputless).tolist()} buy no inputs; "
@@ -611,10 +611,10 @@ def solve_national_equilibrium(
     with _quiet():
         _, e_total, imp_total = _final_totals(acc)
         live = _input_value(acc) > 0  # a column sum that overflows is inf
-        pi = _effective_pi(acc, live) if live.any() else acc.pi
+        pi = _effective_pi(acc, live) if np.logical_or.reduce(live) else acc.pi
         # One minimum decides both share guards (once the first passes, pi
         # holds the configured shares); positions are listed only to raise.
-        low = float(pi.min())
+        low = float(np.minimum.reduce(pi))
         if low <= 0:
             raise ZeroDenominator(
                 f"pi at positions {np.flatnonzero(pi <= 0).tolist()} "
@@ -641,7 +641,7 @@ def solve_national_equilibrium(
 
         fit_tol = max(tol, CONE_TOL)
         inside, below, over = _classify(residual, target, fit_tol)
-        if over.any():
+        if np.logical_or.reduce(over):
             raise NotInCone(
                 float(residual[over].max()), fit_tol * max(1.0, float(target[over].max()))
             )
@@ -651,9 +651,12 @@ def solve_national_equilibrium(
         # max(1, y) max(1, A) / pi_i, so a share that puts twice that bound
         # out of the float range is refused, as a zero share is.
         # M^T = A diag(y/pi) is then scaled in place in A's buffer.
-        M_T = _coefficients(acc)
-        top = _finite(float(M_T.max()), "technical coefficients X / Xout must be finite")
-        bound = 2.0 * max(1.0, float(y[:m].max())) * max(1.0, top)
+        produces = acc.Xout > 0  # the columns of A, and entries of A^T p, that can be nonzero
+        M_T = _coefficients(acc, produces)
+        top = _finite(
+            float(np.maximum.reduce(M_T, axis=None)), "technical coefficients X / Xout must be finite"
+        )
+        bound = 2.0 * max(1.0, float(np.maximum.reduce(y[:m]))) * max(1.0, top)
         if low * sys.float_info.max < bound:
             raise ZeroDenominator(
                 f"pi at positions {np.flatnonzero(acc.pi * sys.float_info.max < bound).tolist()} "
@@ -671,20 +674,20 @@ def solve_national_equilibrium(
         rho = float(np.abs(np.linalg.eigvals(M)).max()) if reducible else rho_m
         # A^T p = (X^T p) / Xout, 0 on the columns of zero output, takes one
         # product with X, and M p follows from it.
-        input_value_at_p = np.divide(p @ acc.X, acc.Xout, out=np.zeros(m), where=acc.Xout > 0)
+        input_value_at_p = np.divide(p @ acc.X, acc.Xout, out=np.zeros(m), where=produces)
         Mp = scale * input_value_at_p
         household_income = float(((1.0 - acc.pi) * acc.Xout) @ p + p @ taxed_use)
 
     diag: dict = {
         "rho_gap": abs(rho - 1.0),
         "rho_price_system": rho_m,
-        "price_eigen_residual": float(np.abs(Mp - rho_m * p).max()),
-        "value_equation_residual": float(np.abs(Mp - p).max()),
+        "price_eigen_residual": float(np.maximum.reduce(np.abs(Mp - rho_m * p))),
+        "value_equation_residual": float(np.maximum.reduce(np.abs(Mp - p))),
         "perron_method": method,
         "seed_used": seed_used,
-        "scales_residual": float(np.abs(residual).max()),
+        "scales_residual": float(np.maximum.reduce(np.abs(residual))),
         "reducible": reducible,
-        "input_value_min": float(input_value_at_p.min(initial=np.inf)),
+        "input_value_min": float(np.minimum.reduce(input_value_at_p, initial=np.inf)),
     }
 
     cf_value = float(acc.Cf @ p)
@@ -705,7 +708,7 @@ def solve_national_equilibrium(
     else:
         diag["closure_trade"] = np.inf
 
-    prices_vanish_on_J = bool((p[below] <= DEFAULT_TOL_POS).all())
+    prices_vanish_on_J = bool(np.logical_and.reduce(p[below] <= DEFAULT_TOL_POS))
     positivity_ok = cf_value > DEFAULT_TOL_POS and (
         e_value > DEFAULT_TOL_POS or e_total + imp_total == 0.0
     )

@@ -46,11 +46,11 @@ eigenvalues on its spectral circle, so power iteration cannot converge on
 it: above order 20 it spends the whole budget before ``eig`` answers.  A
 matrix and its transpose share their spectrum, so power iteration
 converges at the same rate on both: when the right eigenvector falls back,
-the left one goes straight to ``eig``, and each spectrum falls back at most
-once.  Whichever path answers, the answer is checked: the vector is made
-nonnegative at max-norm 1 and must satisfy ``max |M v - rho v| <= PF_TOL *
-min(1, |M|_inf)``, or :class:`NoConvergence` is raised; the tolerance is
-never loosened.
+the left one goes straight to ``eig``, one ``eig`` call serves both, and
+each spectrum falls back at most once.  Whichever path answers, the answer
+is checked: the vector is made nonnegative at max-norm 1 and must satisfy
+``max |M v - rho v| <= PF_TOL * min(1, |M|_inf)``, or
+:class:`NoConvergence` is raised; the tolerance is never loosened.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _irreducible(M: np.ndarray) -> bool:
         unseen = n - np.count_nonzero(seen)
         frontier = seen
         while unseen:
-            frontier = graph[frontier].any(axis=0)
+            frontier = np.logical_or.reduce(graph[frontier], axis=0)
             np.greater(frontier, seen, out=frontier)  # frontier & ~seen
             found = np.count_nonzero(frontier)
             if not found:
@@ -170,7 +170,9 @@ class PerronResult:
     method: str
 
 
-def _dominant(M: np.ndarray, budget: int | None = None) -> tuple[float, np.ndarray, int, float, str]:
+def _dominant(
+    M: np.ndarray, budget: int | None = None, top: float | None = None, eig=None
+) -> tuple[float, np.ndarray, int, float, str]:
     """Verified dominant eigenpair of a nonnegative matrix.
 
     Starts from the uniform vector, which always overlaps the dominant
@@ -198,10 +200,15 @@ def _dominant(M: np.ndarray, budget: int | None = None) -> tuple[float, np.ndarr
     ``M v`` goes into one held buffer and each residual into a second, so
     no step allocates a vector, and the dense answer is normalised in place.
 
+    The decomposition ``(vals, vecs)`` of ``M`` comes from ``eig()`` when
+    the caller passes it, so that :func:`perron_eigen` can serve both sides
+    from one ``np.linalg.eig`` call, and from ``np.linalg.eig(M)`` otherwise;
+    ``eig`` is called only when the budget runs out, and at most once.
     The callers pass checked matrices or, in the national solve, the price
     system ``diag(y/pi) A^T`` of checked arrays, with shares that the solve
-    has checked for overflow; the maximum taken for the shift still rejects
-    an infinite or NaN entry with ValueError.  A product of a matrix whose
+    has checked for overflow.  The shift comes from the maximum of ``M``,
+    ``top`` when the caller passes it; taken here, it still rejects an
+    infinite or NaN entry with ValueError.  A product of a matrix whose
     row sums leave the float range overflows, so the callers run the kernel
     inside ``with _quiet():``; the overflow then reads inf or NaN, which no
     acceptance test passes.
@@ -209,13 +216,14 @@ def _dominant(M: np.ndarray, budget: int | None = None) -> tuple[float, np.ndarr
     n = M.shape[0]
     if budget is None:
         budget = 0 if 2 * n <= PF_MAX_ITER else PF_MAX_ITER
-    top = _finite(float(M.max(initial=0.0)), "M must be finite")
+    if top is None:
+        top = _finite(float(np.maximum.reduce(M, axis=None, initial=0.0)), "M must be finite")
     if top == 0.0:
         return 0.0, np.ones(n), 0, 0.0, "power"
     shift = 1e-3 * top
     v = np.ones(n)
     mv = M @ v
-    bound = PF_TOL * min(1.0, float(mv.max()))  # M @ 1 is the row sums: |M|_inf
+    bound = PF_TOL * min(1.0, float(np.maximum.reduce(mv)))  # M @ 1 is the row sums: |M|_inf
     work = np.empty(n)
     it = 0
     dense = False
@@ -225,19 +233,19 @@ def _dominant(M: np.ndarray, budget: int | None = None) -> tuple[float, np.ndarr
         rho = v.dot(mv) / v.dot(v)
         np.multiply(v, rho, out=work)
         np.subtract(mv, work, out=work)
-        residual = np.abs(work, out=work).max()
+        residual = np.maximum.reduce(np.abs(work, out=work))
         if residual <= bound or dense:
             break
         if residual > bound and it < budget:
             # (M + eps I) v from the M v in hand: one product per step
             np.multiply(v, shift, out=work)
             work += mv
-            np.divide(work, work.max(), out=v)
+            np.divide(work, np.maximum.reduce(work), out=v)
             it += 1
         else:  # the budget is spent, or the residual is NaN
-            vals, vecs = np.linalg.eig(M)
+            vals, vecs = np.linalg.eig(M) if eig is None else eig()
             np.abs(vecs[:, int(np.argmax(vals.real))], out=v)
-            np.divide(v, v.max(), out=v)
+            np.divide(v, np.maximum.reduce(v), out=v)
             dense = True
         np.matmul(M, v, out=mv)
     rho, residual = float(rho), float(residual)
@@ -261,6 +269,13 @@ def perron_eigen(M) -> PerronResult:
     before the dense fallback.  ``M.T`` has the same spectrum, so power
     iteration converges at the same rate on it: the left side gets the same
     budget when the right side converged, and none when it fell back.
+    When the right side falls back, one ``np.linalg.eig`` call on the stack
+    of ``M`` and ``M.T`` serves it, and the left side too if it reaches the
+    dense solve; each slice has the bits of its own call.  A left side
+    that its start vector answers (equal column sums, unequal row sums)
+    leaves its half of the stack unused, and a left side that falls back
+    alone makes its own call.  The maximum of ``M``, which ``M.T`` shares,
+    is taken once for both sides.
     Raises ValueError unless ``M`` is square and non-empty with finite
     nonnegative entries, and :class:`NotIrreducible` unless it is
     irreducible.
@@ -268,9 +283,19 @@ def perron_eigen(M) -> PerronResult:
     M = _nonneg_square(M)
     if not _irreducible(M):
         raise NotIrreducible("matrix graph is not strongly connected")
+    top = float(np.maximum.reduce(M, axis=None))
+    both = []  # eig's (vals, vecs) of the stack (M, M.T), once the right side falls back
+
+    def stacked():
+        both.extend(np.linalg.eig(np.array((M, M.T))))
+        return both[0][0], both[1][0]
+
     with _quiet():
-        rho_r, right, it_r, res_r, method_r = _dominant(M)
-        rho_l, left, it_l, res_l, method_l = _dominant(M.T, 0 if method_r == "dense" else None)
+        rho_r, right, it_r, res_r, method_r = _dominant(M, None, top, stacked)
+        if both:  # the right side fell back: the left side runs no power step
+            rho_l, left, it_l, res_l, method_l = _dominant(M.T, 0, top, lambda: (both[0][1], both[1][1]))
+        else:
+            rho_l, left, it_l, res_l, method_l = _dominant(M.T, None, top)
     return PerronResult(
         rho=rho_r,
         right=right,

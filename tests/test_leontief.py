@@ -766,20 +766,27 @@ class TestNationalEquilibrium:
 
 def test_final_demand_totals_are_formed_in_one_place():
     # household and trade demand divide by the totals of Cf, E and Imp, and
-    # _final_totals refuses one that overflows; a sum taken anywhere else
+    # _final_totals refuses one that overflows; a sum taken anywhere else,
+    # as a method (acc.Cf.sum()) or a ufunc reduction (np.add.reduce(acc.Cf)),
     # would go round that refusal
+    def totals(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("Cf", "E", "Imp")
+
     offenders = []
     for path in sorted(Path(demandgap.__file__).parent.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
             if not isinstance(func, ast.FunctionDef) or func.name == "_final_totals":
                 continue
             for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "sum"
-                    and isinstance(node.func.value, ast.Attribute)
-                    and node.func.value.attr in ("Cf", "E", "Imp")
-                ):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                method = node.func.attr == "sum" and totals(node.func.value)
+                reduction = (
+                    node.func.attr == "reduce"
+                    and ast.unparse(node.func.value) == "np.add"
+                    and bool(node.args)
+                    and totals(node.args[0])
+                )
+                if method or reduction:
                     offenders.append(f"{path.name}:{node.lineno} in {func.name}")
     assert offenders == []

@@ -1,6 +1,7 @@
 """Perron eigenpairs, cone solves, and the constructive equilibria."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from demandgap import (
     unit_value_equilibrium,
 )
 from demandgap import solvers
+from demandgap.exchange import EquilibriumReport
 from demandgap.solvers import CONE_TOL, PF_MAX_ITER, PF_TOL, _dominant, _irreducible
 
 
@@ -356,19 +358,58 @@ class TestPerronProperties:
             if expected and A is M:
                 assert (got[4], got[2]) == expected
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["power", "dense", "equal-rows", "equal-columns", "periodic"]),
+    )
+    def test_perron_eigen_keeps_the_bits_of_the_reference_loop(self, seed, kind):
+        # the kinds of the kernel's property, plus equal-columns, where only
+        # the left side's start vector is exact; each side must keep the bits
+        # of its own reference loop, the left one with no power step once the
+        # right one fell back
+        rng = np.random.default_rng(seed)
+        if kind == "periodic":
+            n = int(rng.integers(21, 61))
+            order = rng.permutation(n)
+            M = np.zeros((n, n))
+            M[order, np.roll(order, -1)] = rng.uniform(0.5, 2.0, n)
+        else:
+            low, high = {"power": (21, 61), "dense": (1, 21)}.get(kind, (1, 61))
+            M = random_irreducible(rng, int(rng.integers(low, high)))
+            if kind == "equal-rows":
+                M /= M.sum(axis=1, keepdims=True)
+            elif kind == "equal-columns":
+                M /= M.sum(axis=0, keepdims=True)
+        right = _reference_dominant(M)
+        left = _reference_dominant(M.T, 0 if right[4] == "dense" else None)
+        got = perron_eigen(M)
+        (rho, v, it_r, res_r, method_r), (rho_l, u, it_l, res_l, method_l) = right, left
+        assert (got.rho.hex(), got.right.tobytes()) == (rho.hex(), v.tobytes())
+        assert (got.rho_left.hex(), got.left.tobytes()) == (rho_l.hex(), u.tobytes())
+        assert got.residual.hex() == max(res_r, res_l).hex()
+        assert got.iterations == it_r + it_l
+        assert got.method == ("dense" if "dense" in (method_r, method_l) else "power")
+        if kind == "equal-columns":
+            assert (method_l, it_l) == ("power", 0)
+
 
 def _bits(result) -> tuple:
     rho, v, iterations, residual, method = result
     return rho.hex(), v.tobytes(), iterations, residual.hex(), method
 
 
-def _reference_dominant(M: np.ndarray) -> tuple[float, np.ndarray, int, float, str]:
+def _reference_dominant(
+    M: np.ndarray, budget: int | None = None
+) -> tuple[float, np.ndarray, int, float, str]:
     """The eigen kernel with a fresh product ``M @ v`` and a Rayleigh call
     per step and a fresh dense vector, the form it had before its steps
     moved into held buffers; :func:`solvers._dominant` must return the same
-    bits at its default budget."""
+    bits at its default budget, and each side of :func:`perron_eigen` at
+    that side's budget."""
     n = M.shape[0]
-    budget = 0 if 2 * n <= PF_MAX_ITER else PF_MAX_ITER
+    if budget is None:
+        budget = 0 if 2 * n <= PF_MAX_ITER else PF_MAX_ITER
     top = float(M.max(initial=0.0))
     if top == 0.0:
         return 0.0, np.ones(n), 0, 0.0, "power"
@@ -594,6 +635,22 @@ class TestSolveNonneg:
         assert err.value.threshold == pytest.approx(CONE_TOL * 1e308 * math.hypot(1.5, 1.5))
 
 
+def _one_violated_good(econ, p, tol):
+    """A substitution check that finds good 1 of a 2-good economy violated,
+    in place of :func:`exchange.check_equilibrium`: the constructive solvers
+    build prices that pass it, so only a stand-in reaches their refusal."""
+    return EquilibriumReport(
+        demand=np.ones(2),
+        residual=np.array([0.0, 2.5e-3]),
+        equality_set=(0,),
+        strict_set=(),
+        violated_set=(1,),
+        is_equilibrium=False,
+        zero_price_on_deficit=True,
+        tol=tol,
+    )
+
+
 class TestSpectralEquilibrium:
     def test_two_good_swap(self):
         result = spectral_equilibrium(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
@@ -689,6 +746,12 @@ class TestSpectralEquilibrium:
         assert paths[0][1] <= PF_TOL
         assert result.report.is_equilibrium
 
+    def test_price_failing_substitution_is_refused(self, monkeypatch):
+        monkeypatch.setattr(solvers, "check_equilibrium", _one_violated_good)
+        message = "constructed price fails substitution on goods (1,) (max violation 2.500e-03)"
+        with pytest.raises(NoPositivePrice, match=f"^{re.escape(message)}$"):
+            spectral_equilibrium(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+
     def test_budget_outside_cone(self):
         # demand rows collinear on (1, 1), but the factor prices bundles (1, 2)
         C = np.array([[1.0, 1.0], [2.0, 2.0]])
@@ -745,6 +808,15 @@ class TestUnitValueEquilibrium:
         B1 = np.array([[0.2, 0.8], [0.3, 0.7]])
         with pytest.raises(PreconditionFailed):
             unit_value_equilibrium(C, B1, psi=[5.0, 5.0])
+
+    def test_price_failing_substitution_is_refused(self, monkeypatch):
+        monkeypatch.setattr(solvers, "check_equilibrium", _one_violated_good)
+        message = (
+            "constructed price fails substitution on goods (1,); "
+            "psi is inconsistent with the economy's supply"
+        )
+        with pytest.raises(NoPositivePrice, match=f"^{re.escape(message)}$"):
+            unit_value_equilibrium(np.eye(2), [[0.3, 0.7], [0.7, 0.3]], psi=[1.0, 1.0])
 
     def test_ones_outside_cone(self):
         C = np.array([[1.0, 2.0], [2.0, 4.0]])  # rays are collinear
