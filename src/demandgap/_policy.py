@@ -103,14 +103,14 @@ def _vector(v, m: int, name: str) -> np.ndarray:
     return arr
 
 
-def _nonneg_square(M, name: str = "M") -> np.ndarray:
-    """``M`` as a float array; raises ValueError unless it is square and
-    non-empty with finite nonnegative entries."""
+def _nonneg_square(M, name: str = "M") -> tuple[np.ndarray, float]:
+    """``M`` as a float array and its largest entry, which the entry check
+    takes anyway; raises ValueError unless ``M`` is square and non-empty
+    with finite nonnegative entries."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise ValueError(f"{name} must be square and non-empty, got shape {M.shape}")
-    _check_entries(M, name)
-    return M
+    return M, float(_check_entries(M, name))
 
 
 def _hold_read_only(obj, **fields: np.ndarray) -> None:

@@ -395,7 +395,8 @@ def verify_certificate(
             diag["transfers"] = "psi_bar has zero value at p"
             return CertificateReport(False, tuple(failed), diag)
 
-        D = econ.B - _proportional(psi_bar, y * demand_value, psi_bar_value)
+        D = _proportional(psi_bar, y * demand_value, psi_bar_value)
+        np.subtract(econ.B, D, out=D)  # in the rank-one part's buffer
         # B and q are nonnegative, so <b_i, q> needs no abs
         value_gap = np.abs(D.T @ q) / np.maximum(1.0, econ.B.T @ q)
         sum_gap = np.abs(D.sum(axis=1) + excess) / scale

@@ -102,7 +102,7 @@ class IOAccounts:
     pi: np.ndarray
 
     def __post_init__(self):
-        X = _nonneg_square(self.X, "X")
+        X, _ = _nonneg_square(self.X, "X")
         m = X.shape[0]
         Xout = _vector(self.Xout, m, "Xout")
         Cf = _vector(self.Cf, m, "Cf")

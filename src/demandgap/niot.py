@@ -207,7 +207,7 @@ def serialize_niot(table: NiotTable, path) -> None:
     ``indices`` and ``names`` have one entry per industry with no index
     repeated, so that :func:`parse_niot` can read the table back.
     """
-    X = _nonneg_square(table.X, "X")
+    X, _ = _nonneg_square(table.X, "X")
     m = X.shape[0]
     fixed = [_vector(getattr(table, name), m, name) for name in _FIXED_FIELDS]
     block = np.column_stack([X, *fixed])

@@ -115,7 +115,7 @@ def is_irreducible(M) -> bool:
     strongly connected.  A 1x1 matrix is irreducible iff its entry is
     positive (self-loop convention).  Raises ValueError unless ``M`` is
     square and non-empty with finite nonnegative entries."""
-    return _irreducible(_nonneg_square(M))
+    return _irreducible(_nonneg_square(M)[0])
 
 
 def _irreducible(M: np.ndarray) -> bool:
@@ -275,15 +275,14 @@ def perron_eigen(M) -> PerronResult:
     that its start vector answers (equal column sums, unequal row sums)
     leaves its half of the stack unused, and a left side that falls back
     alone makes its own call.  The maximum of ``M``, which ``M.T`` shares,
-    is taken once for both sides.
+    is taken once for both sides, by the entry check.
     Raises ValueError unless ``M`` is square and non-empty with finite
     nonnegative entries, and :class:`NotIrreducible` unless it is
     irreducible.
     """
-    M = _nonneg_square(M)
+    M, top = _nonneg_square(M)  # top: the maximum the entry check took
     if not _irreducible(M):
         raise NotIrreducible("matrix graph is not strongly connected")
-    top = float(np.maximum.reduce(M, axis=None))
     both = []  # eig's (vals, vecs) of the stack (M, M.T), once the right side falls back
 
     def stacked():
@@ -569,7 +568,7 @@ def _factored_economy(C, B1) -> tuple[ExchangeEconomy, np.ndarray]:
     passes the economy's own entry check, ``C @ B1`` is finite (with no
     numpy warning) and every column of ``C`` has a positive sum."""
     C = np.asarray(C, dtype=float)
-    B1 = _nonneg_square(B1, "B1")
+    B1, _ = _nonneg_square(B1, "B1")
     if C.ndim != 2 or C.shape[1] != B1.shape[0]:
         raise ValueError(f"C shape {C.shape} does not match B1 shape {B1.shape}")
     _check_entries(C, "C and B")

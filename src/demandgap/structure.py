@@ -11,6 +11,18 @@ the support become arbitrary), and computes the real-money-value indicator
 that degeneracy erodes.
 
 Index sets are 0-based throughout.
+
+Each call forms its full-size (n x l) quantities in buffers it already
+holds.  :func:`synthesize_property` assembles the result in the rank-one
+part's buffer; :func:`decompose_property` holds three: the rank-one part,
+which becomes the round trip and then its error, the difference ``D``,
+which becomes ``d0``, and the support rows ``d1``, which become ``a``;
+:func:`degeneracy_multiplicity` one, the residual columns, freed once its
+nonzero rows are copied out; ``exchange.verify_certificate`` one, the
+transfers.  Beside them a call holds at most two arrays of ``|I|`` rows
+and a few boolean masks.  At 200 x 150 with ``|I| = 100`` the tracemalloc
+peaks are 2.3, 3.8, 1.5 and 1.6 full-size arrays, numpy's broadcasting
+buffers (up to 64 KB per operand) included.
 """
 
 from __future__ import annotations
@@ -286,15 +298,23 @@ def _assemble(P: np.ndarray, u: np.ndarray, parts: RepresentationParts) -> np.nd
     ``P`` of :func:`exchange._proportional` and the clearing basis of
     weights ``u``, whose rows in ``I`` are ``G_I = E - 1 u^T`` and others 0,
     so ``G a`` adds ``a - u^T a`` to the rows in ``I`` without forming ``G``;
-    magnitudes below the negativity tolerance are snapped to zero."""
-    B = P + parts.d0
+    magnitudes below the negativity tolerance are snapped to zero.
+
+    Consumes ``P``: the result is formed in its buffer, so the caller must
+    not read ``P`` afterwards except as the result.  The tolerance is taken
+    from the extremes of the result, ``max|B| = max(-min B, max B)``, with
+    no ``|B|`` array."""
+    B = P
+    B += parts.d0
     B[list(parts.I)] += parts.a - u @ parts.a
-    size = np.abs(B)
-    neg_tol = 1e-12 * max(1.0, float(size.max()))
-    if B.min() < -neg_tol:
+    low, high = B.min(), B.max()
+    neg_tol = 1e-12 * max(1.0, float(max(-low, high)))
+    if low < -neg_tol:
         k, i = np.unravel_index(np.argmin(B), B.shape)
         raise NegativeEndowment(int(k), int(i), float(B[k, i]))
-    B[size < neg_tol] = 0.0
+    small = B < neg_tol
+    small &= B > -neg_tol
+    B[small] = 0.0
     return B
 
 
@@ -333,17 +353,24 @@ def decompose_property(
     _check_supplied(psi_bar, idx)
     P = _proportional(psi_bar, y * (demand_value / unit), total)
     D = econ.B - P
+    on = ~off
+    a = D[on]  # d1, the on-support transfers; b and then a are formed here
+    D[on] = 0.0  # D is now d0, the off-support transfers
 
-    d1, d0 = D[~off], np.where(off[:, None], D, 0.0)
     # h = pinv(G_I) d1 for G_I = E - 1 u^T (kernel span(1), range u-perp):
     # pinv(G_I) d1 = b - mean(b) with b = d1 - u (u^T d1) / (u^T u); 0 if |I| = 1.
     u = _weights(q, idx)
-    b = d1 - u[:, None] * (u @ d1) / (u @ u)
-    a = b - b.sum(axis=0) / len(idx) + 1.0 / econ.l
+    t = u[:, None] * (u @ a)
+    t /= u @ u
+    a -= t  # b
+    del t  # freed before the assembly
+    a -= a.sum(axis=0) / len(idx)
+    a += 1.0 / econ.l
 
-    parts = RepresentationParts(y=y, a=a, d0=d0, I=idx, case=case)
+    parts = RepresentationParts(y=y, a=a, d0=D, I=idx, case=case)
     B_rt = _assemble(P, u, parts)
-    residual = float(np.abs(B_rt - econ.B).max() / max(1.0, float(econ.B.max())))
+    B_rt -= econ.B  # the round-trip error, in B_rt's buffer
+    residual = float(np.abs(B_rt, out=B_rt).max() / max(1.0, float(econ.B.max())))
     return parts, residual
 
 
@@ -437,8 +464,11 @@ def degeneracy_multiplicity(B_bar, C, y, I=None) -> int:
     for name, arr in (("B_bar", B_bar), ("C", C), ("y", y)):
         _finite(arr, f"{name} must be finite")
     with _quiet():
-        residual = _finite(B_bar - C * y[None, :], "the residual columns b_i - y_i C_i must be finite")
-    sv = np.linalg.svd(residual[residual.any(axis=1)], compute_uv=False)
+        residual = C * y[None, :]
+        np.subtract(B_bar, residual, out=residual)
+        _finite(residual, "the residual columns b_i - y_i C_i must be finite")
+    residual = residual[residual.any(axis=1)]  # the full-size buffer is freed here
+    sv = np.linalg.svd(residual, compute_uv=False)
     rank = int((sv > DEFAULT_RANK_TOL * sv[0]).sum()) if sv.size else 0
     multiplicity = B_bar.shape[0] - rank
     if I is not None:

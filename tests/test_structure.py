@@ -1,5 +1,7 @@
 """Representation, equivalence, and degeneracy machinery."""
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from demandgap import (
     AggregationMap,
+    DemandGapError,
     DimensionMismatch,
     EmptySupport,
     ExchangeEconomy,
@@ -16,6 +19,7 @@ from demandgap import (
     NoMoneySupply,
     NotAnEquilibrium,
     PriceVector,
+    RankDeficiency,
     RepresentationParts,
     SupportMismatch,
     check_aggregation_agreement,
@@ -32,7 +36,10 @@ from demandgap import (
     verify_certificate,
 )
 from demandgap import exchange, structure
+from demandgap._policy import _quiet
+from demandgap.exchange import DEFAULT_TOL, DEFAULT_TOL_POS
 from demandgap.fixtures import economy_e1, economy_e2, random_equilibrium
+from demandgap.structure import DEFAULT_RANK_TOL
 
 
 class TestClearingBasis:
@@ -553,6 +560,265 @@ class TestDegeneracyMultiplicity:
             tr = degenerate_transform(econ, p, I=parts.I)
             mult = degeneracy_multiplicity(tr.B_bar, econ.C, tr.y, I=tr.I)
             assert mult >= 6 - len(parts.I)
+
+
+class TestFullSizeBuffers:
+    """Each structure call forms its n x l quantities in a bounded number of
+    full-size buffers.  Tracemalloc peaks at 200 x 150, in units of one
+    n x l float array: measured 2.31, 3.83, 1.60 and 1.52 with numpy 2.4,
+    against 3.31, 7.54, 2.04 and 2.00 for the out-of-place forms of
+    :class:`TestReferenceForms`; each bound is at least 10 % above the
+    measured peak and below the out-of-place one."""
+
+    BOUNDS = {
+        "synthesize_property": 2.6,
+        "decompose_property": 4.3,
+        "verify_certificate": 1.8,
+        "degeneracy_multiplicity": 1.7,
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_peak_at_200_by_150(self, name):
+        n, l = 200, 150
+        econ, p, parts = random_equilibrium(7, n=n, l=l, support=100)
+        tr = degenerate_transform(econ, p, I=parts.I)
+        psi_bar = econ.C @ parts.y
+        call = {
+            "synthesize_property": lambda: synthesize_property(econ.C, p, parts),
+            "decompose_property": lambda: decompose_property(econ, p, I=parts.I),
+            "verify_certificate": lambda: verify_certificate(econ, p, parts.y, psi_bar),
+            "degeneracy_multiplicity": lambda: degeneracy_multiplicity(tr.B_bar, econ.C, tr.y, parts.I),
+        }[name]
+        call()  # first-call set-up
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUNDS[name] * 8 * n * l
+
+
+def _reference_assemble(P, u, parts):
+    """``structure._assemble`` out of place, the form it had before it
+    wrote into ``P``: a fresh sum, and the snap band from a fresh ``|B|``."""
+    B = P + parts.d0
+    B[list(parts.I)] += parts.a - u @ parts.a
+    size = np.abs(B)
+    neg_tol = 1e-12 * max(1.0, float(size.max()))
+    if B.min() < -neg_tol:
+        k, i = np.unravel_index(np.argmin(B), B.shape)
+        raise NegativeEndowment(int(k), int(i), float(B[k, i]))
+    B[size < neg_tol] = 0.0
+    return B
+
+
+def _reference_synthesize(C, p, parts):
+    """:func:`synthesize_property` with the out-of-place assembly."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_assemble", _reference_assemble)
+        return synthesize_property(C, p, parts)
+
+
+def _reference_decompose(econ, p, I, case):
+    """:func:`decompose_property` at the default ``tol`` with ``D``, ``d0``,
+    ``b``, ``a`` and the residual each a fresh array, the form it had
+    before they moved into buffers the call already holds; returns the
+    call's result and the round trip ``B_rt``."""
+    q, idx, off, y, psi_bar, demand_value = structure._cleared_support(econ, p, I, case, DEFAULT_TOL)
+    q, unit = structure._in_units(q)
+    total = structure._supply_value(psi_bar, q)
+    if total * unit <= DEFAULT_TOL_POS:
+        raise NotAnEquilibrium("the economy has no valued supply at this price")
+    structure._check_supplied(psi_bar, idx)
+    P = exchange._proportional(psi_bar, y * (demand_value / unit), total)
+    D = econ.B - P
+    d1, d0 = D[~off], np.where(off[:, None], D, 0.0)
+    u = structure._weights(q, idx)
+    b = d1 - u[:, None] * (u @ d1) / (u @ u)
+    a = b - b.sum(axis=0) / len(idx) + 1.0 / econ.l
+    parts = RepresentationParts(y=y, a=a, d0=d0, I=idx, case=case)
+    B_rt = _reference_assemble(P, u, parts)
+    residual = float(np.abs(B_rt - econ.B).max() / max(1.0, float(econ.B.max())))
+    return (parts, residual), B_rt
+
+
+def _reference_transfers(econ, p, y, psi_bar):
+    """The ``transfers`` measure of :func:`verify_certificate`, with ``D``
+    formed as a second array beside the rank-one part."""
+    q = exchange._unit_price(p)
+    with _quiet():
+        excess = psi_bar - exchange._total_supply(econ)
+        D = econ.B - exchange._proportional(psi_bar, y * (econ.C.T @ q), float(psi_bar @ q))
+        value_gap = np.abs(D.T @ q) / np.maximum(1.0, econ.B.T @ q)
+        sum_gap = np.abs(D.sum(axis=1) + excess) / np.maximum(1.0, np.abs(psi_bar))
+        return float(np.maximum(value_gap.max(initial=0.0), sum_gap.max()))
+
+
+def _reference_multiplicity(B_bar, C, y, I):
+    """:func:`degeneracy_multiplicity` on arrays of matching shapes and
+    finite entries, with ``C y`` and the residual two arrays and the
+    residual held through the SVD."""
+    with _quiet():
+        residual = B_bar - C * y[None, :]
+    sv = np.linalg.svd(residual[residual.any(axis=1)], compute_uv=False)
+    rank = int((sv > DEFAULT_RANK_TOL * sv[0]).sum()) if sv.size else 0
+    multiplicity = B_bar.shape[0] - rank
+    bound = B_bar.shape[0] - len(I)
+    if multiplicity < bound:
+        raise RankDeficiency(
+            f"multiplicity {multiplicity} below the guaranteed bound {bound}; "
+            "rank tolerance likely misjudged"
+        )
+    return multiplicity
+
+
+def _bits(x):
+    """A result in comparable form: arrays by dtype, shape and bytes,
+    floats by ``hex``, dataclasses field by field."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(v) for v in x)
+    if dataclasses.is_dataclass(x):
+        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return x
+
+
+def _outcome(call, *args):
+    """``call(*args)`` in comparable form, or the type and message of what it raised."""
+    try:
+        return "returned", _bits(call(*args))
+    except Exception as exc:  # every refusal is compared, not judged
+        return type(exc).__name__, str(exc)
+
+
+def _drawn_parts(seed, n, l, k, partial, scale, push):
+    """Random representation parts (after :func:`_spread_economy`) whose
+    rank-one part and ``d0`` scale with ``scale``; the clearing-basis
+    coefficients, whose rows must sum to 1 to within 1e-12, stay near
+    ``1/l``.  ``push`` scales the transfers, so that some draws are
+    infeasible."""
+    rng = np.random.default_rng(seed)
+    I = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    J = [s for s in range(n) if s not in I]
+    C = rng.uniform(0.2, 1.2, (n, l))
+    p = np.zeros(n)
+    p[list(I)] = rng.uniform(0.5, 1.5, k)
+    y = rng.uniform(0.5, 1.5, l)
+    q = PriceVector(p).normalized()
+    delta = rng.normal(0.0, 1.0, (k, l))
+    delta -= delta.mean(axis=1, keepdims=True)
+    d0 = np.zeros((n, l))
+    raw = rng.normal(0.0, 1.0, (len(J), l))
+    raw -= raw.mean(axis=1, keepdims=True)
+    d0[J, :] = raw + (rng.uniform(0.1, 0.6, (len(J), 1)) / l if partial else 0.0)
+    base = np.outer(C @ y, y * (C.T @ q) / float(C @ y @ q))
+    pert = clearing_basis(p, I).G @ delta + d0
+    mask = pert < 0
+    alpha = push * (min(1.0, 0.45 * float((base[mask] / -pert[mask]).min())) if mask.any() else 1.0)
+    a = alpha * min(1.0, scale) * delta + 1.0 / l
+    return C, p, y * scale, a, alpha * scale * d0, I, J
+
+
+def _around(t, boundary=False):
+    """Entries one ulp either side of the snap band ``t`` and on it, of
+    both signs; with ``boundary``, first the one just past ``-t``, which
+    is negative beyond the band."""
+    below, above = np.nextafter(t, 0.0), np.nextafter(t, np.inf)
+    return [-above] * boundary + [below, t, above, -below, -t]
+
+
+class TestReferenceForms:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 40),
+        l=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        partial=st.booleans(),
+        log_scale=st.integers(-3, 9),
+        push=st.sampled_from([1.0, 1.0, 3.0]),
+        plant=st.sampled_from(["none", "band", "boundary"]),
+    )
+    def test_structure_calls_keep_the_bits_of_the_reference_forms(
+        self, data, n, l, seed, partial, log_scale, push, plant
+    ):
+        k = data.draw(st.integers(1, n), label="k")
+        C, p, y, a, d0, I, J = _drawn_parts(seed, n, l, k, partial, 10.0**log_scale, push)
+        case = "partial" if partial else "exact"
+        planted = plant != "none" and l > 1 and J
+        if planted:
+            # consumer l-1 demands nothing, so its rank-one column is exactly
+            # 0 and its off-support endowments are exactly its d0 entries
+            y[-1] = 0.0
+            for arr in (a, d0):  # keep the sums across consumers
+                arr[:, 0] += arr[:, -1]
+                arr[:, -1] = 0.0
+        parts = RepresentationParts(y=y, a=a, d0=d0, I=I, case=case)
+        try:
+            B = _reference_synthesize(C, p, parts)
+        except (ValueError, DemandGapError):
+            planted = False
+        if planted:
+            top = float(np.abs(B).max())
+            t = 1e-12 * max(1.0, top)
+            values = _around(t, plant == "boundary")
+            # consumer 0 takes each planted entry back, so the sums across
+            # consumers hold, in rows where that leaves max|B| as it is
+            rows = [r for r in J if abs(B[r, 0]) + 2 * t < top]
+            for i, r in enumerate(rows):
+                d0[r, -1] = values[i % len(values)]
+                d0[r, 0] -= d0[r, -1]
+            planted = bool(rows)
+            parts = RepresentationParts(y=y, a=a, d0=d0, I=I, case=case)
+        got = _outcome(synthesize_property, C, p, parts)
+        assert got == _outcome(_reference_synthesize, C, p, parts)
+        if planted and plant == "boundary":  # the one entry past -t is refused
+            assert got == ("NegativeEndowment", str(NegativeEndowment(rows[0], l - 1, values[0])))
+        if got[0] != "returned":
+            return
+        B = synthesize_property(C, p, parts)
+        if planted:  # each planted entry reached the snap band of B
+            np.testing.assert_array_equal(B[rows, -1], [v if abs(v) >= t else 0.0 for v in d0[rows, -1]])
+
+        econ = ExchangeEconomy(C, np.maximum(B, 0.0))
+        B_rt = None
+        if planted:
+            # the same column of the round trip B_rt holds what is planted
+            # in the economy's endowments, against the band of B_rt
+            B_plant = np.array(econ.B)
+            B_plant[J, -1] = 0.0
+            try:
+                _, B_rt = _reference_decompose(ExchangeEconomy(C, B_plant), p, I, "partial")
+            except (ValueError, DemandGapError):
+                pass
+            if B_rt is not None:
+                t = 1e-12 * max(1.0, float(np.abs(B_rt).max()))
+                values = _around(t)[:3]
+                B_plant[J, -1] = [values[i % 3] for i in range(len(J))]
+                econ = ExchangeEconomy(C, B_plant)
+        for mode in ("exact", "partial"):
+            got = _outcome(decompose_property, econ, p, I, mode)
+            assert got == _outcome(lambda *args: _reference_decompose(*args)[0], econ, p, I, mode)
+            if got[0] != "returned":
+                continue
+            if B_rt is not None:  # each planted entry reached the snap band of B_rt
+                B_rt = _reference_decompose(econ, p, I, mode)[1]
+                np.testing.assert_array_equal(B_rt[J, -1], [v if v >= t else 0.0 for v in econ.B[J, -1]])
+            back, _ = decompose_property(econ, p, I, mode)
+            psi_bar = C @ back.y
+            for y_cert in (back.y, back.y * 1.001):
+                measure = verify_certificate(econ, p, y_cert, psi_bar).diagnostics.get("transfers")
+                if isinstance(measure, float):
+                    assert measure.hex() == _reference_transfers(econ, p, y_cert, psi_bar).hex()
+            tr = degenerate_transform(econ, p, I, mode)
+            for B_bar, y_bar in ((tr.B_bar, tr.y), (econ.B, back.y)):
+                assert _outcome(degeneracy_multiplicity, B_bar, C, y_bar, I) == _outcome(
+                    _reference_multiplicity, B_bar, C, y_bar, I
+                )
 
 
 class TestRealMoneyValue:
