@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from pathlib import Path
@@ -151,7 +150,7 @@ def _cmd_equilibrium(args) -> int:
 def _cmd_demo(args) -> int:
     transcript = run_demo(args.fixture, seed=args.seed)
     if args.format == "json":
-        sys.stdout.write(json.dumps(transcript, indent=2) + "\n")
+        sys.stdout.write(reporting.to_json(transcript))
     else:
         for key, value in transcript.items():
             sys.stdout.write(f"{key}: {value}\n")

@@ -122,14 +122,15 @@ class IOAccounts:
         A = np.asarray(A, dtype=float)
         x = np.asarray(x, dtype=float).reshape(-1)
         p = np.asarray(p, dtype=float).reshape(-1)
-        return cls(
-            X=p[:, None] * A * x[None, :],
-            Xout=p * x,
-            Cf=p * np.asarray(cf, dtype=float),
-            E=p * np.asarray(e, dtype=float),
-            Imp=p * np.asarray(imp, dtype=float),
-            pi=pi,
-        )
+        with _quiet():  # the constructor refuses a product that overflows
+            return cls(
+                X=p[:, None] * A * x[None, :],
+                Xout=p * x,
+                Cf=p * np.asarray(cf, dtype=float),
+                E=p * np.asarray(e, dtype=float),
+                Imp=p * np.asarray(imp, dtype=float),
+                pi=pi,
+            )
 
     @property
     def m(self) -> int:
@@ -166,14 +167,15 @@ class IOAccounts:
             return self.Xout - _net_use(self)
 
     def scaled(self, alpha: float) -> "IOAccounts":
-        return IOAccounts(
-            X=alpha * self.X,
-            Xout=alpha * self.Xout,
-            Cf=alpha * self.Cf,
-            E=alpha * self.E,
-            Imp=alpha * self.Imp,
-            pi=self.pi,
-        )
+        with _quiet():  # the constructor refuses a product that overflows
+            return IOAccounts(
+                X=alpha * self.X,
+                Xout=alpha * self.Xout,
+                Cf=alpha * self.Cf,
+                E=alpha * self.E,
+                Imp=alpha * self.Imp,
+                pi=self.pi,
+            )
 
 
 def _input_value(acc: IOAccounts) -> np.ndarray:
@@ -420,8 +422,9 @@ def check_aggregation_agreement(
         )
     C_u = mapping.apply(econ.C)
     B_u = mapping.apply(econ.B)
-    psi_u = B_u.sum(axis=1)
-    equal_disagg = _positions(_classify(C_u @ y - psi_u, psi_u, tol)[0])
+    with _quiet():  # an overflow reads inf or NaN, as in the clearing check
+        psi_u = B_u.sum(axis=1)
+        equal_disagg = _positions(_classify(C_u @ y - psi_u, psi_u, tol)[0])
 
     report_u = check_equilibrium(ExchangeEconomy(C_u, B_u), p_u, tol=tol)
     if not report_u.is_equilibrium:
@@ -577,8 +580,9 @@ def solve_national_equilibrium(
         step; otherwise the order of ``M`` sets the kernel's route (the
         spectral radius of a reducible ``M`` comes from its full spectrum).
     (c) check ``p`` with ``A^T p = (X^T p) / Xout`` from one product with ``X``.
-    (d) check the closure identities for the household and trade scales
-        and the positivity side conditions.
+    (d) certify when the spectral radius is one, ``p`` solves the value
+        equations, both closures hold and ``p`` vanishes on the goods in
+        deficit; the closures imply the reported ``positivity_ok``.
 
     The diagnostics name the kernel's path in ``perron_method``.
 
@@ -694,38 +698,33 @@ def solve_national_equilibrium(
     e_value = float(acc.E @ p)
     imp_value = float(acc.Imp @ p)
 
-    closure_tol = max(RHO_TOL, tol)
-    if cf_value > DEFAULT_TOL_POS:
-        household_scale = household_income / cf_value
-        diag["closure_household"] = abs(household_scale - y[m]) / max(1.0, abs(y[m]))
-    else:
-        diag["closure_household"] = np.inf
-    if e_value > DEFAULT_TOL_POS:
-        trade_scale = imp_value / e_value
-        diag["closure_trade"] = abs(trade_scale - y[m + 1]) / max(1.0, abs(y[m + 1]))
-    elif e_total + imp_total == 0.0:
-        diag["closure_trade"] = 0.0  # vacuous trade agent
+    # a closure is inf, which no tol passes, where its agent's value is not positive
+    vacuous = e_total + imp_total == 0.0
+    household = cf_value > DEFAULT_TOL_POS
+    trade = vacuous or e_value > DEFAULT_TOL_POS
+    diag["closure_household"] = (
+        abs(household_income / cf_value - y[m]) / max(1.0, abs(y[m])) if household else np.inf
+    )
+    if vacuous:
+        diag["closure_trade"] = 0.0  # no exports or imports
+    elif trade:
+        diag["closure_trade"] = abs(imp_value / e_value - y[m + 1]) / max(1.0, abs(y[m + 1]))
     else:
         diag["closure_trade"] = np.inf
+    diag["positivity_ok"] = household and trade
+    diag["prices_vanish_on_J"] = bool(np.logical_and.reduce(p[below] <= DEFAULT_TOL_POS))
 
-    prices_vanish_on_J = bool(np.logical_and.reduce(p[below] <= DEFAULT_TOL_POS))
-    positivity_ok = cf_value > DEFAULT_TOL_POS and (
-        e_value > DEFAULT_TOL_POS or e_total + imp_total == 0.0
-    )
+    closure_tol = max(RHO_TOL, tol)
     certified = (
-        abs(rho - 1.0) <= RHO_TOL
+        diag["rho_gap"] <= RHO_TOL
         and diag["value_equation_residual"] <= RHO_TOL
         and diag["closure_household"] <= closure_tol
         and diag["closure_trade"] <= closure_tol
-        and positivity_ok
-        and prices_vanish_on_J
+        and diag["prices_vanish_on_J"]
     )
-    diag["positivity_ok"] = positivity_ok
-    diag["prices_vanish_on_J"] = prices_vanish_on_J
-
     result = NationalEquilibrium(
         y=y, p=p, rho=rho, I=I, J=J, certified=certified, diagnostics=diag
     )
-    if strict and abs(rho - 1.0) > RHO_TOL:
+    if strict and diag["rho_gap"] > RHO_TOL:
         raise RhoNotOne(rho, solution=result)
     return result

@@ -160,8 +160,8 @@ class RepresentationParts:
         _check_case(self.case)
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        """Raise ValueError when an invariant is broken, an entry is not
-        finite or ``tol`` is negative, NaN or infinite."""
+        """Raise ValueError when an invariant is broken, a law's sum
+        overflows, an entry is not finite or ``tol`` is negative, NaN or infinite."""
         _check_tol(tol)
         n, l = self.d0.shape
         if self.y.shape != (l,) or self.a.shape != (len(self.I), l):
@@ -171,18 +171,19 @@ class RepresentationParts:
             )
         _check_entries(self.y, "y")
         _finite(self.a, "a must be finite")
-        _finite(self.d0, "d0 must be finite")
-        col_sums = self.a.sum(axis=1)
-        if np.abs(col_sums - 1.0).max(initial=0.0) > 1e-12:
-            raise ValueError("each clearing-basis coefficient row must sum to 1")
-        if self.I and self.d0[list(self.I)].any():
-            raise ValueError("d0 must vanish on the support rows")
-        row_sums = self.d0.sum(axis=1)
-        scale = max(1.0, float(np.abs(self.d0).max(initial=0.0)))
+        # max|d0| with no |d0| copy, finite exactly when d0 is (NaN propagates)
+        scale = _finite(max(-self.d0.min(initial=0.0), self.d0.max(initial=0.0)), "d0 must be finite")
+        with _quiet():  # a law sum that overflows is refused
+            if not _classify(self.a.sum(axis=1) - 1.0, 0.0, 1e-12)[0].all():
+                raise ValueError("each clearing-basis coefficient row must sum to 1")
+            if self.d0.any(axis=1)[list(self.I)].any():
+                raise ValueError("d0 must vanish on the support rows")
+            row_sums = self.d0.sum(axis=1)
+            inside, below, _ = _classify(row_sums, scale, tol)
         if self.case == "exact":
-            if np.abs(row_sums).max(initial=0.0) > tol * scale:
+            if not inside.all():
                 raise ValueError("d0 columns must sum to zero in the exact case")
-        elif row_sums.min(initial=0.0) < -tol * scale:
+        elif below.any() or not np.isfinite(row_sums).all():
             raise ValueError("d0 column sums must be nonnegative in the partial case")
 
 

@@ -65,6 +65,9 @@ def _value_calls(rng, zeros):
         ("solve_national_equilibrium", lambda: dg.solve_national_equilibrium(acc, strict=False)),
         ("build_exchange_from_iot", lambda: dg.build_exchange_from_iot(acc, p, x)),
         ("aggregate_accounts", lambda: dg.aggregate_accounts(acc, blocks)),
+        ("IOAccounts.scaled", lambda: acc.scaled(x[0])),
+        ("IOAccounts.from_physical", lambda: IOAccounts.from_physical(
+            acc.X, x, p, acc.Cf, acc.E, acc.Imp, acc.pi)),
     ]
 
 
@@ -81,6 +84,16 @@ def _exchange_calls(rng, zeros):
     )
     econ = dg.ExchangeEconomy(C, B)
     case = "exact" if rng.random() < 0.5 else "partial"
+
+    def signed(shape):
+        return _entries(rng, shape, zeros) * rng.choice([-1.0, 1.0], shape)
+
+    # parts whose laws are drawn too: a (in half the draws) and d0 signed,
+    # d0 zero on the support rows
+    drawn_parts = dg.RepresentationParts(
+        y=y, a=signed((len(I), l)) if rng.random() < 0.5 else parts.a,
+        d0=np.where(np.isin(np.arange(n), I)[:, None], 0.0, signed((n, l))), I=I, case="partial",
+    )
     return [
         ("total_supply", lambda: dg.total_supply(B)),
         ("demand_scales", lambda: dg.demand_scales(econ, p)),
@@ -95,6 +108,10 @@ def _exchange_calls(rng, zeros):
         ("degeneracy_multiplicity", lambda: dg.degeneracy_multiplicity(B_bar, C, y)),
         ("real_money_value", lambda: dg.real_money_value(p, psi)),
         ("aggregate", lambda: dg.aggregate(econ, dg.AggregationMap((tuple(range(n)),)))),
+        ("check_aggregation_agreement", lambda: dg.check_aggregation_agreement(
+            econ, p, dg.AggregationMap((tuple(range(n)),)), [1.0])),
+        ("RepresentationParts.validate", lambda: drawn_parts.validate()),
+        ("RepresentationParts.validate exact", lambda: dataclasses.replace(drawn_parts, case="exact").validate()),
     ]
 
 
@@ -153,7 +170,9 @@ def _accounts(**fields) -> IOAccounts:
 # guards: the technical coefficients inside the solve, the conversion to
 # physical units, C @ B1 of the constructive solvers, the unit-value
 # supply gap, the cone solve's last shift, the sensitivity ranking key,
-# and the solve's NNLS scaling and household closure.
+# the solve's NNLS scaling and household closure, the products of
+# IOAccounts.scaled and IOAccounts.from_physical, the aggregated clearing
+# sums and a law sum of RepresentationParts.validate.
 REPRODUCERS = {
     "coefficients": lambda: dg.solve_national_equilibrium(
         _accounts(X=[[1e308, 1.0], [1.0, 1.0]], Xout=[1e-10, 10.0]), strict=False
@@ -172,6 +191,18 @@ REPRODUCERS = {
         IOAccounts(X=[[5e120]], Xout=[1.4e307], Cf=[1.7e-4], E=[3.8e175], Imp=[0.0], pi=0.5),
         strict=False,
     ),
+    "scaled": lambda: toy_accounts().scaled(1e307),
+    "from_physical": lambda: IOAccounts.from_physical(
+        np.full((2, 2), 1e200), [1e200, 1.0], [1e10, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], 1.0
+    ),
+    "aggregated clearing": lambda: dg.check_aggregation_agreement(
+        dg.ExchangeEconomy(np.ones((2, 2)), np.full((2, 2), 0.6e308)), [1.0, 1.0],
+        dg.AggregationMap(((0, 1),)), [1.0],
+    ),
+    "law sum": lambda: dg.RepresentationParts(
+        y=np.ones(16), a=np.full((1, 16), 1.0 / 16),
+        d0=np.array([[0.0] * 16, [1e308, -1e308] + [0.0] * 6 + [1e308, -1e308] + [0.0] * 6]), I=(0,),
+    ).validate(),
 }
 
 
@@ -185,6 +216,10 @@ REPRODUCERS = {
 @example(calls=[("analyze_accounts", REPRODUCERS["ranking key"])])
 @example(calls=[("solve_national_equilibrium", REPRODUCERS["NNLS scaling"])])
 @example(calls=[("solve_national_equilibrium", REPRODUCERS["household closure"])])
+@example(calls=[("IOAccounts.scaled", REPRODUCERS["scaled"])])
+@example(calls=[("IOAccounts.from_physical", REPRODUCERS["from_physical"])])
+@example(calls=[("check_aggregation_agreement", REPRODUCERS["aggregated clearing"])])
+@example(calls=[("RepresentationParts.validate", REPRODUCERS["law sum"])])
 def test_every_public_call_answers_finite_or_refuses(calls):
     for name, call in calls:
         with warnings.catch_warnings():

@@ -170,6 +170,60 @@ def reference_solve(acc: IOAccounts) -> dict:
     )
 
 
+def reference_certificate(acc: IOAccounts, sol, tol: float) -> dict:
+    """The national solve's certificate tail in the form it had before each
+    clause was formed once: from the solution's price, scales, spectral
+    radius, deficit set and first nine diagnostics, the closures and both
+    flags, then ``certified`` with ``positivity_ok`` in the conjunction.
+    Returns the diagnostics with ``certified`` under its own key."""
+    m, y, p, rho = acc.m, sol.y, sol.p, sol.rho
+    diag = dict(list(sol.diagnostics.items())[:9])
+    below = np.zeros(m, dtype=bool)
+    below[list(sol.J)] = True
+    e_total, imp_total = float(np.add.reduce(acc.E)), float(np.add.reduce(acc.Imp))
+    household_income = float(((1.0 - acc.pi) * acc.Xout) @ p + p @ (acc.X @ acc.pi))
+    cf_value = float(acc.Cf @ p)
+    e_value = float(acc.E @ p)
+    imp_value = float(acc.Imp @ p)
+
+    closure_tol = max(RHO_TOL, tol)
+    if cf_value > DEFAULT_TOL_POS:
+        household_scale = household_income / cf_value
+        diag["closure_household"] = abs(household_scale - y[m]) / max(1.0, abs(y[m]))
+    else:
+        diag["closure_household"] = np.inf
+    if e_value > DEFAULT_TOL_POS:
+        trade_scale = imp_value / e_value
+        diag["closure_trade"] = abs(trade_scale - y[m + 1]) / max(1.0, abs(y[m + 1]))
+    elif e_total + imp_total == 0.0:
+        diag["closure_trade"] = 0.0  # vacuous trade agent
+    else:
+        diag["closure_trade"] = np.inf
+
+    prices_vanish_on_J = bool(np.logical_and.reduce(p[below] <= DEFAULT_TOL_POS))
+    positivity_ok = cf_value > DEFAULT_TOL_POS and (
+        e_value > DEFAULT_TOL_POS or e_total + imp_total == 0.0
+    )
+    certified = (
+        abs(rho - 1.0) <= RHO_TOL
+        and diag["value_equation_residual"] <= RHO_TOL
+        and diag["closure_household"] <= closure_tol
+        and diag["closure_trade"] <= closure_tol
+        and positivity_ok
+        and prices_vanish_on_J
+    )
+    diag["positivity_ok"] = positivity_ok
+    diag["prices_vanish_on_J"] = prices_vanish_on_J
+    return {**diag, "certified": certified}
+
+
+def _same_bits(got, want) -> bool:
+    """Equal type and value; floats compared by ``.hex()``."""
+    if type(got) is not type(want):
+        return False
+    return got.hex() == want.hex() if isinstance(got, float) else got == want
+
+
 class TestIOAccounts:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -681,6 +735,44 @@ class TestNationalEquilibrium:
         assert abs(diag["input_value_min"] - ref["input_value"].min()) <= 8 * eps * scale
         bound = 1e-12 * max(1.0, float(ref["target"].max()))
         assert abs(diag["scales_residual"] - np.abs(ref["residual"]).max()) <= bound
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["engineered", "random", "cyclic", "dead"]),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 30),
+        variant=st.sampled_from(["plain", "no trade", "zero Cf", "shrink"]),
+        tol=st.sampled_from([0.0, 1e-9, DEFAULT_TOL, 1e-3]),
+    )
+    # the household and the trade value vanish at the price (test_raise_sites)
+    @example(kind="unpriced", seed=0, m=2, variant="plain", tol=DEFAULT_TOL)
+    def test_certificate_keeps_the_bits_of_the_reference_tail(self, kind, seed, m, variant, tol):
+        if kind == "unpriced":
+            acc = IOAccounts(
+                X=[[10.0, 20.0], [0.0, 30.0]], Xout=[85.0, 30.0], Cf=[40.0, 0.0], E=[20.0, 0.0],
+                Imp=[5.0, 0.0], pi=[1.0, 1.0],
+            )
+        else:
+            acc = balanced_accounts(kind, seed, m, 0.6 if variant == "shrink" else 1.0)
+        fields = dict(X=acc.X, Xout=acc.Xout, Cf=np.array(acc.Cf), E=acc.E, Imp=acc.Imp, pi=acc.pi)
+        if variant == "no trade":  # a vacuous trade agent
+            fields.update(Cf=np.maximum(acc.Cf + acc.E - acc.Imp, 0.0), E=np.zeros(m), Imp=np.zeros(m))
+        elif variant == "zero Cf":  # households buy nothing from some industries
+            fields["Cf"][np.random.default_rng(seed).random(m) < 0.5] = 0.0
+        acc = IOAccounts(**fields)
+        try:
+            sol = solve_national_equilibrium(acc, tol=tol, strict=False)
+        except DemandGapError:
+            return
+        got = {**sol.diagnostics, "certified": sol.certified}
+        want = reference_certificate(acc, sol, tol)
+        assert list(got) == list(want)
+        assert all(_same_bits(got[k], want[k]) for k in want), (got, want)
+        if want["rho_gap"] > RHO_TOL:
+            with pytest.raises(RhoNotOne):
+                solve_national_equilibrium(acc, tol=tol)
+        else:
+            assert solve_national_equilibrium(acc, tol=tol).certified == sol.certified
 
     @settings(max_examples=120, deadline=None, database=None)
     @given(

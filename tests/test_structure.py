@@ -565,16 +565,17 @@ class TestDegeneracyMultiplicity:
 class TestFullSizeBuffers:
     """Each structure call forms its n x l quantities in a bounded number of
     full-size buffers.  Tracemalloc peaks at 200 x 150, in units of one
-    n x l float array: measured 2.31, 3.83, 1.60 and 1.52 with numpy 2.4,
-    against 3.31, 7.54, 2.04 and 2.00 for the out-of-place forms of
-    :class:`TestReferenceForms`; each bound is at least 10 % above the
-    measured peak and below the out-of-place one."""
+    n x l float array: measured 2.31, 3.83, 1.60, 1.52 and 0.07 with numpy
+    2.4, against 3.31, 7.54, 2.04, 2.00 and 1.02 for the out-of-place forms
+    of :class:`TestReferenceForms` and :func:`_reference_laws`; each bound
+    is at least 10 % above the measured peak and below the out-of-place one."""
 
     BOUNDS = {
         "synthesize_property": 2.6,
         "decompose_property": 4.3,
         "verify_certificate": 1.8,
         "degeneracy_multiplicity": 1.7,
+        "validate": 0.3,
     }
 
     @pytest.mark.parametrize("name", sorted(BOUNDS))
@@ -583,11 +584,13 @@ class TestFullSizeBuffers:
         econ, p, parts = random_equilibrium(7, n=n, l=l, support=100)
         tr = degenerate_transform(econ, p, I=parts.I)
         psi_bar = econ.C @ parts.y
+        decomposed = decompose_property(econ, p, I=parts.I)[0]
         call = {
             "synthesize_property": lambda: synthesize_property(econ.C, p, parts),
             "decompose_property": lambda: decompose_property(econ, p, I=parts.I),
             "verify_certificate": lambda: verify_certificate(econ, p, parts.y, psi_bar),
             "degeneracy_multiplicity": lambda: degeneracy_multiplicity(tr.B_bar, econ.C, tr.y, parts.I),
+            "validate": decomposed.validate,
         }[name]
         call()  # first-call set-up
         tracemalloc.start()
@@ -597,6 +600,98 @@ class TestFullSizeBuffers:
         finally:
             tracemalloc.stop()
         assert peak < self.BOUNDS[name] * 8 * n * l
+
+
+def _reference_laws(parts, tol):
+    """The two laws of :meth:`RepresentationParts.validate` in the form they
+    had before they went through ``_policy._classify``: their own band
+    comparisons, the support rows copied out, and a fresh ``|d0|``."""
+    col_sums = parts.a.sum(axis=1)
+    if np.abs(col_sums - 1.0).max(initial=0.0) > 1e-12:
+        raise ValueError("each clearing-basis coefficient row must sum to 1")
+    if parts.I and parts.d0[list(parts.I)].any():
+        raise ValueError("d0 must vanish on the support rows")
+    row_sums = parts.d0.sum(axis=1)
+    scale = max(1.0, float(np.abs(parts.d0).max(initial=0.0)))
+    if parts.case == "exact":
+        if np.abs(row_sums).max(initial=0.0) > tol * scale:
+            raise ValueError("d0 columns must sum to zero in the exact case")
+    elif row_sums.min(initial=0.0) < -tol * scale:
+        raise ValueError("d0 column sums must be nonnegative in the partial case")
+
+
+class TestRepresentationLaws:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        l=st.integers(1, 8),
+        partial=st.booleans(),
+        tol=st.sampled_from([0.0, 1e-12, DEFAULT_TOL, 1e-3]),
+        log_scale=st.integers(-3, 9),
+        plant=st.sampled_from(["none", "a", "d0", "d0", "support"]),
+        edge=st.integers(0, 5),
+    )
+    def test_laws_keep_the_verdicts_of_the_reference_form(
+        self, seed, n, l, partial, tol, log_scale, plant, edge
+    ):
+        # parts whose law sums are finite, with a coefficient row or a d0
+        # sum planted around its band (one ulp either side and on it)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(0, n + 1))
+        I = tuple(sorted(rng.choice(n, k, replace=False).tolist()))
+        off = [r for r in range(n) if r not in I]
+        a = rng.uniform(-1.0, 1.0, (k, l))
+        a[:, 0] += 1.0 - a.sum(axis=1)
+        d0 = rng.uniform(-1.0, 1.0, (n, l)) * 10.0**log_scale
+        d0[list(I)] = 0.0
+        d0[off, 0] -= d0[off].sum(axis=1)
+        sign = 1.0 if edge % 2 else -1.0
+        if plant == "a" and k:
+            a[0] = 0.0
+            a[0, 0] = 1.0 + sign * 1e-12 * [0.5, 1.0, 1.0, 2.0, 0.999, 1.001][edge]
+        elif plant == "d0" and off:
+            # in the row with the smallest entries, so that max|d0| stays
+            t = tol * max(1.0, float(np.abs(d0).max()))
+            r = min(off, key=lambda r: np.abs(d0[r]).max())
+            d0[r] = 0.0
+            d0[r, 0] = sign * [np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)][edge // 2]
+        elif plant == "support" and k:
+            d0[I[0], edge % l] = sign * 1e-300
+        parts = RepresentationParts(y=np.ones(l), a=a, d0=d0, I=I, case="partial" if partial else "exact")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(parts.validate, tol)
+        assert got == _outcome(_reference_laws, parts, tol)
+
+    @pytest.mark.parametrize(
+        "law, case, message",
+        [
+            ("a", "exact", "each clearing-basis coefficient row must sum to 1"),
+            ("d0", "exact", "d0 columns must sum to zero in the exact case"),
+            ("d0", "partial", "d0 column sums must be nonnegative in the partial case"),
+        ],
+        ids=["a", "d0-exact", "d0-partial"],
+    )
+    @pytest.mark.parametrize("overflow", ["nan", "inf"])
+    def test_law_sum_that_overflows_is_refused(self, law, case, message, overflow):
+        # pairwise summation adds entries 0 and 8, then 1 and 9, so the
+        # sum reads inf - inf = NaN, or inf
+        row = np.zeros(16)
+        row[[0, 8]] = 1e308
+        row[[1, 9]] = -1e308 if overflow == "nan" else 0.0
+        with _quiet():
+            assert np.isnan(row.sum()) if overflow == "nan" else row.sum() == np.inf
+        a, d0 = np.full((1, 16), 1.0 / 16), np.zeros((2, 16))
+        if law == "a":
+            a[0] = row
+        else:
+            d0[1] = row
+        parts = RepresentationParts(y=np.ones(16), a=a, d0=d0, I=(0,), case=case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                parts.validate()
 
 
 def _reference_assemble(P, u, parts):
